@@ -10,8 +10,8 @@ from .linalg import (
     ATOL_ALGEBRAIC,
     ATOL_PIPELINE,
     gate_fidelity,
-    herm_exp,
     phase_aligned_distance,
+    su2_exp,
     tensor_product,
 )
 from .sphere import (
@@ -30,7 +30,6 @@ from .sphere import (
     sphere_point,
 )
 from .gates import (
-    GeometricGateSpec,
     frame_unitaries,
     lambda_gate,
     schmidt_gate,
@@ -48,10 +47,10 @@ from .dynamics import (
     ConstantPulse,
     HamiltonianSchedule,
     SampledPulse,
-    SpinOperators,
     TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
+    embed,
     extract_rotation_angle,
     orange_slice_path,
     propagate,

@@ -270,12 +270,54 @@ def load_scenario(path: str, command: str) -> dict:
     errors = sorted(validator.iter_errors(raw),
                     key=lambda e: list(e.absolute_path))
     if errors:
+        for err in errors:
+            _prune_undeclared(err)
         err = jsonschema.exceptions.best_match(errors)
         while err.context:
             err = jsonschema.exceptions.best_match(err.context)
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ScenarioError(f"scenario field {where!r}: {err.message}")
+        raise ScenarioError(_diagnostic(err.absolute_path, err.message))
     return raw
+
+
+def _diagnostic(path, message: str) -> str:
+    where = "/".join(str(p) for p in path) or "<root>"
+    return f"scenario field {where!r}: {message}"
+
+
+def _prune_undeclared(err) -> None:
+    """Drop, throughout the error tree, the errors of oneOf branches that
+    the instance does not declare, so best_match cannot report another
+    branch's problem."""
+    err.context = _declared_branch(err)
+    for sub in err.context:
+        _prune_undeclared(sub)
+
+
+def _declared_branch(err) -> list:
+    """The sub-errors of a failed oneOf that belong to the branch its
+    instance declares through a `kind` or `preset` constant (the untagged
+    branch if the instance carries no tag). A oneOf without such tags keeps
+    all its sub-errors; a tag matching no branch is itself the diagnostic.
+    """
+    inst = err.instance
+    tags = [{k: p["const"] for k, p in branch.get("properties", {}).items()
+             if "const" in p} for branch in err.schema.get("oneOf", ())]
+    if not isinstance(inst, dict) or not any(tags):
+        return err.context
+    keys = {k for tag in tags for k in tag}
+    declared = sorted(keys & inst.keys())
+    picked = [i for i, tag in enumerate(tags)
+              if all(inst.get(k) == v for k, v in tag.items())
+              and (tag or not declared)]
+    if picked:
+        return [e for e in err.context if e.relative_schema_path[0] in picked]
+    if not declared:
+        raise ScenarioError(_diagnostic(
+            err.absolute_path, f"{min(keys)!r} is a required property"))
+    key = declared[0]
+    allowed = [tag[key] for tag in tags if key in tag]
+    raise ScenarioError(_diagnostic(
+        [*err.absolute_path, key], f"{inst[key]!r} is not one of {allowed!r}"))
 
 
 # --------------------------------------------------------------------------
@@ -422,6 +464,12 @@ def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
     if loop and not path.closed:
         raise ScenarioError("simulate in loop mode requires a closed path "
                             "(endpoints differ on the sphere)")
+    omega = None
+    if path.closed:
+        try:
+            omega = solid_angle(path, samples=samples)
+        except ValueError as exc:
+            raise ScenarioError(f"invalid path: {exc}") from exc
     schedule = reverse_engineer(path, sector=sector,
                                 samples_per_segment=samples)
     u = propagate(schedule)
@@ -430,18 +478,15 @@ def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
     start = path.start_coords()
 
     checks = {"propagator_unitary": unitarity_defect(u) <= tol}
-    omega = None
     predicted = None
     fidelity = None
-    if path.closed:
-        omega = solid_angle(path, samples=samples)
-        if phase_zero:
-            build = schmidt_gate if sector == "gamma" else lambda_gate
-            target = build(start.alpha, start.beta, omega)
-            fidelity = gate_fidelity(u, target)
-            predicted = {"alpha0": start.alpha, "beta0": start.beta,
-                         "omega": omega}
-            checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
+    if path.closed and phase_zero:
+        build = schmidt_gate if sector == "gamma" else lambda_gate
+        target = build(start.alpha, start.beta, omega)
+        fidelity = gate_fidelity(u, target)
+        predicted = {"alpha0": start.alpha, "beta0": start.beta,
+                     "omega": omega}
+        checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
 
     inv = makhlin_invariants(u)
     report = {

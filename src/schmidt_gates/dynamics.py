@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_exp
+from .linalg import I2, su2_exp
 from .sphere import (
     LinearSegment,
     RotationSegment,
@@ -47,26 +47,20 @@ L_DM[3, 0] = 1j
 L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Exchange, antisymmetric-exchange, and splitting operators of one
-    sector; they satisfy [h_xy, h_dm] = 2i h_z and cyclic permutations.
+# Basis indices of the pair each sector drives; the other pair is idle.
+_PAIRS = {"gamma": [1, 2], "lambda": [0, 3]}
+
+
+def embed(block: np.ndarray, sector: str) -> np.ndarray:
+    """4x4 matrix acting as the 2x2 `block` on the sector's pair (gamma:
+    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair.
     """
-
-    h_xy: np.ndarray
-    h_dm: np.ndarray
-    h_z: np.ndarray
-
-    @classmethod
-    def for_sector(cls, sector: str) -> "SpinOperators":
-        if sector == "gamma":
-            return cls(H_XY, H_DM, H_Z)
-        if sector == "lambda":
-            return cls(L_XY, L_DM, L_Z)
+    if sector not in _PAIRS:
         raise ValueError(f"unknown sector {sector!r}")
-
-    def hamiltonian(self, c_xy: float, c_dm: float, c_z: float) -> np.ndarray:
-        return c_xy * self.h_xy + c_dm * self.h_dm + c_z * self.h_z
+    pair = _PAIRS[sector]
+    u = np.eye(4, dtype=np.complex128)
+    u[np.ix_(pair, pair)] = block
+    return u
 
 
 @dataclass(frozen=True)
@@ -120,12 +114,21 @@ class HamiltonianSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.sector not in ("gamma", "lambda"):
+        if self.sector not in _PAIRS:
             raise ValueError(f"unknown sector {self.sector!r}")
 
     @property
     def duration(self) -> float:
         return float(sum(p.duration for p in self.pulses))
+
+
+def _chart_pulse(t: np.ndarray, alpha: np.ndarray,
+                 beta: np.ndarray) -> SampledPulse:
+    """Pulse read off sampled chart coordinates, derivatives by np.gradient."""
+    da = np.gradient(alpha, t, edge_order=2)
+    db = np.gradient(beta, t, edge_order=2)
+    return SampledPulse(t, -0.5 * da * np.sin(beta),
+                        +0.5 * da * np.cos(beta), 0.5 * db)
 
 
 def _segment_pulse(seg, samples: int) -> Pulse:
@@ -139,11 +142,7 @@ def _segment_pulse(seg, samples: int) -> Pulse:
         # for tilted axes the constant axis field moves the sphere point
         # correctly but adds a parallel component (a spurious phase), so
         # the pulse is resampled from the chart lift instead
-        t, alpha, beta = seg.sample(samples)
-        da = np.gradient(alpha, t, edge_order=2)
-        db = np.gradient(beta, t, edge_order=2)
-        return SampledPulse(t, -0.5 * da * np.sin(beta),
-                            +0.5 * da * np.cos(beta), 0.5 * db)
+        return _chart_pulse(*seg.sample(samples))
     if isinstance(seg, LinearSegment):
         da, db = seg.alpha_rate, seg.beta_rate
         if da == 0.0:
@@ -158,11 +157,7 @@ def _segment_pulse(seg, samples: int) -> Pulse:
                             +0.5 * da * np.cos(beta),
                             np.full(t.shape, 0.5 * db))
     if isinstance(seg, SampledSegment):
-        t, alpha, beta = seg.sample(samples)
-        da = np.gradient(alpha, t, edge_order=2)
-        db = np.gradient(beta, t, edge_order=2)
-        return SampledPulse(t, -0.5 * da * np.sin(beta),
-                            +0.5 * da * np.cos(beta), 0.5 * db)
+        return _chart_pulse(*seg.sample(samples))
     raise TypeError(f"unsupported segment type {type(seg).__name__}")
 
 
@@ -186,25 +181,21 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
 def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
     """Time-ordered propagator of a schedule (latest pulse leftmost).
 
+    Every pulse acts on the schedule's sector pair alone, so the product
+    is formed on 2x2 blocks and embedded into 4x4 once at the end.
     Constant pulses exponentiate exactly; sampled pulses step between
     consecutive samples using the midpoint (averaged) coefficients.
     """
-    ops = SpinOperators.for_sector(schedule.sector)
-    u = np.eye(4, dtype=np.complex128)
+    u = I2
     for pulse in schedule.pulses:
         if isinstance(pulse, ConstantPulse):
-            h = ops.hamiltonian(pulse.c_xy, pulse.c_dm, pulse.c_z)
-            u = herm_exp(h, pulse.duration) @ u
+            u = su2_exp(pulse.c_xy, pulse.c_dm, pulse.c_z, pulse.duration) @ u
         else:
-            t = pulse.times
-            for k in range(t.size - 1):
-                h = ops.hamiltonian(
-                    0.5 * (pulse.c_xy[k] + pulse.c_xy[k + 1]),
-                    0.5 * (pulse.c_dm[k] + pulse.c_dm[k + 1]),
-                    0.5 * (pulse.c_z[k] + pulse.c_z[k + 1]),
-                )
-                u = herm_exp(h, t[k + 1] - t[k]) @ u
-    return u
+            mid = [0.5 * (c[:-1] + c[1:])
+                   for c in (pulse.c_xy, pulse.c_dm, pulse.c_z)]
+            for step in su2_exp(*mid, np.diff(pulse.times)):
+                u = step @ u
+    return embed(u, schedule.sector)
 
 
 def dynamical_phase(path: SchmidtPath, samples: int = 1000) -> tuple[float, float]:
@@ -267,8 +258,9 @@ def tilted_segment_propagator(theta: float) -> np.ndarray:
     """Exact propagator of the tilted second pulse,
     exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)).
     """
-    h = -0.5 * np.pi * (np.cos(theta) * H_XY - np.sin(theta) * H_Z)
-    return herm_exp(h, 1.0)
+    k = 0.5 * np.pi
+    return embed(su2_exp(-k * np.cos(theta), 0.0, k * np.sin(theta), 1.0),
+                 "gamma")
 
 
 def composed_tilted_gate(theta: float) -> np.ndarray:
@@ -290,16 +282,14 @@ class TrotterPlan:
             raise ValueError("step count n must be a positive integer")
 
 
-def trotter_step(plan: TrotterPlan) -> np.ndarray:
-    k = np.pi / (2.0 * plan.n)
-    xy = herm_exp(-k * np.cos(plan.theta) * H_XY, 1.0)
-    z = herm_exp(+k * np.sin(plan.theta) * H_Z, 1.0)
-    return xy @ z
-
-
 def trotter_propagate(plan: TrotterPlan) -> np.ndarray:
-    """n-fold repetition of the Trotter step (binary powering)."""
-    return np.linalg.matrix_power(trotter_step(plan), plan.n)
+    """n-fold repetition of the Trotter step, formed as a 4x4 matrix and
+    raised to the n-th power by binary powering.
+    """
+    k = np.pi / (2.0 * plan.n)
+    xy = embed(su2_exp(-k * np.cos(plan.theta), 0.0, 0.0, 1.0), "gamma")
+    z = embed(su2_exp(0.0, 0.0, k * np.sin(plan.theta), 1.0), "gamma")
+    return np.linalg.matrix_power(xy @ z, plan.n)
 
 
 def extract_rotation_angle(u: np.ndarray) -> tuple[float, float]:

@@ -8,8 +8,6 @@ span{|01>, |10>}, the lambda sector span{|00>, |11>} (standard frame).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import tensor_product
@@ -81,22 +79,3 @@ def u_general(omega: float) -> np.ndarray:
         [0, s, c, 0],
         [0, 0, 0, 1],
     ], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class GeometricGateSpec:
-    """Declarative description of a geometric gate."""
-
-    alpha0: float
-    beta0: float
-    omega: float
-    sector: str = "gamma"
-    frame: tuple | None = None
-
-    def __post_init__(self):
-        if self.sector not in ("gamma", "lambda"):
-            raise ValueError(f"unknown sector {self.sector!r}")
-
-    def matrix(self) -> np.ndarray:
-        build = schmidt_gate if self.sector == "gamma" else lambda_gate
-        return build(self.alpha0, self.beta0, self.omega, frame=self.frame)

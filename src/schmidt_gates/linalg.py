@@ -1,10 +1,11 @@
 """Small dense linear-algebra kernels shared by the whole package.
 
-Everything operates on explicit numpy arrays in the computational product
-basis |00>, |01>, |10>, |11> (row-major, qubit a first). Two tolerance
-levels are used throughout: ATOL_ALGEBRAIC for identities that hold to
-rounding error, ATOL_PIPELINE for quantities assembled from several
-numerical stages.
+Gates are explicit 4x4 numpy arrays in the computational product basis
+|00>, |01>, |10>, |11> (row-major, qubit a first); propagators are formed
+on the 2x2 block of one sector pair by su2_exp. Two tolerance levels are
+used throughout: ATOL_ALGEBRAIC for identities that hold to rounding
+error, ATOL_PIPELINE for quantities assembled from several numerical
+stages.
 """
 
 from __future__ import annotations
@@ -37,70 +38,30 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def require_hermitian(h: np.ndarray, tol: float = ATOL_ALGEBRAIC) -> None:
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
-
-
 def require_unitary(u: np.ndarray, tol: float = ATOL_PIPELINE) -> None:
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
 
 
-def _exp2(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for a Hermitian 2x2 block, in closed form.
+def su2_exp(c_xy, c_dm, c_z, t) -> np.ndarray:
+    """exp(-i t (c_xy X + c_dm Y + c_z Z)) in closed form.
 
-    Writes h = c*I + v.sigma and uses the exact two-level formula; the
-    v -> 0 limit is handled through sinc, so constant blocks are exact too.
+    The coefficients and t are scalars or arrays of one shape; the result
+    has that shape followed by (2, 2). The v -> 0 limit is handled through
+    sinc, so vanishing fields give the identity exactly.
     """
-    c = 0.5 * (h[0, 0] + h[1, 1]).real
-    vz = 0.5 * (h[0, 0] - h[1, 1]).real
-    vx = h[0, 1].real
-    vy = -h[0, 1].imag
+    vx, vy, vz, t = (np.asarray(a, dtype=float) for a in (c_xy, c_dm, c_z, t))
     w = np.sqrt(vx * vx + vy * vy + vz * vz)
     cos = np.cos(w * t)
     # sin(w t) / w, finite at w = 0
     snc = t * np.sinc(w * t / np.pi)
-    phase = np.exp(-1j * c * t)
-    return phase * np.array(
-        [[cos - 1j * snc * vz, -1j * snc * (vx - 1j * vy)],
-         [-1j * snc * (vx + 1j * vy), cos + 1j * snc * vz]],
-        dtype=np.complex128,
-    )
-
-
-def _pair_block_decoupled(h: np.ndarray) -> bool:
-    """True when the {|00>,|11>} and {|01>,|10>} pairs do not mix."""
-    off = (abs(h[0, 1]) + abs(h[0, 2]) + abs(h[3, 1]) + abs(h[3, 2])
-           + abs(h[1, 0]) + abs(h[2, 0]) + abs(h[1, 3]) + abs(h[2, 3]))
-    return off == 0.0
-
-
-_OUTER = np.ix_([0, 3], [0, 3])
-_INNER = np.ix_([1, 2], [1, 2])
-
-
-def herm_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator exp(-i h t) of a Hermitian generator h.
-
-    The two-level pair structure shared by every Hamiltonian in this
-    package (the {|01>,|10>} exchange block and the {|00>,|11>} block
-    evolving independently) is detected and exponentiated in closed form;
-    anything else falls back to an eigendecomposition.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    require_hermitian(h)
-    if h.shape == (2, 2):
-        return _exp2(h, t)
-    if h.shape == (4, 4) and _pair_block_decoupled(h):
-        u = np.zeros((4, 4), dtype=np.complex128)
-        u[_OUTER] = _exp2(h[_OUTER], t)
-        u[_INNER] = _exp2(h[_INNER], t)
-        return u
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = np.empty(cos.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = cos - 1j * snc * vz
+    u[..., 0, 1] = -1j * snc * (vx - 1j * vy)
+    u[..., 1, 0] = -1j * snc * (vx + 1j * vy)
+    u[..., 1, 1] = cos + 1j * snc * vz
+    return u
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

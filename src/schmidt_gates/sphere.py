@@ -436,13 +436,26 @@ def solid_angle(path: SchmidtPath, samples: int = 1000) -> float:
     continuous extended-alpha parametrization; linear segments contribute in
     closed form, rotation and sampled segments by the trapezoid rule
     (`samples` points for rotation arcs). This chart form is singular at the
-    south pole: crossings of alpha = +/- pi would shift the result by 2*pi,
-    so pole crossings should run through alpha = 0.
+    south pole, where a crossing would shift the result by 2*pi, so a
+    segment whose alpha range reaches an odd multiple of pi raises
+    ValueError; pole crossings must run through alpha = 0. Rotation arcs
+    stay clear of both poles by construction.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")
     total = 0.0
-    for seg in path.segments:
+    for i, seg in enumerate(path.segments):
+        if not isinstance(seg, RotationSegment):
+            alpha = ((seg.alpha_start, seg.alpha_end)
+                     if isinstance(seg, LinearSegment) else seg.alpha)
+            lo, hi = np.min(alpha), np.max(alpha)
+            # smallest odd multiple of pi at or above lo
+            pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
+            if pole <= hi:
+                raise ValueError(
+                    f"segment {i} reaches the south pole (alpha = "
+                    f"{pole:.6g}), where the chart solid angle is singular; "
+                    "route pole crossings through alpha = 0")
         dbeta, cos_int = seg._beta_integrals(samples)
         total += dbeta - cos_int
     return float(total)

@@ -244,6 +244,60 @@ def test_scenario_error_paths(tmp_path, capsys):
     assert code == 2 and "tolerance" in err
 
 
+def test_simulate_rejects_south_pole_loop(tmp_path, capsys):
+    # a valid loop whose meridian runs through alpha = pi: the chart solid
+    # angle would be off by 2 pi, so the scenario is rejected, not failed
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1,
+        "command": "simulate",
+        "path": {"segments": [
+            {"kind": "linear", "alpha_start": np.pi / 2,
+             "beta_start": np.pi / 2, "alpha_end": np.pi / 2,
+             "beta_end": -np.pi / 2, "duration": 1.0},
+            {"kind": "linear", "alpha_start": np.pi / 2,
+             "beta_start": -np.pi / 2, "alpha_end": 3 * np.pi / 2,
+             "beta_end": -np.pi / 2, "duration": 1.0},
+        ], "closed": True},
+    })
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert code == 2 and out == ""
+    assert "segment 1" in err and "south pole" in err
+
+
+@pytest.mark.parametrize("gate, field", [
+    ({"kind": "rotation", "omega": "1.0"}, "gate/omega"),
+    ({"kind": "geometric", "alpha0": 1.0, "beta0": 0.5, "omega": 1.0,
+      "sector": 1.5}, "gate/sector"),
+    ({"kind": 1.5, "omega": 1.0}, "gate/kind"),
+])
+def test_classify_diagnostic_names_wrong_typed_field(tmp_path, capsys, gate,
+                                                     field):
+    # the diagnostic comes from the branch the gate's kind declares, not
+    # from whichever oneOf branch looks closest
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify", "gate": gate})
+    code, out, err = run_main(["classify", scn], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario field '{field}': ")
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"kind": 1.5}, "path/segments/0/kind"),
+    ({"alpha_start": "0.3"}, "path/segments/0/alpha_start"),
+])
+def test_simulate_diagnostic_names_segment_field(tmp_path, capsys, override,
+                                                 field):
+    # an untagged path branch holding a segment tagged by its kind
+    segment = {"kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
+               "alpha_end": 1.0, "beta_end": 0.5, "duration": 1.0}
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [{**segment, **override}]}})
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario field '{field}': ")
+
+
 def test_out_field_in_scenario(tmp_path, capsys):
     out = tmp_path / "from_field.json"
     scn = write_scenario(tmp_path, dict(ORANGE, out=str(out)))

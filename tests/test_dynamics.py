@@ -11,7 +11,6 @@ from schmidt_gates.dynamics import (
     ConstantPulse,
     HamiltonianSchedule,
     SampledPulse,
-    SpinOperators,
     TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
@@ -58,16 +57,6 @@ def test_sector_operators_commute_across_sectors():
     for a in (H_XY, H_DM, H_Z):
         for b in (L_XY, L_DM, L_Z):
             assert np.max(np.abs(a @ b - b @ a)) == 0.0
-
-
-def test_spin_operators_factory():
-    ops = SpinOperators.for_sector("gamma")
-    h = ops.hamiltonian(0.3, -0.5, 0.7)
-    assert np.max(np.abs(h - (0.3 * H_XY - 0.5 * H_DM + 0.7 * H_Z))) == 0.0
-    lam = SpinOperators.for_sector("lambda")
-    assert np.array_equal(lam.h_xy, L_XY)
-    with pytest.raises(ValueError):
-        SpinOperators.for_sector("mu")
 
 
 def test_pulse_and_schedule_validation():
@@ -279,6 +268,26 @@ def test_orange_slice_lambda_sector():
     sched = reverse_engineer(orange_slice_path(1.0, 2.0), sector="lambda")
     u = propagate(sched)
     assert np.max(np.abs(u - lambda_gate(np.pi / 2, np.pi / 2, -np.pi))) < TOL
+
+
+def test_sampled_lambda_loop_is_lambda_gate():
+    # a coordinate spiral (sampled pulse) closed by a meridian (constant
+    # pulse) in the lambda sector; the idle gamma pair is untouched exactly
+    a0, b0, a1 = 0.6, 0.3, 1.4
+    loop = SchmidtPath((
+        LinearSegment(a0, b0, a1, b0 + 2 * np.pi, 1.0),
+        LinearSegment(a1, b0 + 2 * np.pi, a0, b0 + 2 * np.pi, 0.7),
+    ), closed=True)
+    sched = reverse_engineer(loop, sector="lambda", samples_per_segment=4000)
+    assert isinstance(sched.pulses[0], SampledPulse)
+    u = propagate(sched)
+    phi_plus, _ = dynamical_phase(loop)
+    target = lambda_gate(a0, b0, solid_angle(loop) - 2 * phi_plus)
+    assert np.max(np.abs(u - target)) < TOL_SAMPLED
+    gamma, lam = [1, 2], [0, 3]
+    assert np.array_equal(u[np.ix_(gamma, gamma)], np.eye(2))
+    assert np.array_equal(u[np.ix_(gamma, lam)], np.zeros((2, 2)))
+    assert np.array_equal(u[np.ix_(lam, gamma)], np.zeros((2, 2)))
 
 
 def test_reversed_loop_inverts_propagator():

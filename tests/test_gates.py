@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from schmidt_gates.gates import (
-    GeometricGateSpec,
     frame_unitaries,
     lambda_gate,
     schmidt_gate,
@@ -124,15 +122,6 @@ def test_frame_unitaries_map_standard_quadruple():
             std = assemble_state(0.7, -0.3, br)
             framed = assemble_state(0.7, -0.3, br, frame=frame)
             assert np.max(np.abs(local @ std - framed)) < TOL
-
-
-def test_gate_spec_matrix():
-    spec = GeometricGateSpec(np.pi / 2, np.pi / 2, -np.pi)
-    assert np.max(np.abs(spec.matrix() - ISWAP_TYPE)) < TOL
-    lam = GeometricGateSpec(0.4, 0.1, 1.0, sector="lambda")
-    assert np.max(np.abs(lam.matrix() - lambda_gate(0.4, 0.1, 1.0))) < TOL
-    with pytest.raises(ValueError):
-        GeometricGateSpec(0.1, 0.2, 0.3, sector="delta")
 
 
 def test_gamma_and_lambda_gates_commute():

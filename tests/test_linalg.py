@@ -1,16 +1,16 @@
 import numpy as np
 
+from schmidt_gates.dynamics import H_DM, H_XY, H_Z, L_DM, L_XY, L_Z, embed
 from schmidt_gates.linalg import (
     I2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     gate_fidelity,
-    herm_exp,
     hermiticity_defect,
     phase_aligned_distance,
-    require_hermitian,
     require_unitary,
+    su2_exp,
     tensor_product,
     unitarity_defect,
 )
@@ -18,7 +18,6 @@ from schmidt_gates.linalg import (
 import pytest
 
 TOL = 1e-12
-TOL_LOOSE = 1e-10
 
 
 def series_exp(h, t, terms=40):
@@ -37,26 +36,16 @@ def series_exp(h, t, terms=40):
     return out
 
 
-def random_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a + a.conj().T
-
-
 def random_unitary(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def pair_block_hermitian(rng):
-    """Random Hermitian coupling only {|00>,|11>} and {|01>,|10>}."""
-    h = np.zeros((4, 4), dtype=np.complex128)
-    for (i, j) in [(0, 3), (1, 2)]:
-        z = rng.normal() + 1j * rng.normal()
-        h[i, j] = z
-        h[j, i] = np.conj(z)
-    h[np.arange(4), np.arange(4)] = rng.normal(size=4)
-    return h
+def random_field(rng):
+    """Random (c_xy, c_dm, c_z) and the 2x2 generator they define."""
+    c = rng.normal(size=3)
+    return c, c[0] * PAULI_X + c[1] * PAULI_Y + c[2] * PAULI_Z
 
 
 def test_pauli_algebra():
@@ -95,60 +84,64 @@ def test_defects_and_requires():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     assert hermiticity_defect(bad) == 1.0
     with pytest.raises(ValueError):
-        require_hermitian(bad)
-    with pytest.raises(ValueError):
         require_unitary(2 * np.eye(2))
-    require_hermitian(PAULI_X)
     require_unitary(PAULI_X)
 
 
 def test_herm_exp_2x2_against_series():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        h = random_hermitian(rng, 2)
+        c, h = random_field(rng)
         t = rng.uniform(-2, 2)
-        assert np.max(np.abs(herm_exp(h, t) - series_exp(h, t))) < TOL
+        assert np.max(np.abs(su2_exp(*c, t) - series_exp(h, t))) < TOL
 
 
 def test_herm_exp_pair_block_against_series():
+    # the embedded block is the exponential of the 4x4 sector Hamiltonian
     rng = np.random.default_rng(22)
-    for _ in range(50):
-        h = pair_block_hermitian(rng)
-        t = rng.uniform(-2, 2)
-        assert np.max(np.abs(herm_exp(h, t) - series_exp(h, t))) < TOL
-
-
-def test_herm_exp_dense_against_series():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        h = random_hermitian(rng, 4)
-        t = rng.uniform(-1, 1)
-        assert np.max(np.abs(herm_exp(h, t) - series_exp(h, t))) < TOL_LOOSE
+    sectors = {"gamma": (H_XY, H_DM, H_Z), "lambda": (L_XY, L_DM, L_Z)}
+    for sector, ops in sectors.items():
+        for _ in range(25):
+            c = rng.normal(size=3)
+            h = sum(ck * op for ck, op in zip(c, ops))
+            t = rng.uniform(-2, 2)
+            u = embed(su2_exp(*c, t), sector)
+            assert np.max(np.abs(u - series_exp(h, t))) < TOL
+    with pytest.raises(ValueError):
+        embed(I2, "mu")
 
 
 def test_herm_exp_group_property_and_unitarity():
     rng = np.random.default_rng(24)
     for _ in range(20):
-        h = pair_block_hermitian(rng)
+        c, _ = random_field(rng)
         t1 = rng.uniform(-1, 1)
         t2 = rng.uniform(-1, 1)
-        u12 = herm_exp(h, t1) @ herm_exp(h, t2)
-        assert np.max(np.abs(u12 - herm_exp(h, t1 + t2))) < TOL
-        assert unitarity_defect(herm_exp(h, t1)) < TOL
+        u12 = su2_exp(*c, t1) @ su2_exp(*c, t2)
+        assert np.max(np.abs(u12 - su2_exp(*c, t1 + t2))) < TOL
+        assert unitarity_defect(su2_exp(*c, t1)) < TOL
 
 
 def test_herm_exp_degenerate_limits():
-    # zero generator and pure multiples of the identity hit the sinc branch
-    assert np.max(np.abs(herm_exp(np.zeros((2, 2)), 1.7) - I2)) == 0.0
-    u = herm_exp(3.0 * np.eye(2), 0.5)
-    assert np.max(np.abs(u - np.exp(-1.5j) * I2)) < TOL
-    h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    assert np.max(np.abs(herm_exp(h, 0.0) - np.eye(4))) == 0.0
+    # a vanishing field or a vanishing time hits the sinc branch exactly
+    assert np.max(np.abs(su2_exp(0.0, 0.0, 0.0, 1.7) - I2)) == 0.0
+    assert np.max(np.abs(su2_exp(0.3, -0.2, 0.9, 0.0) - I2)) == 0.0
+    u = su2_exp(0.0, 0.0, 3.0, 0.5)
+    assert np.max(np.abs(u - np.diag([np.exp(-1.5j), np.exp(1.5j)]))) < TOL
+    u = su2_exp(1e-300, 0.0, 0.0, 2.0)
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u - I2)) < TOL
 
 
-def test_herm_exp_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+def test_su2_exp_stacked_matches_elementwise():
+    rng = np.random.default_rng(27)
+    c = rng.normal(size=(3, 200))
+    c[:, :5] = 0.0
+    t = rng.uniform(-2, 2, size=200)
+    stacked = su2_exp(*c, t)
+    assert stacked.shape == (200, 2, 2)
+    for k in range(200):
+        assert np.array_equal(stacked[k], su2_exp(*c[:, k], t[k]))
 
 
 def test_gate_fidelity_phase_invariance():
@@ -179,8 +172,8 @@ def test_phase_aligned_distance_matches_fidelity():
 
 def test_phase_aligned_distance_linear_in_defect():
     # for a small traceless perturbation the distance is first order
-    h = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
     u = np.eye(4, dtype=complex)
-    d1 = phase_aligned_distance(u, herm_exp(h, 1e-4))
-    d2 = phase_aligned_distance(u, herm_exp(h, 2e-4))
+    d1 = phase_aligned_distance(u, np.diag(np.exp(-1j * 1e-4 * signs)))
+    d2 = phase_aligned_distance(u, np.diag(np.exp(-1j * 2e-4 * signs)))
     assert abs(d2 / d1 - 2.0) < 1e-3

@@ -327,6 +327,21 @@ def test_solid_angle_requires_closed_path():
         solid_angle(SchmidtPath((equator_arc(0.0, 1.0, 1.0),)))
 
 
+def test_solid_angle_rejects_south_pole_crossing():
+    # through alpha = pi the chart integral is off by 2 pi; such loops are
+    # rejected with the offending segment named
+    path = SchmidtPath((
+        equator_arc(np.pi / 2, -np.pi / 2, 1.0),
+        meridian_arc(-np.pi / 2, np.pi / 2, 3 * np.pi / 2, 1.0),
+    ), closed=True)
+    with pytest.raises(ValueError, match="segment 1"):
+        solid_angle(path)
+    touching = SampledSegment(np.array([2.0, np.pi, 2.0]),
+                              np.array([0.0, 1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="segment 0"):
+        solid_angle(SchmidtPath((touching,), closed=True))
+
+
 def test_reversed_round_trip():
     path = SchmidtPath((
         equator_arc(np.pi / 2, -np.pi / 2, 1.0),
