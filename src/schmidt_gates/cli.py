@@ -1,13 +1,13 @@
 """Command-line front end: scenario files in, reports and sweep tables out.
 
 Four subcommands (`simulate`, `classify`, `sweep-map`, `trotter-sweep`)
-each read a JSON scenario, validate it against the published schema, run
-the corresponding pipeline, and write a JSON report or a CSV table. All
-floating-point output is rendered with 17 significant digits so identical
-scenarios produce byte-identical files. Exit status is 0 iff every
-tolerance check requested by the scenario passes; scenario and schema
-problems exit with status 2 and a field diagnostic.
-"""
+each read a JSON scenario, validate it against `SCENARIO_SCHEMAS` (a JSON
+Schema 2020-12 subset), run the corresponding pipeline, and write a JSON
+report or a CSV table. All floating-point output is rendered with 17
+significant digits so identical scenarios produce byte-identical files.
+Exit status is 0 iff every tolerance check requested by the scenario
+passes; scenario problems (schema violations, non-finite numbers, paths
+that cannot be resolved) exit with status 2 and a field diagnostic."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import json
 import math
 import sys
 
-import jsonschema
 import numpy as np
 
 from .dynamics import (
@@ -266,58 +265,85 @@ def load_scenario(path: str, command: str) -> dict:
         raise ScenarioError(
             f"scenario declares command {declared!r} but was run "
             f"under {command!r}")
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(raw),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        for err in errors:
-            _prune_undeclared(err)
-        err = jsonschema.exceptions.best_match(errors)
-        while err.context:
-            err = jsonschema.exceptions.best_match(err.context)
-        raise ScenarioError(_diagnostic(err.absolute_path, err.message))
+    _validate(raw, SCENARIO_SCHEMAS[command], ())
     return raw
 
 
-def _diagnostic(path, message: str) -> str:
+def _invalid(path, message: str) -> ScenarioError:
     where = "/".join(str(p) for p in path) or "<root>"
-    return f"scenario field {where!r}: {message}"
+    return ScenarioError(f"scenario field {where!r}: {message}")
 
 
-def _prune_undeclared(err) -> None:
-    """Drop, throughout the error tree, the errors of oneOf branches that
-    the instance does not declare, so best_match cannot report another
-    branch's problem."""
-    err.context = _declared_branch(err)
-    for sub in err.context:
-        _prune_undeclared(sub)
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": (int, float)}
 
 
-def _declared_branch(err) -> list:
-    """The sub-errors of a failed oneOf that belong to the branch its
-    instance declares through a `kind` or `preset` constant (the untagged
-    branch if the instance carries no tag). A oneOf without such tags keeps
-    all its sub-errors; a tag matching no branch is itself the diagnostic.
+def _validate(instance, schema: dict, path: tuple) -> None:
+    """Check `instance` against a (sub)schema of SCENARIO_SCHEMAS; raise a
+    ScenarioError naming the field of the first problem. Only the keywords
+    those schemas use are implemented, with the JSON Schema 2020-12 verdicts
+    (a bool is not a number, 2.0 is an integer), and numbers must be finite.
     """
-    inst = err.instance
+    if "oneOf" in schema:
+        schema = _declared_branch(instance, schema["oneOf"], path)
+    kind = schema.get("type")
+    if kind is not None and (
+            not isinstance(instance, _TYPES[kind])
+            or isinstance(instance, bool) and kind != "boolean"
+            or kind == "integer" and instance % 1 != 0):
+        raise _invalid(path, f"{instance!r} is not of type {kind!r}")
+    if kind in ("number", "integer"):
+        if not -sys.float_info.max <= instance <= sys.float_info.max:
+            raise _invalid(path, f"{instance!r} is not a finite number")
+        if (instance < schema.get("minimum", -math.inf)
+                or instance <= schema.get("exclusiveMinimum", -math.inf)):
+            raise _invalid(path, f"{instance!r} is too small")
+    allowed = schema.get("enum", [schema["const"]] if "const" in schema
+                         else None)
+    if allowed is not None and not any(
+            v == instance and isinstance(v, bool) == isinstance(instance, bool)
+            for v in allowed):
+        raise _invalid(path, f"{instance!r} is not one of {allowed!r}")
+    if kind == "array":
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(instance) <= hi:
+            raise _invalid(path, f"{len(instance)} items, need {lo} to {hi}")
+        for i, item in enumerate(instance):
+            _validate(item, schema["items"], (*path, i))
+    elif kind == "object":
+        for key in schema.get("required", ()):
+            if key not in instance:
+                raise _invalid(path, f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        for key, value in instance.items():
+            if key in properties:
+                _validate(value, properties[key], (*path, key))
+            elif schema.get("additionalProperties") is False:
+                raise _invalid((*path, key), "unexpected property")
+
+
+def _declared_branch(instance, branches: list, path: tuple) -> dict:
+    """The oneOf branch the instance declares through a `kind` or `preset`
+    constant (the untagged branch if it carries no tag), else the branch of
+    its JSON type (the first if none has it). The branches exclude one
+    another, so this branch alone gives the oneOf verdict.
+    """
     tags = [{k: p["const"] for k, p in branch.get("properties", {}).items()
-             if "const" in p} for branch in err.schema.get("oneOf", ())]
-    if not isinstance(inst, dict) or not any(tags):
-        return err.context
+             if "const" in p} for branch in branches]
+    if not any(tags) or not isinstance(instance, dict):
+        return next((b for b in branches
+                     if isinstance(instance, _TYPES[b["type"]])), branches[0])
     keys = {k for tag in tags for k in tag}
-    declared = sorted(keys & inst.keys())
-    picked = [i for i, tag in enumerate(tags)
-              if all(inst.get(k) == v for k, v in tag.items())
-              and (tag or not declared)]
-    if picked:
-        return [e for e in err.context if e.relative_schema_path[0] in picked]
+    declared = sorted(keys & instance.keys())
+    for branch, tag in zip(branches, tags):
+        if (all(instance.get(k) == v for k, v in tag.items())
+                and (tag or not declared)):
+            return branch
     if not declared:
-        raise ScenarioError(_diagnostic(
-            err.absolute_path, f"{min(keys)!r} is a required property"))
+        raise _invalid(path, f"{min(keys)!r} is a required property")
     key = declared[0]
-    allowed = [tag[key] for tag in tags if key in tag]
-    raise ScenarioError(_diagnostic(
-        [*err.absolute_path, key], f"{inst[key]!r} is not one of {allowed!r}"))
+    values = [tag[key] for tag in tags if key in tag]
+    raise _invalid((*path, key), f"{instance[key]!r} is not one of {values!r}")
 
 
 # --------------------------------------------------------------------------
@@ -459,21 +485,19 @@ def _pulse_summary(pulse) -> dict:
 def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
-    samples = scenario.get("samples_per_segment", 1000)
+    samples = int(scenario.get("samples_per_segment", 1000))
     path = _build_path(scenario["path"], loop)
     if loop and not path.closed:
         raise ScenarioError("simulate in loop mode requires a closed path "
                             "(endpoints differ on the sphere)")
-    omega = None
-    if path.closed:
-        try:
-            omega = solid_angle(path, samples=samples)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid path: {exc}") from exc
-    schedule = reverse_engineer(path, sector=sector,
-                                samples_per_segment=samples)
+    try:
+        omega = solid_angle(path, samples=samples) if path.closed else None
+        schedule = reverse_engineer(path, sector=sector,
+                                    samples_per_segment=samples)
+        phi_plus, phi_minus = dynamical_phase(path, samples=samples)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid path: {exc}") from exc
     u = propagate(schedule)
-    phi_plus, phi_minus = dynamical_phase(path, samples=samples)
     phase_zero = abs(phi_plus) <= tol
     start = path.start_coords()
 
@@ -547,7 +571,7 @@ def run_classify(scenario: dict, tol: float) -> tuple[dict, bool]:
 def _grid(spec) -> np.ndarray:
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
-    return np.linspace(spec["start"], spec["stop"], spec["count"])
+    return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
 def run_sweep_map(scenario: dict, tol: float) -> tuple[str, str, bool]:
@@ -643,8 +667,8 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario, args.command)
         tol = args.tol if args.tol is not None else scenario.get(
             "tolerance", DEFAULT_TOLERANCE)
-        if not tol > 0:
-            raise ScenarioError("tolerance must be positive")
+        if not 0 < tol < math.inf:
+            raise ScenarioError("tolerance must be positive and finite")
         out = args.out if args.out is not None else scenario.get("out")
         if args.command == "simulate":
             report, passed = run_simulate(scenario, tol)

@@ -242,6 +242,8 @@ def test_scenario_error_paths(tmp_path, capsys):
     scn = write_scenario(tmp_path, ORANGE, "tol.json")
     code, _, err = run_main(["simulate", scn, "--tol", "-1"], capsys)
     assert code == 2 and "tolerance" in err
+    code, _, err = run_main(["simulate", scn, "--tol", "inf"], capsys)
+    assert code == 2 and "tolerance" in err
 
 
 def test_simulate_rejects_south_pole_loop(tmp_path, capsys):
@@ -296,6 +298,87 @@ def test_simulate_diagnostic_names_segment_field(tmp_path, capsys, override,
     code, out, err = run_main(["simulate", scn], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: scenario field '{field}': ")
+
+
+TWO_SPIRAL = {
+    "schema_version": 1,
+    "command": "simulate",
+    "samples_per_segment": 1000,
+    "path": {"segments": [
+        {"kind": "linear", "alpha_start": 0.5, "beta_start": 0.0,
+         "alpha_end": 1.0, "beta_end": np.pi, "duration": 1.0},
+        {"kind": "linear", "alpha_start": 1.0, "beta_start": np.pi,
+         "alpha_end": 0.5, "beta_end": 2 * np.pi, "duration": 1.0},
+    ]},
+}
+
+SWEEP = {
+    "schema_version": 1,
+    "command": "sweep-map",
+    "alpha0": {"start": 0.0, "stop": 1.0, "count": 3},
+    "omega": {"start": -1.0, "stop": 1.0, "count": 2},
+}
+
+
+@pytest.mark.parametrize("base, path", [
+    (SWEEP, ("alpha0", "count")),
+    (TWO_SPIRAL, ("samples_per_segment",)),
+], ids=["sweep-map-count", "simulate-samples"])
+def test_integer_valued_float_runs_like_integer(tmp_path, capsys, base, path):
+    # the schema's integer accepts 3.0; the run must not crash on it
+    spelled = json.loads(json.dumps(base))
+    target = spelled
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = float(target[path[-1]])
+    outs = []
+    for name, scenario in (("int", base), ("float", spelled)):
+        scn = write_scenario(tmp_path, scenario, f"{name}.json")
+        out = tmp_path / f"{name}.out"
+        code, _, _ = run_main([base["command"], scn, "--out", str(out)],
+                              capsys)
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("classify", '{"schema_version": 1, "command": "classify", '
+                 '"gate": {"kind": "rotation", "omega": NaN}}', "gate/omega"),
+    ("simulate", '{"schema_version": 1, "command": "simulate", "path": '
+                 '{"preset": "orange_slice", "t1": 1.0, "tau": Infinity}}',
+     "path/tau"),
+])
+def test_non_finite_number_rejected(tmp_path, capsys, command, text, field):
+    # Python's json reads NaN and Infinity; they are not valid numbers here
+    scn = tmp_path / "scn.json"
+    scn.write_text(text)
+    code, out, err = run_main([command, str(scn)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario field '{field}': ")
+
+
+def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
+    # two samples are too few to lift this tilted arc; the lift's error
+    # becomes a diagnostic instead of a traceback
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "samples_per_segment": 2,
+        "path": {"segments": [{
+            "kind": "rotation", "alpha_start": 1.0, "beta_start": 0.2,
+            "axis": [0.3, -0.5, 0.8], "angle": 1.3, "duration": 1.0}]},
+    })
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid path: ")
+
+
+def test_cli_import_does_not_load_jsonschema():
+    code = ("import sys, schmidt_gates.cli; "
+            "assert 'jsonschema' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_field_in_scenario(tmp_path, capsys):
