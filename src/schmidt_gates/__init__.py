@@ -9,6 +9,7 @@ sequences), and classifies the resulting gates by their local invariants.
 from .linalg import (
     ATOL_ALGEBRAIC,
     ATOL_PIPELINE,
+    embed,
     gate_fidelity,
     phase_aligned_distance,
     su2_exp,
@@ -50,7 +51,6 @@ from .dynamics import (
     TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
-    embed,
     extract_rotation_angle,
     orange_slice_path,
     propagate,

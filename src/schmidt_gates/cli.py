@@ -7,7 +7,9 @@ report or a CSV table. All floating-point output is rendered with 17
 significant digits so identical scenarios produce byte-identical files.
 Exit status is 0 iff every tolerance check requested by the scenario
 passes; scenario problems (schema violations, non-finite numbers, paths
-that cannot be resolved) exit with status 2 and a field diagnostic."""
+that cannot be resolved, results that overflow double precision, an
+output file that cannot be written) exit with status 2 and a one-line
+diagnostic."""
 
 from __future__ import annotations
 
@@ -354,7 +356,8 @@ def _declared_branch(instance, branches: list, path: tuple) -> dict:
 def format_float(x: float) -> str:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("refusing to serialize a non-finite value")
+        raise ScenarioError("a result is not finite (an input is too large, "
+                            "or a duration too short, for double precision)")
     return format(x, ".17g")
 
 
@@ -400,8 +403,11 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write output: {exc}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -568,16 +574,19 @@ def run_classify(scenario: dict, tol: float) -> tuple[dict, bool]:
     return report, report["passed"]
 
 
-def _grid(spec) -> np.ndarray:
+def _grid(scenario: dict, field: str) -> np.ndarray:
+    spec = scenario[field]
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
+    if not math.isfinite(float(spec["stop"]) - float(spec["start"])):
+        raise _invalid((field,), "grid span overflows double precision")
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
 def run_sweep_map(scenario: dict, tol: float) -> tuple[str, str, bool]:
     """Returns (csv text, summary line, passed)."""
-    alphas = _grid(scenario["alpha0"])
-    omegas = _grid(scenario["omega"])
+    alphas = _grid(scenario, "alpha0")
+    omegas = _grid(scenario, "omega")
     beta0 = scenario.get("beta0", 0.0)
     rows = []
     max_dev = 0.0
@@ -602,7 +611,7 @@ def run_sweep_map(scenario: dict, tol: float) -> tuple[str, str, bool]:
 
 
 def run_trotter_sweep(scenario: dict, tol: float) -> tuple[str, str, bool]:
-    thetas = _grid(scenario["theta"])
+    thetas = _grid(scenario, "theta")
     n_values = scenario["n_values"]
     rows = []
     max_resid = 0.0

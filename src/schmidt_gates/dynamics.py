@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, su2_exp
+from .gates import u_general
+from .linalg import _PAIRS, I2, embed, su2_exp
 from .sphere import (
     LinearSegment,
     RotationSegment,
@@ -45,22 +46,6 @@ L_DM[0, 3] = -1j
 L_DM[3, 0] = 1j
 
 L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
-
-
-# Basis indices of the pair each sector drives; the other pair is idle.
-_PAIRS = {"gamma": [1, 2], "lambda": [0, 3]}
-
-
-def embed(block: np.ndarray, sector: str) -> np.ndarray:
-    """4x4 matrix acting as the 2x2 `block` on the sector's pair (gamma:
-    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair.
-    """
-    if sector not in _PAIRS:
-        raise ValueError(f"unknown sector {sector!r}")
-    pair = _PAIRS[sector]
-    u = np.eye(4, dtype=np.complex128)
-    u[np.ix_(pair, pair)] = block
-    return u
 
 
 @dataclass(frozen=True)
@@ -296,8 +281,6 @@ def extract_rotation_angle(u: np.ndarray) -> tuple[float, float]:
     """Rotation angle omega of a gate of the real middle-block rotation
     form, plus the residual max|u - rebuilt form|.
     """
-    from .gates import u_general
-
     u = np.asarray(u, dtype=np.complex128)
     omega = 2.0 * np.arctan2(u[2, 1].real, u[1, 1].real)
     residual = float(np.max(np.abs(u - u_general(omega))))

@@ -2,16 +2,18 @@
 
 A gate anchored at Schmidt coordinates (alpha0, beta0) with loop solid
 angle omega acts as identity on its invariant product pair and multiplies
-the entangled pair by exp(-+ i omega / 2). The gamma sector entangles
-span{|01>, |10>}, the lambda sector span{|00>, |11>} (standard frame).
+the entangled pair by exp(-+ i omega / 2). It is therefore a 2x2 SU(2)
+block on the sector pair, placed in the 4x4 matrix by linalg.embed. The
+gamma sector entangles span{|01>, |10>}, the lambda sector
+span{|00>, |11>} (standard frame).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import tensor_product
-from .sphere import _check_frame, _perp_a, _perp_b, assemble_state
+from .linalg import embed, tensor_product
+from .sphere import _amplitudes, _check_frame, _perp_a, _perp_b
 
 
 def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
@@ -27,18 +29,13 @@ def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standard_gate(alpha0: float, beta0: float, omega: float,
-                   entangled_pair: str) -> np.ndarray:
-    plus = assemble_state(alpha0, beta0, entangled_pair + "+")
-    minus = assemble_state(alpha0, beta0, entangled_pair + "-")
-    u = np.outer(plus, plus.conj()) * np.exp(-0.5j * omega)
-    u += np.outer(minus, minus.conj()) * np.exp(+0.5j * omega)
-    if entangled_pair == "gamma":
-        idx = (0, 3)  # |00>, |11> untouched
-    else:
-        idx = (1, 2)  # |01>, |10> untouched
-    for k in idx:
-        u[k, k] += 1.0
-    return u
+                   sector: str) -> np.ndarray:
+    f, g = _amplitudes(alpha0, beta0)
+    plus = np.array([f, g])
+    minus = np.array([-np.conj(g), np.conj(f)])
+    block = np.outer(plus, plus.conj()) * np.exp(-0.5j * omega)
+    block += np.outer(minus, minus.conj()) * np.exp(+0.5j * omega)
+    return embed(block, sector)
 
 
 def _in_frame(u: np.ndarray, frame) -> np.ndarray:
@@ -73,9 +70,4 @@ def u_general(omega: float) -> np.ndarray:
     """
     c = np.cos(0.5 * omega)
     s = np.sin(0.5 * omega)
-    return np.array([
-        [1, 0, 0, 0],
-        [0, c, -s, 0],
-        [0, s, c, 0],
-        [0, 0, 0, 1],
-    ], dtype=np.complex128)
+    return embed([[c, -s], [s, c]], "gamma")

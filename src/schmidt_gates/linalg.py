@@ -1,8 +1,10 @@
 """Small dense linear-algebra kernels shared by the whole package.
 
 Gates are explicit 4x4 numpy arrays in the computational product basis
-|00>, |01>, |10>, |11> (row-major, qubit a first); propagators are formed
-on the 2x2 block of one sector pair by su2_exp. Two tolerance levels are
+|00>, |01>, |10>, |11> (row-major, qubit a first). Each sector drives one
+pair of basis states, so gates and propagators are 2x2 SU(2) blocks
+(propagators from su2_exp) that embed places on the sector pair, with the
+identity on the other pair. Two tolerance levels are
 used throughout: ATOL_ALGEBRAIC for identities that hold to rounding
 error, ATOL_PIPELINE for quantities assembled from several numerical
 stages.
@@ -26,11 +28,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with qubit a as the slow (leftmost) index."""
     return np.kron(np.asarray(a, dtype=np.complex128),
                    np.asarray(b, dtype=np.complex128))
-
-
-def hermiticity_defect(h: np.ndarray) -> float:
-    h = np.asarray(h)
-    return float(np.max(np.abs(h - h.conj().T)))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -61,6 +58,22 @@ def su2_exp(c_xy, c_dm, c_z, t) -> np.ndarray:
     u[..., 0, 1] = -1j * snc * (vx - 1j * vy)
     u[..., 1, 0] = -1j * snc * (vx + 1j * vy)
     u[..., 1, 1] = cos + 1j * snc * vz
+    return u
+
+
+# Basis indices of the pair each sector drives; the other pair is idle.
+_PAIRS = {"gamma": [1, 2], "lambda": [0, 3]}
+
+
+def embed(block: np.ndarray, sector: str) -> np.ndarray:
+    """4x4 matrix acting as the 2x2 `block` on the sector's pair (gamma:
+    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair.
+    """
+    if sector not in _PAIRS:
+        raise ValueError(f"unknown sector {sector!r}")
+    pair = _PAIRS[sector]
+    u = np.eye(4, dtype=np.complex128)
+    u[np.ix_(pair, pair)] = block
     return u
 
 

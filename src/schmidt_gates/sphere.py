@@ -56,6 +56,12 @@ def sphere_point(alpha: float, beta: float) -> np.ndarray:
     ])
 
 
+def _amplitudes(alpha: float, beta: float) -> tuple[complex, complex]:
+    """Canonical-gauge amplitudes (f, g) of the "+" state at (alpha, beta)."""
+    return (np.exp(-0.5j * beta) * np.cos(0.5 * alpha),
+            np.exp(+0.5j * beta) * np.sin(0.5 * alpha))
+
+
 def _perp_a(v: np.ndarray) -> np.ndarray:
     """Orthonormal partner on qubit a; maps |0> to |1>."""
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)
@@ -91,8 +97,7 @@ def assemble_state(alpha: float, beta: float, branch: str = "gamma+",
         m_state = np.array([0, 1], dtype=np.complex128)
     else:
         n_state, m_state = _check_frame(frame)
-    f = np.exp(-0.5j * beta) * np.cos(0.5 * alpha)
-    g = np.exp(+0.5j * beta) * np.sin(0.5 * alpha)
+    f, g = _amplitudes(alpha, beta)
     neg_n = _perp_a(n_state)
     neg_m = _perp_b(m_state)
     if branch.startswith("gamma"):
@@ -159,8 +164,7 @@ def schmidt_decompose(state: np.ndarray) -> SchmidtDecomposition:
         g_raw = s[1] * c_a * c_b
         beta = float(np.angle(g_raw) - np.angle(f_raw))
         beta = float(np.arctan2(np.sin(beta), np.cos(beta)))
-    f = np.exp(-0.5j * beta) * np.cos(0.5 * alpha)
-    g = np.exp(+0.5j * beta) * np.sin(0.5 * alpha)
+    f, g = _amplitudes(alpha, beta)
     return SchmidtDecomposition(
         coords=SchmidtCoordinates(float(alpha), beta),
         f=complex(f),
@@ -203,6 +207,10 @@ class LinearSegment:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("segment duration must be positive")
+        spans = (float(self.alpha_end) - float(self.alpha_start),
+                 float(self.beta_end) - float(self.beta_start))
+        if not all(np.isfinite(d / float(self.duration)) for d in spans):
+            raise ValueError("segment rates overflow double precision")
 
     @property
     def alpha_rate(self) -> float:

@@ -373,6 +373,44 @@ def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
     assert err.startswith("error: invalid path: ")
 
 
+def _linear(alpha_start, alpha_end, duration):
+    return {"kind": "linear", "alpha_start": alpha_start, "beta_start": 0.0,
+            "alpha_end": alpha_end, "beta_end": 1.0, "duration": duration}
+
+
+@pytest.mark.parametrize("scenario", [
+    {"schema_version": 1, "command": "sweep-map",
+     "alpha0": {"start": 0.0, "stop": 1e308, "count": 2},
+     "omega": {"start": -1e308, "stop": 1e308, "count": 3}},
+    {"schema_version": 1, "command": "simulate", "loop": False,
+     "path": {"segments": [_linear(-1e308, 1e308, 1.0)]}},
+    {"schema_version": 1, "command": "simulate", "loop": False,
+     "path": {"segments": [_linear(0.3, 0.5, 1e-320)]}},
+], ids=["sweep-map-grid-overflow", "segment-range-overflow",
+        "segment-duration-underflow"])
+def test_non_finite_result_rejected(tmp_path, capsys, scenario):
+    # every input is a finite double, but a grid step or a path rate is not
+    scn = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_main([scenario["command"], scn, "--out", str(out)],
+                                 capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "field"])
+def test_unwritable_output_rejected(tmp_path, capsys, via):
+    target = str(tmp_path / "missing-dir" / "x.json")
+    scenario = dict(ORANGE, out=target) if via == "field" else ORANGE
+    scn = write_scenario(tmp_path, scenario)
+    args = ["simulate", scn] + (["--out", target] if via == "flag" else [])
+    code, stdout, err = run_main(args, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_import_does_not_load_jsonschema():
     code = ("import sys, schmidt_gates.cli; "
             "assert 'jsonschema' not in sys.modules")

@@ -24,7 +24,7 @@ from schmidt_gates.dynamics import (
     two_pulse_schedule,
 )
 from schmidt_gates.gates import lambda_gate, schmidt_gate, u_general
-from schmidt_gates.linalg import gate_fidelity, hermiticity_defect
+from schmidt_gates.linalg import gate_fidelity
 from schmidt_gates.sphere import (
     LinearSegment,
     RotationSegment,
@@ -50,7 +50,7 @@ def test_spin_operator_commutators_exact():
         assert np.array_equal(dm @ z - z @ dm, 2j * xy)
         assert np.array_equal(z @ xy - xy @ z, 2j * dm)
         for op in (xy, dm, z):
-            assert hermiticity_defect(op) == 0.0
+            assert np.array_equal(op, op.conj().T)
 
 
 def test_sector_operators_commute_across_sectors():

@@ -82,6 +82,22 @@ def test_lambda_gate_eigenstructure():
         assert np.max(np.abs(u @ gm - gm)) < TOL
 
 
+def test_gates_are_exact_sector_blocks():
+    # the idle pair is the identity and nothing couples it to the sector
+    # pair: exact ones and zeros, not values within a tolerance
+    rng = np.random.default_rng(47)
+    for build, pair, idle in ((schmidt_gate, [1, 2], [0, 3]),
+                              (lambda_gate, [0, 3], [1, 2])):
+        for _ in range(200):
+            a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+            u = build(a0, b0, w)
+            assert np.all(u[idle, idle] == 1.0)
+            outside = np.ones((4, 4), dtype=bool)
+            outside[np.ix_(pair, pair)] = False
+            outside[idle, idle] = False
+            assert np.all(u[outside] == 0.0)
+
+
 def test_gate_independent_of_antipodal_state_signs():
     # the gate is built from projectors, so replacing a branch state by any
     # phase-rotated copy leaves it unchanged; spot-check via the chart

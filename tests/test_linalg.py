@@ -7,7 +7,6 @@ from schmidt_gates.linalg import (
     PAULI_Y,
     PAULI_Z,
     gate_fidelity,
-    hermiticity_defect,
     phase_aligned_distance,
     require_unitary,
     su2_exp,
@@ -79,10 +78,9 @@ def test_tensor_product_mixed_product():
 
 
 def test_defects_and_requires():
-    assert hermiticity_defect(PAULI_Y) == 0.0
     assert unitarity_defect(np.eye(3)) == 0.0
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert hermiticity_defect(bad) == 1.0
+    assert unitarity_defect(bad) == 1.0
     with pytest.raises(ValueError):
         require_unitary(2 * np.eye(2))
     require_unitary(PAULI_X)
