@@ -9,7 +9,14 @@ Exit status is 0 iff every tolerance check requested by the scenario
 passes; scenario problems (schema violations, non-finite numbers, paths
 that cannot be resolved, results that overflow double precision, an
 output file that cannot be written) exit with status 2 and a one-line
-diagnostic."""
+diagnostic.
+
+Every subcommand has one contract: `run_<name>(scenario, tol)` (dashes in
+the name become underscores) returns `(text, summary, passed)`, the JSON
+report or CSV table, the one-line stderr summary of a table (None for a
+report) and whether every check passed. `main` looks the runner up when it
+runs, writes the text to `--out`, the scenario's `out` field or stdout,
+then prints the summary."""
 
 from __future__ import annotations
 
@@ -57,195 +64,77 @@ class ScenarioError(Exception):
 
 _NUMBER = {"type": "number"}
 
-_GRID = {
-    "type": "object",
-    "properties": {
-        "start": _NUMBER,
-        "stop": _NUMBER,
-        "count": {"type": "integer", "minimum": 2},
-    },
-    "required": ["start", "stop", "count"],
-    "additionalProperties": False,
-}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-_SEGMENT = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "linear"},
-                "alpha_start": _NUMBER,
-                "beta_start": _NUMBER,
-                "alpha_end": _NUMBER,
-                "beta_end": _NUMBER,
-                "duration": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "alpha_start", "beta_start", "alpha_end",
-                         "beta_end", "duration"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "rotation"},
-                "alpha_start": _NUMBER,
-                "beta_start": _NUMBER,
-                "axis": {"type": "array", "items": _NUMBER,
-                         "minItems": 3, "maxItems": 3},
-                "angle": _NUMBER,
-                "duration": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "alpha_start", "beta_start", "axis",
-                         "angle", "duration"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "sampled"},
-                "alpha": {"type": "array", "items": _NUMBER, "minItems": 2},
-                "beta": {"type": "array", "items": _NUMBER, "minItems": 2},
-                "duration": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "alpha", "beta", "duration"],
-            "additionalProperties": False,
-        },
-    ]
-}
+_BOOLEAN = {"type": "boolean"}
 
-_PATH = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "preset": {"const": "orange_slice"},
-                "t1": {"type": "number", "exclusiveMinimum": 0},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["preset", "t1", "tau"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "segments": {"type": "array", "items": _SEGMENT, "minItems": 1},
-                "closed": {"type": "boolean"},
-            },
-            "required": ["segments"],
-            "additionalProperties": False,
-        },
-    ]
-}
+_SECTOR = {"enum": ["gamma", "lambda"]}
 
-_ENVELOPE = {
-    "schema_version": {"const": SCHEMA_VERSION},
-    "tolerance": {"type": "number", "exclusiveMinimum": 0},
-    "out": {"type": "string"},
-}
 
-_COMPLEX_ENTRY = {
-    "type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2,
-}
+def _object(required: dict, optional: dict | None = None) -> dict:
+    """Schema of a closed JSON object; each argument maps field names to
+    their schemas, and `required` gives the order of the required list."""
+    return {"type": "object", "properties": {**required, **(optional or {})},
+            "required": list(required), "additionalProperties": False}
 
-_MATRIX = {
-    "type": "array",
-    "items": {"type": "array", "items": _COMPLEX_ENTRY,
-              "minItems": 4, "maxItems": 4},
-    "minItems": 4,
-    "maxItems": 4,
-}
 
-_GATE = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "geometric"},
-                "alpha0": _NUMBER,
-                "beta0": _NUMBER,
-                "omega": _NUMBER,
-                "sector": {"enum": ["gamma", "lambda"]},
-            },
-            "required": ["kind", "alpha0", "beta0", "omega"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "rotation"},
-                "omega": _NUMBER,
-            },
-            "required": ["kind", "omega"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "matrix"},
-                "matrix": _MATRIX,
-            },
-            "required": ["kind", "matrix"],
-            "additionalProperties": False,
-        },
-    ]
-}
+def _array(items: dict, min_items: int, max_items: int | None = None) -> dict:
+    schema = {"type": "array", "items": items, "minItems": min_items}
+    if max_items is not None:
+        schema["maxItems"] = max_items
+    return schema
+
+
+def _scenario(command: str, required: dict,
+              optional: dict | None = None) -> dict:
+    """Schema of a scenario file: the envelope fields around the command's."""
+    return _object(
+        {"schema_version": {"const": SCHEMA_VERSION},
+         "command": {"const": command}, **required},
+        {"tolerance": _POSITIVE, "out": {"type": "string"},
+         **(optional or {})})
+
+
+_GRID = _object({"start": _NUMBER, "stop": _NUMBER,
+                 "count": {"type": "integer", "minimum": 2}})
+
+_SEGMENT = {"oneOf": [
+    _object({"kind": {"const": "linear"}, "alpha_start": _NUMBER,
+             "beta_start": _NUMBER, "alpha_end": _NUMBER,
+             "beta_end": _NUMBER, "duration": _POSITIVE}),
+    _object({"kind": {"const": "rotation"}, "alpha_start": _NUMBER,
+             "beta_start": _NUMBER, "axis": _array(_NUMBER, 3, 3),
+             "angle": _NUMBER, "duration": _POSITIVE}),
+    _object({"kind": {"const": "sampled"}, "alpha": _array(_NUMBER, 2),
+             "beta": _array(_NUMBER, 2), "duration": _POSITIVE}),
+]}
+
+_PATH = {"oneOf": [
+    _object({"preset": {"const": "orange_slice"}, "t1": _POSITIVE,
+             "tau": _POSITIVE}),
+    _object({"segments": _array(_SEGMENT, 1)}, {"closed": _BOOLEAN}),
+]}
+
+_GATE = {"oneOf": [
+    _object({"kind": {"const": "geometric"}, "alpha0": _NUMBER,
+             "beta0": _NUMBER, "omega": _NUMBER}, {"sector": _SECTOR}),
+    _object({"kind": {"const": "rotation"}, "omega": _NUMBER}),
+    _object({"kind": {"const": "matrix"},
+             "matrix": _array(_array(_array(_NUMBER, 2, 2), 4, 4), 4, 4)}),
+]}
 
 SCENARIO_SCHEMAS = {
-    "simulate": {
-        "type": "object",
-        "properties": {
-            **_ENVELOPE,
-            "command": {"const": "simulate"},
-            "path": _PATH,
-            "sector": {"enum": ["gamma", "lambda"]},
-            "loop": {"type": "boolean"},
-            "samples_per_segment": {"type": "integer", "minimum": 2},
-        },
-        "required": ["schema_version", "command", "path"],
-        "additionalProperties": False,
-    },
-    "classify": {
-        "type": "object",
-        "properties": {
-            **_ENVELOPE,
-            "command": {"const": "classify"},
-            "gate": _GATE,
-        },
-        "required": ["schema_version", "command", "gate"],
-        "additionalProperties": False,
-    },
-    "sweep-map": {
-        "type": "object",
-        "properties": {
-            **_ENVELOPE,
-            "command": {"const": "sweep-map"},
-            "alpha0": _GRID,
-            "omega": _GRID,
-            "beta0": _NUMBER,
-        },
-        "required": ["schema_version", "command", "alpha0", "omega"],
-        "additionalProperties": False,
-    },
-    "trotter-sweep": {
-        "type": "object",
-        "properties": {
-            **_ENVELOPE,
-            "command": {"const": "trotter-sweep"},
-            "theta": {
-                "oneOf": [
-                    _GRID,
-                    {"type": "array", "items": _NUMBER, "minItems": 1},
-                ]
-            },
-            "n_values": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1},
-                "minItems": 1,
-            },
-        },
-        "required": ["schema_version", "command", "theta", "n_values"],
-        "additionalProperties": False,
-    },
+    "simulate": _scenario(
+        "simulate", {"path": _PATH},
+        {"sector": _SECTOR, "loop": _BOOLEAN,
+         "samples_per_segment": {"type": "integer", "minimum": 2}}),
+    "classify": _scenario("classify", {"gate": _GATE}),
+    "sweep-map": _scenario("sweep-map", {"alpha0": _GRID, "omega": _GRID},
+                           {"beta0": _NUMBER}),
+    "trotter-sweep": _scenario(
+        "trotter-sweep",
+        {"theta": {"oneOf": [_GRID, _array(_NUMBER, 1)]},
+         "n_values": _array({"type": "integer", "minimum": 1}, 1)}),
 }
 
 
@@ -353,11 +242,14 @@ def _declared_branch(instance, branches: list, path: tuple) -> dict:
 # --------------------------------------------------------------------------
 
 
+_NOT_FINITE = ("a result is not finite (an input is too large, or a "
+               "duration too short, for double precision)")
+
+
 def format_float(x: float) -> str:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        raise ScenarioError("a result is not finite (an input is too large, "
-                            "or a duration too short, for double precision)")
+        raise ScenarioError(_NOT_FINITE)
     return format(x, ".17g")
 
 
@@ -410,10 +302,28 @@ def _write_text(text: str, out: str | None) -> None:
             raise ScenarioError(f"cannot write output: {exc}") from exc
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+# What every `run_*` returns: (text to write, stderr summary or None, passed).
+_Result = tuple[str, str | None, bool]
+
+
+def _json_result(command: str, fields: dict, tol: float,
+                 checks: dict) -> _Result:
+    """A JSON report with its envelope and checks, and no summary."""
+    passed = all(checks.values())
+    report = {"schema_version": SCHEMA_VERSION, "command": command, **fields,
+              "tolerance": tol, "checks": checks, "passed": passed}
+    return dump_report(report), None, passed
+
+
+def _table_result(command: str, header: list[str], rows: list[list[str]],
+                  measure: str, worst: float, tol: float) -> _Result:
+    """A CSV table and its summary line; the checks pass iff the largest
+    `measure` is within tolerance."""
+    passed = worst <= tol
+    summary = (f"{command}: {len(rows)} rows, max {measure} {worst:.3e}, "
+               f"checks {'pass' if passed else 'FAIL'}")
+    text = "\n".join(",".join(line) for line in [header, *rows]) + "\n"
+    return text, summary, passed
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +398,35 @@ def _pulse_summary(pulse) -> dict:
             "c_xy": pulse.c_xy, "c_dm": pulse.c_dm, "c_z": pulse.c_z}
 
 
-def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
+def _invariants_entry(inv) -> dict:
+    return {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2}
+
+
+def _assess(u: np.ndarray, tol: float, closed=None, **atol):
+    """(invariants entry, entangler class, deviation) of the gate `u`. The
+    deviation from the closed-form invariants `closed` is None without
+    them; `atol` is passed on to `makhlin_invariants`."""
+    try:
+        inv = makhlin_invariants(u, **atol)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    deviation = None
+    if closed is not None:
+        deviation = max(abs(inv.g1 - closed.g1), abs(inv.g2 - closed.g2))
+    return _invariants_entry(inv), classify(inv, tol).value, deviation
+
+
+def run_simulate(scenario: dict, tol: float) -> _Result:
+    # an overflow or invalid value anywhere in the numerics is the
+    # not-finite diagnostic, not a stream of numpy warnings before it
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _simulate(scenario, tol)
+    except FloatingPointError as exc:
+        raise ScenarioError(_NOT_FINITE) from exc
+
+
+def _simulate(scenario: dict, tol: float) -> _Result:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
     samples = int(scenario.get("samples_per_segment", 1000))
@@ -518,10 +456,8 @@ def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
 
-    inv = makhlin_invariants(u)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
+    invariants, label, _ = _assess(u, tol)
+    return _json_result("simulate", {
         "sector": sector,
         "loop": loop,
         "base_point": {"alpha": start.alpha, "beta": start.beta},
@@ -534,44 +470,24 @@ def run_simulate(scenario: dict, tol: float) -> tuple[dict, bool]:
         "holonomy_fidelity_applicable": path.closed and phase_zero,
         "predicted_gate": predicted,
         "propagator": matrix_entries(u),
-        "invariants": {"g1_re": inv.g1.real, "g1_im": inv.g1.imag,
-                       "g2": inv.g2},
-        "entangler_class": classify(inv, tol).value,
-        "tolerance": tol,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    return report, report["passed"]
+        "invariants": invariants,
+        "entangler_class": label,
+    }, tol, checks)
 
 
-def run_classify(scenario: dict, tol: float) -> tuple[dict, bool]:
+def run_classify(scenario: dict, tol: float) -> _Result:
     u, echo, closed = _build_gate(scenario["gate"], tol)
-    try:
-        inv = makhlin_invariants(u, atol=tol)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    invariants, label, deviation = _assess(u, tol, closed, atol=tol)
     checks = {"gate_unitary": unitarity_defect(u) <= tol}
-    closed_entry = None
-    deviation = None
     if closed is not None:
-        deviation = max(abs(inv.g1 - closed.g1), abs(inv.g2 - closed.g2))
-        closed_entry = {"g1_re": closed.g1.real, "g1_im": closed.g1.imag,
-                        "g2": closed.g2}
         checks["matches_closed_form"] = deviation <= tol
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    return _json_result("classify", {
         "gate": echo,
-        "invariants": {"g1_re": inv.g1.real, "g1_im": inv.g1.imag,
-                       "g2": inv.g2},
-        "closed_form": closed_entry,
+        "invariants": invariants,
+        "closed_form": None if closed is None else _invariants_entry(closed),
         "closed_form_deviation": deviation,
-        "entangler_class": classify(inv, tol).value,
-        "tolerance": tol,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    return report, report["passed"]
+        "entangler_class": label,
+    }, tol, checks)
 
 
 def _grid(scenario: dict, field: str) -> np.ndarray:
@@ -583,8 +499,7 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
-def run_sweep_map(scenario: dict, tol: float) -> tuple[str, str, bool]:
-    """Returns (csv text, summary line, passed)."""
+def run_sweep_map(scenario: dict, tol: float) -> _Result:
     alphas = _grid(scenario, "alpha0")
     omegas = _grid(scenario, "omega")
     beta0 = scenario.get("beta0", 0.0)
@@ -592,30 +507,22 @@ def run_sweep_map(scenario: dict, tol: float) -> tuple[str, str, bool]:
     max_dev = 0.0
     for a in alphas:
         for w in omegas:
-            inv = makhlin_invariants(schmidt_gate(a, beta0, w))
-            closed = closed_form_invariants(a, w)
-            max_dev = max(max_dev, abs(inv.g1 - closed.g1),
-                          abs(inv.g2 - closed.g2))
-            rows.append([
-                format_float(a), format_float(w),
-                format_float(inv.g1.real), format_float(inv.g1.imag),
-                format_float(inv.g2), classify(inv, tol).value,
-            ])
-    text = _csv_text(
-        ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], rows)
-    passed = max_dev <= tol
-    summary = (f"sweep-map: {len(rows)} rows, "
-               f"max closed-form deviation {max_dev:.3e}, "
-               f"checks {'pass' if passed else 'FAIL'}")
-    return text, summary, passed
+            invariants, label, deviation = _assess(
+                schmidt_gate(a, beta0, w), tol, closed_form_invariants(a, w))
+            max_dev = max(max_dev, deviation)
+            rows.append([format_float(a), format_float(w),
+                         *map(format_float, invariants.values()), label])
+    return _table_result(
+        "sweep-map",
+        ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], rows,
+        "closed-form deviation", max_dev, tol)
 
 
-def run_trotter_sweep(scenario: dict, tol: float) -> tuple[str, str, bool]:
-    thetas = _grid(scenario, "theta")
+def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
     n_values = scenario["n_values"]
     rows = []
     max_resid = 0.0
-    for theta in thetas:
+    for theta in _grid(scenario, "theta"):
         exact = tilted_segment_propagator(theta)
         omega, resid = extract_rotation_angle(composed_tilted_gate(theta))
         max_resid = max(max_resid, resid)
@@ -627,14 +534,10 @@ def run_trotter_sweep(scenario: dict, tol: float) -> tuple[str, str, bool]:
                 format_float(theta), str(int(n)), format_float(infid),
                 format_float(err), format_float(omega),
             ])
-    text = _csv_text(
-        ["theta", "n", "infidelity", "trotter_error", "omega_empirical"],
-        rows)
-    passed = max_resid <= tol
-    summary = (f"trotter-sweep: {len(rows)} rows, "
-               f"max rotation-form residual {max_resid:.3e}, "
-               f"checks {'pass' if passed else 'FAIL'}")
-    return text, summary, passed
+    return _table_result(
+        "trotter-sweep",
+        ["theta", "n", "infidelity", "trotter_error", "omega_empirical"], rows,
+        "rotation-form residual", max_resid, tol)
 
 
 # --------------------------------------------------------------------------
@@ -642,14 +545,14 @@ def run_trotter_sweep(scenario: dict, tol: float) -> tuple[str, str, bool]:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("scenario", help="path to the JSON scenario file")
-    sub.add_argument("--out", default=None,
-                     help="output file (default: scenario's 'out' field, "
-                          "else stdout)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="tolerance override for all checks "
-                          f"(default {DEFAULT_TOLERANCE:g})")
+# Subcommand -> help text; `main` runs the subcommand through `run_<name>`.
+_COMMANDS = {
+    "simulate": "reverse-engineer and propagate a path scenario",
+    "classify": "local invariants and entangler class of a gate",
+    "sweep-map": "CSV map of invariants over an (alpha0, omega) grid",
+    "trotter-sweep": "CSV table of Trotter errors and the empirical "
+                     "rotation-angle curve",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,15 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and classify geometric two-qubit gates "
                     "driven by loops on the Schmidt sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser(
-        "simulate", help="reverse-engineer and propagate a path scenario"))
-    _add_common(sub.add_parser(
-        "classify", help="local invariants and entangler class of a gate"))
-    _add_common(sub.add_parser(
-        "sweep-map", help="CSV map of invariants over an (alpha0, omega) grid"))
-    _add_common(sub.add_parser(
-        "trotter-sweep", help="CSV table of Trotter errors and the empirical "
-                              "rotation-angle curve"))
+    for command, help_text in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("scenario", help="path to the JSON scenario file")
+        cmd.add_argument("--out", default=None,
+                         help="output file (default: scenario's 'out' field, "
+                              "else stdout)")
+        cmd.add_argument("--tol", type=float, default=None,
+                         help="tolerance override for all checks "
+                              f"(default {DEFAULT_TOLERANCE:g})")
     return parser
 
 
@@ -679,19 +582,11 @@ def main(argv=None) -> int:
         if not 0 < tol < math.inf:
             raise ScenarioError("tolerance must be positive and finite")
         out = args.out if args.out is not None else scenario.get("out")
-        if args.command == "simulate":
-            report, passed = run_simulate(scenario, tol)
-            _write_text(dump_report(report), out)
-        elif args.command == "classify":
-            report, passed = run_classify(scenario, tol)
-            _write_text(dump_report(report), out)
-        elif args.command == "sweep-map":
-            text, summary, passed = run_sweep_map(scenario, tol)
-            _write_text(text, out)
-            print(summary, file=sys.stderr)
-        else:
-            text, summary, passed = run_trotter_sweep(scenario, tol)
-            _write_text(text, out)
+        # looked up at call time, so a wrapper set on the module is used
+        run = globals()["run_" + args.command.replace("-", "_")]
+        text, summary, passed = run(scenario, tol)
+        _write_text(text, out)
+        if summary is not None:
             print(summary, file=sys.stderr)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,7 +280,12 @@ class RotationSegment:
         if not self.duration > 0:
             raise ValueError("segment duration must be positive")
         axis = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(axis)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(axis)
+        if np.isinf(norm):
+            # the squares overflow: scale by the largest component first
+            axis = axis / np.max(np.abs(axis))
+            norm = np.linalg.norm(axis)
         if norm < 1e-12:
             raise ValueError("rotation axis must be nonzero")
         object.__setattr__(self, "axis", tuple(axis / norm))

@@ -1,12 +1,20 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import schmidt_gates
 from schmidt_gates.cli import main
+
+# Subprocesses import the package the tests import, installed or not.
+PACKAGE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(schmidt_gates.__file__)),
+                  os.environ.get("PYTHONPATH")])))
 
 ORANGE = {
     "schema_version": 1,
@@ -415,7 +423,7 @@ def test_cli_import_does_not_load_jsonschema():
     code = ("import sys, schmidt_gates.cli; "
             "assert 'jsonschema' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=PACKAGE_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -433,6 +441,67 @@ def test_console_entry_point(tmp_path):
     scn.write_text(json.dumps(ORANGE))
     proc = subprocess.run(
         [sys.executable, "-m", "schmidt_gates.cli", "simulate", str(scn)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=PACKAGE_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entangler_class"] == "SPE"
+
+
+def test_sweep_map_grid_list_rejected(tmp_path, capsys):
+    # only trotter-sweep's theta takes a list; a sweep-map grid is an object
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "sweep-map", "alpha0": [0.5],
+        "omega": {"start": 0.0, "stop": 1.0, "count": 2}})
+    code, stdout, err = run_main(["sweep-map", scn], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: scenario field 'alpha0': ")
+    assert err.count("\n") == 1
+
+
+def run_quietly(args, capsys):
+    """run_main plus the warning messages the run issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_main(args, capsys)
+    return code, stdout, err, [str(w.message) for w in caught]
+
+
+def _rotation(axis, angle=0.5, duration=1.0):
+    return {"kind": "rotation", "alpha_start": 1.0, "beta_start": 0.2,
+            "axis": axis, "angle": angle, "duration": duration}
+
+
+def test_huge_rotation_axis_is_normalized(tmp_path, capsys):
+    # the squares of this axis overflow; it is the axis [1, 1, 0]
+    outs = []
+    for axis in ([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": False,
+            "path": {"segments": [_rotation(axis)]}})
+        outs.append(tmp_path / f"{axis[0]:g}.json")
+        code, stdout, err, caught = run_quietly(
+            ["simulate", scn, "--out", str(outs[-1])], capsys)
+        assert (code, stdout, err, caught) == (0, "", "", [])
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("segment", [
+    _rotation([0.3, -0.5, 0.8], angle=1.3, duration=1e-320),
+    _rotation([0.0, 0.0, 1.0], angle=1.3, duration=1e-300),
+    {"kind": "sampled", "alpha": [0.5, 0.6, 0.7], "beta": [0.1, 0.2, 0.3],
+     "duration": 1e-320},
+    _linear(0.3, 1e200, 1.0),
+], ids=["rotation-duration-1e-320", "z-rotation-duration-1e-300",
+        "sampled-duration-1e-320", "spiral-to-1e200"])
+def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment):
+    # finite inputs whose fields overflow inside the propagation: one
+    # diagnostic line, no numpy warnings before it, and no output file
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [segment]}})
+    out = tmp_path / "out.json"
+    code, stdout, err, caught = run_quietly(
+        ["simulate", scn, "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and caught == []
+    assert err == ("error: a result is not finite (an input is too large, "
+                   "or a duration too short, for double precision)\n")
+    assert not out.exists()

@@ -32,3 +32,33 @@ def test_scenario_output_matches_golden(tmp_path, capsys, scenario):
     assert main([command, str(scenario), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == golden.read_bytes()
+
+
+SUMMARIES = {
+    "entangler_map": "sweep-map: 625 rows, max closed-form deviation "
+                     "4.441e-15, checks pass\n",
+    "trotter_errors": "trotter-sweep: 63 rows, max rotation-form residual "
+                      "2.770e-16, checks pass\n",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SUMMARIES))
+def test_table_scenario_stderr_summary(tmp_path, capsys, stem):
+    scenario = ROOT / "scenarios" / f"{stem}.json"
+    command = json.loads(scenario.read_text())["command"]
+    assert main([command, str(scenario), "--out", str(tmp_path / "t")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == SUMMARIES[stem]
+
+
+def test_help_lists_subcommands_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: schmidt-gates [-h] "
+                           "{simulate,classify,sweep-map,trotter-sweep} ...\n")
+    listed = [line.split()[0] for line in text.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == ["simulate", "classify", "sweep-map", "trotter-sweep"]

@@ -163,3 +163,29 @@ def test_base_scenarios_accepted_by_both(base):
 def test_mutation_verdict_matches_jsonschema(base, path, value):
     ours, oracle = verdicts(mutated(base, path, value))
     assert ours == oracle
+
+
+def _object_schemas(schema):
+    """Every object schema nested in `schema`, itself included."""
+    if isinstance(schema, dict):
+        if schema.get("type") == "object":
+            yield schema
+        for value in schema.values():
+            yield from _object_schemas(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _object_schemas(value)
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_SCHEMAS))
+def test_every_object_schema_is_closed(command):
+    objects = list(_object_schemas(SCENARIO_SCHEMAS[command]))
+    assert objects
+    for schema in objects:
+        assert schema["additionalProperties"] is False
+        assert set(schema["required"]) <= set(schema["properties"])
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_SCHEMAS))
+def test_command_schema_is_valid_draft_2020_12(command):
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMAS[command])
