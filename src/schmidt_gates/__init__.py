@@ -7,7 +7,6 @@ sequences), and classifies the resulting gates by their local invariants.
 """
 
 from .linalg import (
-    ATOL_ALGEBRAIC,
     ATOL_PIPELINE,
     embed,
     gate_fidelity,

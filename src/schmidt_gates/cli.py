@@ -331,25 +331,17 @@ def _table_result(command: str, header: list[str], rows: list[list[str]],
 # --------------------------------------------------------------------------
 
 
-def _build_segment(spec: dict):
-    if spec["kind"] == "linear":
-        return LinearSegment(spec["alpha_start"], spec["beta_start"],
-                             spec["alpha_end"], spec["beta_end"],
-                             spec["duration"])
-    if spec["kind"] == "rotation":
-        return RotationSegment(spec["alpha_start"], spec["beta_start"],
-                               tuple(spec["axis"]), spec["angle"],
-                               spec["duration"])
-    return SampledSegment(np.asarray(spec["alpha"], dtype=float),
-                          np.asarray(spec["beta"], dtype=float),
-                          spec["duration"])
+# Segment kind -> class; each schema's other fields are its arguments.
+_SEGMENTS = {"linear": LinearSegment, "rotation": RotationSegment,
+             "sampled": SampledSegment}
 
 
 def _build_path(spec: dict, loop: bool) -> SchmidtPath:
     try:
         if spec.get("preset") == "orange_slice":
             return orange_slice_path(spec["t1"], spec["tau"])
-        segments = tuple(_build_segment(s) for s in spec["segments"])
+        specs = [dict(s) for s in spec["segments"]]
+        segments = tuple(_SEGMENTS[s.pop("kind")](**s) for s in specs)
         closed = spec.get("closed", loop)
         return SchmidtPath(segments, closed=closed)
     except ValueError as exc:
@@ -417,16 +409,6 @@ def _assess(u: np.ndarray, tol: float, closed=None, **atol):
 
 
 def run_simulate(scenario: dict, tol: float) -> _Result:
-    # an overflow or invalid value anywhere in the numerics is the
-    # not-finite diagnostic, not a stream of numpy warnings before it
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _simulate(scenario, tol)
-    except FloatingPointError as exc:
-        raise ScenarioError(_NOT_FINITE) from exc
-
-
-def _simulate(scenario: dict, tol: float) -> _Result:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
     samples = int(scenario.get("samples_per_segment", 1000))
@@ -584,12 +566,16 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else scenario.get("out")
         # looked up at call time, so a wrapper set on the module is used
         run = globals()["run_" + args.command.replace("-", "_")]
-        text, summary, passed = run(scenario, tol)
+        # an overflow or invalid value anywhere in the numerics is the
+        # not-finite diagnostic, not a stream of numpy warnings before it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            text, summary, passed = run(scenario, tol)
         _write_text(text, out)
         if summary is not None:
             print(summary, file=sys.stderr)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ScenarioError, FloatingPointError) as exc:
+        reason = exc if isinstance(exc, ScenarioError) else _NOT_FINITE
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     return 0 if passed else 1
 

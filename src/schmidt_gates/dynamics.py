@@ -20,14 +20,7 @@ import numpy as np
 
 from .gates import u_general
 from .linalg import _PAIRS, I2, embed, su2_exp
-from .sphere import (
-    LinearSegment,
-    RotationSegment,
-    SampledSegment,
-    SchmidtPath,
-    equator_arc,
-    meridian_arc,
-)
+from .sphere import SchmidtPath, equator_arc, meridian_arc
 
 H_XY = np.zeros((4, 4), dtype=np.complex128)
 H_XY[1, 2] = H_XY[2, 1] = 1.0
@@ -107,43 +100,25 @@ class HamiltonianSchedule:
         return float(sum(p.duration for p in self.pulses))
 
 
-def _chart_pulse(t: np.ndarray, alpha: np.ndarray,
-                 beta: np.ndarray) -> SampledPulse:
-    """Pulse read off sampled chart coordinates, derivatives by np.gradient."""
-    da = np.gradient(alpha, t, edge_order=2)
-    db = np.gradient(beta, t, edge_order=2)
-    return SampledPulse(t, -0.5 * da * np.sin(beta),
-                        +0.5 * da * np.cos(beta), 0.5 * db)
+def _field(da, db, beta):
+    """(c_xy, c_dm, c_z) of H for chart rates (alpha', beta') at beta."""
+    return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
 def _segment_pulse(seg, samples: int) -> Pulse:
-    if isinstance(seg, RotationSegment):
-        rate = seg.angle / seg.duration
-        kx, ky, kz = seg.axis
-        if abs(kx) == 0.0 and abs(ky) == 0.0:
-            # rotation about z is a latitude arc: the scheme's field is the
-            # constant axis field itself
-            return ConstantPulse(seg.duration, 0.0, 0.0, 0.5 * rate * kz)
-        # for tilted axes the constant axis field moves the sphere point
-        # correctly but adds a parallel component (a spurious phase), so
-        # the pulse is resampled from the chart lift instead
-        return _chart_pulse(*seg.sample(samples))
-    if isinstance(seg, LinearSegment):
-        da, db = seg.alpha_rate, seg.beta_rate
+    """The field that drives one segment, from its chart rates."""
+    t, _, beta, da, db = seg.chart(samples)
+    if np.ndim(da) == 0 and (da == 0.0 or db == 0.0):
+        # A coordinate-aligned arc has a constant field, read at the exact
+        # start beta; the terms of the vanishing rate are exact zeros.
+        c_xy, c_dm, c_z = _field(da, db, seg.start_coords().beta)
         if da == 0.0:
-            return ConstantPulse(seg.duration, 0.0, 0.0, 0.5 * db)
-        if db == 0.0:
-            return ConstantPulse(seg.duration,
-                                 -0.5 * da * np.sin(seg.beta_start),
-                                 +0.5 * da * np.cos(seg.beta_start),
-                                 0.0)
-        t, _, beta = seg.sample(samples)
-        return SampledPulse(t, -0.5 * da * np.sin(beta),
-                            +0.5 * da * np.cos(beta),
-                            np.full(t.shape, 0.5 * db))
-    if isinstance(seg, SampledSegment):
-        return _chart_pulse(*seg.sample(samples))
-    raise TypeError(f"unsupported segment type {type(seg).__name__}")
+            c_xy = c_dm = 0.0
+        else:
+            c_z = 0.0
+        return ConstantPulse(seg.duration, c_xy, c_dm, c_z)
+    c_xy, c_dm, c_z = _field(da, db, beta)
+    return SampledPulse(t, c_xy, c_dm, np.broadcast_to(c_z, t.shape))
 
 
 def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
@@ -152,9 +127,9 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
     the path with no extra phase.
 
     Coordinate-aligned segments (constant alpha or constant beta, and
-    rotation arcs about the z axis) become constant pulses in closed form;
-    everything else is sampled, with derivatives by centered differences
-    (one-sided second order at the endpoints). Doubling
+    rotation arcs about the z axis) have exact constant chart rates and
+    become constant pulses; everything else is sampled, with derivatives by
+    np.gradient (one-sided second order at the endpoints). Doubling
     `samples_per_segment` should leave the resulting propagator unchanged
     at the 1e-8 level; increase it until it does.
     """

@@ -4,17 +4,14 @@ Gates are explicit 4x4 numpy arrays in the computational product basis
 |00>, |01>, |10>, |11> (row-major, qubit a first). Each sector drives one
 pair of basis states, so gates and propagators are 2x2 SU(2) blocks
 (propagators from su2_exp) that embed places on the sector pair, with the
-identity on the other pair. Two tolerance levels are
-used throughout: ATOL_ALGEBRAIC for identities that hold to rounding
-error, ATOL_PIPELINE for quantities assembled from several numerical
-stages.
+identity on the other pair. ATOL_PIPELINE is the default tolerance for
+quantities assembled from several numerical stages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ATOL_ALGEBRAIC = 1e-12
 ATOL_PIPELINE = 1e-10
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -31,8 +28,11 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
+    """max |u^dagger u - 1|; inf (never nan) when that product overflows."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(abs(u.conj().T @ u - np.eye(len(u))).max())
+    return defect if defect < np.inf else np.inf
 
 
 def require_unitary(u: np.ndarray, tol: float = ATOL_PIPELINE) -> None:

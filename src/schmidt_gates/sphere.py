@@ -232,6 +232,14 @@ class LinearSegment:
         beta = self.beta_start + self.beta_rate * t
         return t, alpha, beta
 
+    def chart(self, n: int):
+        """(t, alpha, beta, alpha', beta'); the rates are exact scalars."""
+        return *self.sample(n), self.alpha_rate, self.beta_rate
+
+    def reversed(self) -> "LinearSegment":
+        return LinearSegment(self.alpha_end, self.beta_end, self.alpha_start,
+                             self.beta_start, self.duration)
+
     def _beta_integrals(self, samples: int) -> tuple[float, float]:
         """(integral of d beta, integral of cos(alpha) d beta), closed form."""
         dbeta = self.beta_end - self.beta_start
@@ -249,6 +257,18 @@ def equator_arc(beta_start: float, beta_end: float, duration: float) -> LinearSe
 def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
                  duration: float) -> LinearSegment:
     return LinearSegment(alpha_start, beta, alpha_end, beta, duration)
+
+
+def _gradient_chart(t: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Sampled chart coordinates and their rates by np.gradient."""
+    return (t, alpha, beta, np.gradient(alpha, t, edge_order=2),
+            np.gradient(beta, t, edge_order=2))
+
+
+def _trapezoid_integrals(alpha, beta) -> tuple[float, float]:
+    """(integral of d beta, integral of cos(alpha) d beta), trapezoid rule."""
+    return (float(beta[-1] - beta[0]),
+            float(np.trapezoid(np.cos(alpha), x=beta)))
 
 
 def _rodrigues(axis: np.ndarray, angle, r0: np.ndarray) -> np.ndarray:
@@ -293,7 +313,7 @@ class RotationSegment:
     def start_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(self.alpha_start, self.beta_start)
 
-    def _lift(self, n: int):
+    def sample(self, n: int):
         """Chart coordinates along the arc, continuous from the start coords."""
         t = np.linspace(0.0, self.duration, n)
         angles = self.angle * t / self.duration
@@ -327,17 +347,26 @@ class RotationSegment:
         return t, alpha, beta
 
     def end_coords(self) -> SchmidtCoordinates:
-        _, alpha, beta = self._lift(513)
+        _, alpha, beta = self.sample(513)
         return SchmidtCoordinates(float(alpha[-1]), float(beta[-1]))
 
-    def sample(self, n: int):
-        return self._lift(n)
+    def chart(self, n: int):
+        """(t, alpha, beta, alpha', beta'). About the z axis the arc is a
+        latitude circle with exact rates (0, angle / duration k_z). About a
+        tilted axis, the axis field would add a parallel component (a
+        spurious phase), so the rates are differences of the lift."""
+        kx, ky, kz = self.axis
+        if kx == 0.0 and ky == 0.0:
+            return *self.sample(n), 0.0, self.angle / self.duration * kz
+        return _gradient_chart(*self.sample(n))
+
+    def reversed(self) -> "RotationSegment":
+        end = self.end_coords()
+        return RotationSegment(end.alpha, end.beta, self.axis, -self.angle,
+                               self.duration)
 
     def _beta_integrals(self, samples: int) -> tuple[float, float]:
-        _, alpha, beta = self._lift(samples)
-        dbeta = float(beta[-1] - beta[0])
-        cos_int = float(np.trapezoid(np.cos(alpha), x=beta))
-        return dbeta, cos_int
+        return _trapezoid_integrals(*self.sample(samples)[1:])
 
 
 def _wrap(angle: float) -> float:
@@ -374,13 +403,15 @@ class SampledSegment:
         t = np.linspace(0.0, self.duration, self.alpha.size)
         return t, self.alpha, self.beta
 
+    def chart(self, n: int):
+        """(t, alpha, beta, alpha', beta') on the segment's own samples."""
+        return _gradient_chart(*self.sample(n))
+
+    def reversed(self) -> "SampledSegment":
+        return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
+
     def _beta_integrals(self, samples: int) -> tuple[float, float]:
-        dbeta = float(self.beta[-1] - self.beta[0])
-        cos_int = float(np.trapezoid(np.cos(self.alpha), x=self.beta))
-        return dbeta, cos_int
-
-
-Segment = LinearSegment | RotationSegment | SampledSegment
+        return _trapezoid_integrals(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -426,20 +457,8 @@ class SchmidtPath:
         return float(sum(seg.duration for seg in self.segments))
 
     def reversed(self) -> "SchmidtPath":
-        rev = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, LinearSegment):
-                rev.append(LinearSegment(seg.alpha_end, seg.beta_end,
-                                         seg.alpha_start, seg.beta_start,
-                                         seg.duration))
-            elif isinstance(seg, SampledSegment):
-                rev.append(SampledSegment(seg.alpha[::-1], seg.beta[::-1],
-                                          seg.duration))
-            else:
-                end = seg.end_coords()
-                rev.append(RotationSegment(end.alpha, end.beta, seg.axis,
-                                           -seg.angle, seg.duration))
-        return SchmidtPath(tuple(rev), closed=self.closed)
+        return SchmidtPath(tuple(s.reversed() for s in self.segments[::-1]),
+                           closed=self.closed)
 
 
 def solid_angle(path: SchmidtPath, samples: int = 1000) -> float:

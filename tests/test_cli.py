@@ -140,6 +140,20 @@ def test_classify_geometric_gate(tmp_path, capsys):
     assert report["checks"]["matches_closed_form"] is True
 
 
+def test_classify_rotation_gate(tmp_path, capsys):
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1,
+        "command": "classify",
+        "gate": {"kind": "rotation", "omega": -np.pi},
+    })
+    code, out, _ = run_main(["classify", scn], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["gate"] == {"kind": "rotation", "omega": -np.pi}
+    assert report["entangler_class"] == "SPE"
+    assert report["checks"]["matches_closed_form"] is True
+
+
 def test_classify_matrix_gate(tmp_path, capsys):
     eye = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
            for i in range(4)]
@@ -180,7 +194,8 @@ def test_sweep_map_output(tmp_path, capsys):
     code, _, err = run_main(["sweep-map", scn], capsys)
     assert code == 0
     assert "checks pass" in err
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 42
     assert list(rows[0]) == ["alpha0", "omega", "g1_re", "g1_im", "g2",
                              "entangler_class"]
@@ -210,7 +225,8 @@ def test_trotter_sweep_output(tmp_path, capsys):
     code, _, err = run_main(["trotter-sweep", scn], capsys)
     assert code == 0
     assert "checks pass" in err
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert list(rows[0]) == ["theta", "n", "infidelity", "trotter_error",
                              "omega_empirical"]
@@ -505,3 +521,102 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment):
     assert err == ("error: a result is not finite (an input is too large, "
                    "or a duration too short, for double precision)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[1e200, 1e200]] * 4] * 4,
+    [[[1e200, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
+     for i in range(4)],
+], ids=["every-entry", "diagonal"])
+def test_overflowing_matrix_is_not_unitary(tmp_path, capsys, matrix):
+    # the product u^dagger u overflows: the matrix is far from unitary, and
+    # that is the diagnostic, with no numpy warnings before it
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify",
+        "gate": {"kind": "matrix", "matrix": matrix}})
+    code, stdout, err, caught = run_quietly(["classify", scn], capsys)
+    assert (code, stdout, caught) == (2, "", [])
+    assert err == "error: gate matrix is not unitary within tolerance\n"
+
+
+# A meridian at beta = -0.0 drives its constant field at that exact beta,
+# so c_xy is -0.45 * sin(-0.0) = +0 and prints as 0, not -0.
+MERIDIAN_AT_NEGATIVE_ZERO = """{
+  "schema_version": 1,
+  "command": "simulate",
+  "sector": "gamma",
+  "loop": false,
+  "base_point": {
+    "alpha": 0.29999999999999999,
+    "beta": -0
+  },
+  "duration": 1,
+  "schedule": [
+    {
+      "kind": "constant",
+      "duration": 1,
+      "c_xy": 0,
+      "c_dm": 0.44999999999999996,
+      "c_z": 0
+    }
+  ],
+  "solid_angle": null,
+  "dynamical_phase": {
+    "plus": -0,
+    "minus": 0
+  },
+  "dynamical_phase_zero": true,
+  "holonomy_fidelity": null,
+  "holonomy_fidelity_applicable": false,
+  "predicted_gate": null,
+  "propagator": [
+    [
+      [1, 0],
+      [0, 0],
+      [0, 0],
+      [0, 0]
+    ],
+    [
+      [0, 0],
+      [0.90044710235267689, 0],
+      [-0.43496553411123018, 0],
+      [0, 0]
+    ],
+    [
+      [0, 0],
+      [0.43496553411123018, 0],
+      [0.90044710235267689, 0],
+      [0, 0]
+    ],
+    [
+      [0, 0],
+      [0, 0],
+      [0, 0],
+      [1, 0]
+    ]
+  ],
+  "invariants": {
+    "g1_re": 0.65740472229869595,
+    "g1_im": 0,
+    "g2": 2.2432199365413275
+  },
+  "entangler_class": "NOT_PE",
+  "tolerance": 1.0000000000000001e-09,
+  "checks": {
+    "propagator_unitary": true
+  },
+  "passed": true
+}
+"""
+
+
+def test_meridian_at_negative_zero_beta_report(tmp_path, capsys):
+    scn = tmp_path / "scenario.json"
+    scn.write_text(
+        '{"schema_version": 1, "command": "simulate", "loop": false, '
+        '"path": {"segments": [{"kind": "linear", "alpha_start": 0.3, '
+        '"beta_start": -0.0, "alpha_end": 1.2, "beta_end": -0.0, '
+        '"duration": 1.0}]}}')
+    code, stdout, err = run_main(["simulate", str(scn)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == MERIDIAN_AT_NEGATIVE_ZERO

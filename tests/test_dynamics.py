@@ -297,6 +297,34 @@ def test_reversed_loop_inverts_propagator():
     assert np.max(np.abs(u @ v - np.eye(4))) < TOL
 
 
+def test_reversed_mixed_loop_negates_solid_angle_and_inverts_propagator():
+    # a tilted arc, a sampled segment and a linear closing segment
+    a0, b0 = 1.0, 0.4
+    arc = RotationSegment(a0, b0, (0.3, -0.5, 0.8), 0.9, 1.0)
+    end = arc.end_coords()
+    s = np.linspace(0.0, 1.0, 301)
+    sampled = SampledSegment(end.alpha + 0.4 * s + 0.1 * np.sin(np.pi * s),
+                             end.beta - 0.7 * s, 1.5)
+    mid = sampled.end_coords()
+    closing = LinearSegment(mid.alpha, mid.beta, a0, b0, 0.8)
+    path = SchmidtPath((arc, sampled, closing), closed=True)
+    back = path.reversed()
+    assert back.closed
+    assert solid_angle(back) == pytest.approx(-solid_angle(path), abs=1e-9)
+    u = propagate(reverse_engineer(path, samples_per_segment=2000))
+    v = propagate(reverse_engineer(back, samples_per_segment=2000))
+    assert np.max(np.abs(v @ u - np.eye(4))) < 1e-9
+    again = back.reversed().segments
+    assert again[2] == closing
+    assert np.array_equal(again[1].alpha, sampled.alpha)
+    assert np.array_equal(again[1].beta, sampled.beta)
+    assert again[1].duration == sampled.duration
+    assert (again[0].angle, again[0].duration) == (arc.angle, arc.duration)
+    assert np.allclose(again[0].axis, arc.axis, rtol=0, atol=1e-15)
+    assert again[0].alpha_start == pytest.approx(a0, abs=1e-12)
+    assert again[0].beta_start == pytest.approx(b0, abs=1e-12)
+
+
 def test_dynamical_phase_latitude_loop():
     a0, b0 = np.pi / 3, np.pi
     loop = SchmidtPath((LinearSegment(a0, b0, a0, b0 - 2 * np.pi, 1.0),),
