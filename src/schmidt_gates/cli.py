@@ -105,8 +105,8 @@ _SEGMENT = {"oneOf": [
     _object({"kind": {"const": "rotation"}, "alpha_start": _NUMBER,
              "beta_start": _NUMBER, "axis": _array(_NUMBER, 3, 3),
              "angle": _NUMBER, "duration": _POSITIVE}),
-    _object({"kind": {"const": "sampled"}, "alpha": _array(_NUMBER, 2),
-             "beta": _array(_NUMBER, 2), "duration": _POSITIVE}),
+    _object({"kind": {"const": "sampled"}, "alpha": _array(_NUMBER, 3),
+             "beta": _array(_NUMBER, 3), "duration": _POSITIVE}),
 ]}
 
 _PATH = {"oneOf": [

@@ -194,11 +194,7 @@ def two_pulse_schedule(t1: float, tau: float) -> HamiltonianSchedule:
     """The two constant pulses generating the orange-slice loop:
     -(pi/(2 t1)) h_z during [0, t1], then -(pi/(2 (tau-t1))) h_xy.
     """
-    _check_times(t1, tau)
-    return HamiltonianSchedule((
-        ConstantPulse(t1, 0.0, 0.0, -np.pi / (2.0 * t1)),
-        ConstantPulse(tau - t1, -np.pi / (2.0 * (tau - t1)), 0.0, 0.0),
-    ))
+    return tilted_schedule(0.0, t1, tau)
 
 
 def tilted_schedule(theta: float, t1: float, tau: float) -> HamiltonianSchedule:

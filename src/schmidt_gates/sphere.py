@@ -261,6 +261,8 @@ def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
 
 def _gradient_chart(t: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """Sampled chart coordinates and their rates by np.gradient."""
+    if t.size < 3:
+        raise ValueError("segment needs at least 3 samples for its rates")
     return (t, alpha, beta, np.gradient(alpha, t, edge_order=2),
             np.gradient(beta, t, edge_order=2))
 
@@ -288,6 +290,9 @@ class RotationSegment:
 
     The arc must stay clear of both poles (use LinearSegment meridians for
     pole crossings); its chart lift continues the declared start coordinates.
+    A lift at n samples needs a clearance from the z axis of at least 1e-9
+    and a step |angle| / (n - 1) below pi * clearance; path building lifts
+    every arc at 513 points to find its end.
     """
 
     alpha_start: float
@@ -316,34 +321,33 @@ class RotationSegment:
     def sample(self, n: int):
         """Chart coordinates along the arc, continuous from the start coords."""
         t = np.linspace(0.0, self.duration, n)
-        angles = self.angle * t / self.duration
-        r = _rodrigues(np.asarray(self.axis), angles,
-                       sphere_point(self.alpha_start, self.beta_start))
+        k = np.asarray(self.axis)
+        r0 = sphere_point(self.alpha_start, self.beta_start)
+        # z = a + b cos(phi) + c sin(phi) is extremal at phi0 + m pi: the ends
+        # and the first two such angles inside the arc give its clearance
+        phi0 = np.arctan2(np.cross(k, r0)[2], r0[2] - np.dot(k, r0) * k[2])
+        lo, hi = sorted((0.0, self.angle))
+        turns = np.minimum(lo + np.mod(phi0 - lo, np.pi) + [0.0, np.pi], hi)
+        r = _rodrigues(k, np.append(self.angle * t / self.duration, turns), r0)
         rho = np.hypot(r[:, 0], r[:, 1])
-        # resolution-aware guard: an arc passing within about one sampling
-        # step of a pole cannot be lifted reliably at this resolution
-        step = abs(self.angle) / max(n - 1, 1)
-        if np.min(rho) < max(1e-9, 2.0 * step):
+        clearance = min(rho[0], rho[n - 1], *rho[n:])
+        if clearance < 1e-9:
             raise ValueError("rotation segment passes through or too close "
                              "to a pole; represent pole crossings with "
                              "LinearSegment")
-        alpha_std = np.arctan2(rho, r[:, 2])
-        beta_std = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
-        # Pick the extended-chart branch matching the declared start.
-        if abs(_wrap(self.alpha_start) - alpha_std[0]) < 1e-6:
-            alpha, beta = alpha_std, beta_std
-        else:
-            alpha, beta = -alpha_std, beta_std + np.pi
-        offset_a = self.alpha_start - alpha[0]
-        if abs(offset_a) > 1e-6:
-            raise ValueError("start coordinates do not lie on the declared arc")
+        # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
+        if abs(self.angle) / max(n - 1, 1) >= np.pi * clearance:
+            raise ValueError(f"rotation segment comes within {clearance:.3e} "
+                             f"of a pole, too close to lift at {n} samples")
+        alpha = np.arctan2(rho[:n], r[:n, 2])
+        beta = np.unwrap(np.arctan2(r[:n, 1], r[:n, 0]))
+        if self.alpha_start < 0:
+            alpha, beta = -alpha, beta + np.pi
         beta = beta + 2.0 * np.pi * np.round((self.beta_start - beta[0])
                                              / (2.0 * np.pi))
-        if abs(beta[0] - self.beta_start) > 1e-6:
+        if max(abs(self.alpha_start - alpha[0]),
+               abs(self.beta_start - beta[0])) > 1e-6:
             raise ValueError("start coordinates do not lie on the declared arc")
-        if np.max(np.abs(np.diff(beta))) > 0.5 * np.pi:
-            raise ValueError("rotation segment is too poorly resolved near "
-                             "a pole; increase the sampling density")
         return t, alpha, beta
 
     def end_coords(self) -> SchmidtCoordinates:
@@ -367,11 +371,6 @@ class RotationSegment:
 
     def _beta_integrals(self, samples: int) -> tuple[float, float]:
         return _trapezoid_integrals(*self.sample(samples)[1:])
-
-
-def _wrap(angle: float) -> float:
-    """Wrap into (-pi, pi]."""
-    return float(np.arctan2(np.sin(angle), np.cos(angle)))
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,71 @@ def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
     assert err.startswith("error: invalid path: ")
 
 
+@pytest.mark.parametrize("alpha_start, angle, samples", [
+    (1.2, 6.0, 4),
+    (0.02, 2 * np.pi, 20000),
+], ids=["coarse-latitude-arc", "full-turn-near-pole"])
+def test_latitude_arc_clear_of_poles_runs(tmp_path, capsys, alpha_start,
+                                          angle, samples):
+    # each step is below pi times the arc's clearance from the poles, so
+    # the lift is exact at the requested sampling and at path building's
+    closed = angle == 2 * np.pi
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": closed,
+        "samples_per_segment": samples,
+        "path": {"segments": [dict(_rotation([0.0, 0.0, 1.0], angle),
+                                   alpha_start=alpha_start)],
+                 "closed": closed},
+    })
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    omega = json.loads(out.read_text())["solid_angle"]
+    if closed:
+        cap = 2 * np.pi * (1 - np.cos(alpha_start))
+        assert abs(omega - cap) <= 1e-12
+
+
+def test_sampled_segment_needs_three_samples(tmp_path, capsys):
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [{"kind": "sampled", "alpha": [0.5, 0.6],
+                               "beta": [0.0, 0.1], "duration": 1.0}]},
+    })
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: scenario field 'path/segments/0/alpha': ")
+
+
+def test_tilted_arc_rates_need_three_samples(tmp_path, capsys):
+    # two samples lift this arc, but its np.gradient rates need three
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "samples_per_segment": 2,
+        "path": {"segments": [_rotation([0.3, 0.0, 1.0])]},
+    })
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: invalid path: segment needs at least 3 samples "
+                   "for its rates\n")
+
+
+def test_loop_mode_with_path_declared_open_rejected(tmp_path, capsys):
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": True,
+        "path": {"segments": [{
+            "kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
+            "alpha_end": 1.0, "beta_end": 0.5, "duration": 1.0,
+        }], "closed": False},
+    })
+    out = tmp_path / "report.json"
+    code, stdout, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("error: simulate in loop mode requires a closed path "
+                   "(endpoints differ on the sphere)\n")
+    assert not out.exists()
+
+
 def _linear(alpha_start, alpha_end, duration):
     return {"kind": "linear", "alpha_start": alpha_start, "beta_start": 0.0,
             "alpha_end": alpha_end, "beta_end": 1.0, "duration": duration}

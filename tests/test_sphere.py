@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_gates.sphere import (
     BRANCHES,
@@ -246,6 +248,41 @@ def test_rotation_segment_rejections():
         bad.end_coords()
 
 
+def test_rotation_segment_start_past_south_pole_refused():
+    # the lift's alpha lands within 1e-6 of the declared start, but on the
+    # chart copy whose beta is off by pi
+    for alpha_start in (np.pi + 4e-7, -np.pi - 4e-7):
+        seg = RotationSegment(alpha_start, 0.3, (0.3, 0.2, 1.0), 1e-5, 1.0)
+        with pytest.raises(ValueError, match="start coordinates"):
+            seg.sample(100)
+
+
+_AXES = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+
+
+@settings(deadline=None)
+@given(alpha0=st.floats(-3.1, 3.1), beta0=st.floats(-7.0, 7.0), axis=_AXES,
+       angle=st.floats(-15.0, 15.0), n=st.integers(2, 2000))
+def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
+    seg = RotationSegment(alpha0, beta0, axis, angle, 1.0)
+    try:
+        _, alpha, beta = seg.sample(n)
+    except ValueError:
+        return  # refused: too close to a pole for this step
+    _, fine_alpha, fine_beta = seg.sample(64 * (n - 1) + 1)
+    assert np.max(np.abs(alpha - fine_alpha[::64])) <= 1e-9
+    assert np.max(np.abs(beta - fine_beta[::64])) <= 1e-9
+    k = np.asarray(seg.axis)
+    r0 = sphere_point(alpha0, beta0)
+    phi = angle * np.linspace(0.0, 1.0, n)[:, None]
+    expect = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
+              + (1 - np.cos(phi)) * np.dot(k, r0) * k)
+    assert np.max(np.abs(sphere_point(alpha, beta).T - expect)) <= 1e-9
+
+
 def test_sampled_segment_validation():
     with pytest.raises(ValueError):
         SampledSegment(np.zeros(3), np.zeros(4), 1.0)
@@ -254,6 +291,9 @@ def test_sampled_segment_validation():
     seg = SampledSegment(np.array([0.1, 0.2]), np.array([0.0, 0.5]), 1.0)
     assert seg.start_coords().alpha == pytest.approx(0.1)
     assert seg.end_coords().beta == pytest.approx(0.5)
+    # two samples make a segment, but np.gradient rates need three
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        seg.chart(2)
 
 
 def test_path_junction_and_closure_validation():
