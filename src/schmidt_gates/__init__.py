@@ -19,12 +19,12 @@ from .sphere import (
     SchmidtDecomposition,
     SchmidtPath,
     LinearSegment,
-    RotationSegment,
     SampledSegment,
     assemble_state,
     concurrence,
     equator_arc,
     meridian_arc,
+    rotation_arc,
     schmidt_decompose,
     solid_angle,
     sphere_point,

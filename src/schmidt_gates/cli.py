@@ -43,9 +43,9 @@ from .invariants import classify, closed_form_invariants, makhlin_invariants
 from .linalg import gate_fidelity, phase_aligned_distance, unitarity_defect
 from .sphere import (
     LinearSegment,
-    RotationSegment,
     SampledSegment,
     SchmidtPath,
+    rotation_arc,
     solid_angle,
 )
 
@@ -331,17 +331,23 @@ def _table_result(command: str, header: list[str], rows: list[list[str]],
 # --------------------------------------------------------------------------
 
 
-# Segment kind -> class; each schema's other fields are its arguments.
-_SEGMENTS = {"linear": LinearSegment, "rotation": RotationSegment,
-             "sampled": SampledSegment}
+# Segment kind -> constructor of (samples per segment, the schema's other
+# fields); only rotation arcs are lifted at the requested sampling.
+_SEGMENTS = {
+    "linear": lambda samples, **fields: LinearSegment(**fields),
+    "rotation": lambda samples, **fields: rotation_arc(**fields,
+                                                      samples=samples),
+    "sampled": lambda samples, **fields: SampledSegment(**fields),
+}
 
 
-def _build_path(spec: dict, loop: bool) -> SchmidtPath:
+def _build_path(spec: dict, loop: bool, samples: int) -> SchmidtPath:
     try:
         if spec.get("preset") == "orange_slice":
             return orange_slice_path(spec["t1"], spec["tau"])
         specs = [dict(s) for s in spec["segments"]]
-        segments = tuple(_SEGMENTS[s.pop("kind")](**s) for s in specs)
+        segments = tuple(_SEGMENTS[s.pop("kind")](samples, **s)
+                         for s in specs)
         closed = spec.get("closed", loop)
         return SchmidtPath(segments, closed=closed)
     except ValueError as exc:
@@ -412,15 +418,15 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
     samples = int(scenario.get("samples_per_segment", 1000))
-    path = _build_path(scenario["path"], loop)
+    path = _build_path(scenario["path"], loop, samples)
     if loop and not path.closed:
         raise ScenarioError("simulate in loop mode requires a closed path "
                             "(endpoints differ on the sphere)")
     try:
-        omega = solid_angle(path, samples=samples) if path.closed else None
+        omega = solid_angle(path) if path.closed else None
         schedule = reverse_engineer(path, sector=sector,
                                     samples_per_segment=samples)
-        phi_plus, phi_minus = dynamical_phase(path, samples=samples)
+        phi_plus, phi_minus = dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
     u = propagate(schedule)

@@ -126,12 +126,14 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
     """Hamiltonian schedule whose evolution drags the Schmidt vectors along
     the path with no extra phase.
 
-    Coordinate-aligned segments (constant alpha or constant beta, and
-    rotation arcs about the z axis) have exact constant chart rates and
-    become constant pulses; everything else is sampled, with derivatives by
-    np.gradient (one-sided second order at the endpoints). Doubling
-    `samples_per_segment` should leave the resulting propagator unchanged
-    at the 1e-8 level; increase it until it does.
+    Coordinate-aligned segments (constant alpha or constant beta, rotation
+    arcs about the z axis among them) have exact constant chart rates and
+    become constant pulses. Linear spirals are sampled at
+    `samples_per_segment` points with their exact rates. Sampled segments
+    (tilted rotation arcs among them, lifted when they were built) keep
+    their own samples, with rates by np.gradient (one-sided second order
+    at the endpoints). Doubling the sampling should leave the resulting
+    propagator unchanged at the 1e-8 level; increase it until it does.
     """
     pulses = [_segment_pulse(seg, samples_per_segment)
               for seg in path.segments]
@@ -158,16 +160,18 @@ def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
     return embed(u, schedule.sector)
 
 
-def dynamical_phase(path: SchmidtPath, samples: int = 1000) -> tuple[float, float]:
+def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
     """Accumulated dynamical phases (phi_plus, phi_minus) of the entangled
     pair under the reverse-engineered schedule.
 
     phi_plus = -(1/2) * integral of cos(alpha) d(beta) along the path and
-    phi_minus = -phi_plus; both vanish on geodesic-pair loops.
+    phi_minus = -phi_plus; both vanish on geodesic-pair loops. Linear
+    segments contribute in closed form, sampled segments (tilted rotation
+    arcs among them) by the trapezoid rule on their own samples.
     """
     cos_int = 0.0
     for seg in path.segments:
-        _, seg_cos = seg._beta_integrals(samples)
+        _, seg_cos = seg._beta_integrals()
         cos_int += seg_cos
     phi_plus = -0.5 * cos_int
     return float(phi_plus), float(-phi_plus)

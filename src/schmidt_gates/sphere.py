@@ -240,7 +240,7 @@ class LinearSegment:
         return LinearSegment(self.alpha_end, self.beta_end, self.alpha_start,
                              self.beta_start, self.duration)
 
-    def _beta_integrals(self, samples: int) -> tuple[float, float]:
+    def _beta_integrals(self) -> tuple[float, float]:
         """(integral of d beta, integral of cos(alpha) d beta), closed form."""
         dbeta = self.beta_end - self.beta_start
         da = self.alpha_end - self.alpha_start
@@ -259,20 +259,6 @@ def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
     return LinearSegment(alpha_start, beta, alpha_end, beta, duration)
 
 
-def _gradient_chart(t: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """Sampled chart coordinates and their rates by np.gradient."""
-    if t.size < 3:
-        raise ValueError("segment needs at least 3 samples for its rates")
-    return (t, alpha, beta, np.gradient(alpha, t, edge_order=2),
-            np.gradient(beta, t, edge_order=2))
-
-
-def _trapezoid_integrals(alpha, beta) -> tuple[float, float]:
-    """(integral of d beta, integral of cos(alpha) d beta), trapezoid rule."""
-    return (float(beta[-1] - beta[0]),
-            float(np.trapezoid(np.cos(alpha), x=beta)))
-
-
 def _rodrigues(axis: np.ndarray, angle, r0: np.ndarray) -> np.ndarray:
     """Rotate r0 about the unit axis; angle may be an array."""
     angle = np.asarray(angle, dtype=float)
@@ -282,95 +268,6 @@ def _rodrigues(axis: np.ndarray, angle, r0: np.ndarray) -> np.ndarray:
     cross = np.cross(np.broadcast_to(k, (angle.size, 3)), r0)
     dot = float(np.dot(k, r0))
     return c * r0 + s * cross + (1.0 - c[..., 0])[..., None] * dot * k
-
-
-@dataclass(frozen=True)
-class RotationSegment:
-    """Great- or small-circle arc: rotation of the start point about a fixed axis.
-
-    The arc must stay clear of both poles (use LinearSegment meridians for
-    pole crossings); its chart lift continues the declared start coordinates.
-    A lift at n samples needs a clearance from the z axis of at least 1e-9
-    and a step |angle| / (n - 1) below pi * clearance; path building lifts
-    every arc at 513 points to find its end.
-    """
-
-    alpha_start: float
-    beta_start: float
-    axis: tuple[float, float, float]
-    angle: float
-    duration: float
-
-    def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("segment duration must be positive")
-        axis = np.asarray(self.axis, dtype=float)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(axis)
-        if np.isinf(norm):
-            # the squares overflow: scale by the largest component first
-            axis = axis / np.max(np.abs(axis))
-            norm = np.linalg.norm(axis)
-        if norm < 1e-12:
-            raise ValueError("rotation axis must be nonzero")
-        object.__setattr__(self, "axis", tuple(axis / norm))
-
-    def start_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(self.alpha_start, self.beta_start)
-
-    def sample(self, n: int):
-        """Chart coordinates along the arc, continuous from the start coords."""
-        t = np.linspace(0.0, self.duration, n)
-        k = np.asarray(self.axis)
-        r0 = sphere_point(self.alpha_start, self.beta_start)
-        # z = a + b cos(phi) + c sin(phi) is extremal at phi0 + m pi: the ends
-        # and the first two such angles inside the arc give its clearance
-        phi0 = np.arctan2(np.cross(k, r0)[2], r0[2] - np.dot(k, r0) * k[2])
-        lo, hi = sorted((0.0, self.angle))
-        turns = np.minimum(lo + np.mod(phi0 - lo, np.pi) + [0.0, np.pi], hi)
-        r = _rodrigues(k, np.append(self.angle * t / self.duration, turns), r0)
-        rho = np.hypot(r[:, 0], r[:, 1])
-        clearance = min(rho[0], rho[n - 1], *rho[n:])
-        if clearance < 1e-9:
-            raise ValueError("rotation segment passes through or too close "
-                             "to a pole; represent pole crossings with "
-                             "LinearSegment")
-        # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
-        if abs(self.angle) / max(n - 1, 1) >= np.pi * clearance:
-            raise ValueError(f"rotation segment comes within {clearance:.3e} "
-                             f"of a pole, too close to lift at {n} samples")
-        alpha = np.arctan2(rho[:n], r[:n, 2])
-        beta = np.unwrap(np.arctan2(r[:n, 1], r[:n, 0]))
-        if self.alpha_start < 0:
-            alpha, beta = -alpha, beta + np.pi
-        beta = beta + 2.0 * np.pi * np.round((self.beta_start - beta[0])
-                                             / (2.0 * np.pi))
-        if max(abs(self.alpha_start - alpha[0]),
-               abs(self.beta_start - beta[0])) > 1e-6:
-            raise ValueError("start coordinates do not lie on the declared arc")
-        return t, alpha, beta
-
-    def end_coords(self) -> SchmidtCoordinates:
-        _, alpha, beta = self.sample(513)
-        return SchmidtCoordinates(float(alpha[-1]), float(beta[-1]))
-
-    def chart(self, n: int):
-        """(t, alpha, beta, alpha', beta'). About the z axis the arc is a
-        latitude circle with exact rates (0, angle / duration k_z). About a
-        tilted axis, the axis field would add a parallel component (a
-        spurious phase), so the rates are differences of the lift."""
-        kx, ky, kz = self.axis
-        if kx == 0.0 and ky == 0.0:
-            return *self.sample(n), 0.0, self.angle / self.duration * kz
-        return _gradient_chart(*self.sample(n))
-
-    def reversed(self) -> "RotationSegment":
-        end = self.end_coords()
-        return RotationSegment(end.alpha, end.beta, self.axis, -self.angle,
-                               self.duration)
-
-    def _beta_integrals(self, samples: int) -> tuple[float, float]:
-        return _trapezoid_integrals(*self.sample(samples)[1:])
 
 
 @dataclass(frozen=True)
@@ -403,14 +300,82 @@ class SampledSegment:
         return t, self.alpha, self.beta
 
     def chart(self, n: int):
-        """(t, alpha, beta, alpha', beta') on the segment's own samples."""
-        return _gradient_chart(*self.sample(n))
+        """(t, alpha, beta, alpha', beta') on the segment's own samples,
+        with the rates by np.gradient."""
+        t, alpha, beta = self.sample(n)
+        if t.size < 3:
+            raise ValueError("segment needs at least 3 samples for its rates")
+        return (t, alpha, beta, np.gradient(alpha, t, edge_order=2),
+                np.gradient(beta, t, edge_order=2))
 
     def reversed(self) -> "SampledSegment":
         return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
 
-    def _beta_integrals(self, samples: int) -> tuple[float, float]:
-        return _trapezoid_integrals(self.alpha, self.beta)
+    def _beta_integrals(self) -> tuple[float, float]:
+        """(integral of d beta, integral of cos(alpha) d beta), trapezoid rule."""
+        return (float(self.beta[-1] - self.beta[0]),
+                float(np.trapezoid(np.cos(self.alpha), x=self.beta)))
+
+
+def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
+                 duration: float, samples: int = 1000):
+    """Great- or small-circle arc: rotation of the start point by `angle`
+    about a fixed axis, continuing the start coordinates in the chart.
+
+    The arc must stay clear of both poles (use meridian arcs for pole
+    crossings): its clearance, the least distance from the z axis, must be
+    at least 1e-9. About the z axis the arc is the latitude LinearSegment
+    to beta_start + angle k_z. About a tilted axis it is the SampledSegment
+    of its lift at `samples` points, which needs a step
+    |angle| / (samples - 1) below pi * clearance; the axis field itself
+    would add a component parallel to the sphere point (a spurious phase),
+    so the arc is driven by the chart rates of its lift.
+    """
+    if not duration > 0:
+        raise ValueError("segment duration must be positive")
+    k = np.asarray(axis, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(k)
+    if np.isinf(norm):
+        # the squares overflow: scale by the largest component first
+        k = k / np.max(np.abs(k))
+        norm = np.linalg.norm(k)
+    if norm < 1e-12:
+        raise ValueError("rotation axis must be nonzero")
+    k = k / norm
+    latitude = k[0] == 0.0 and k[1] == 0.0
+    # a latitude arc lifts only its start point, for the start check
+    n = 1 if latitude else samples
+    t = np.linspace(0.0, duration, n)
+    r0 = sphere_point(alpha_start, beta_start)
+    # z = a + b cos(phi) + c sin(phi) is extremal at phi0 + m pi: the ends
+    # and the first two such angles inside the arc give its clearance
+    phi0 = np.arctan2(np.cross(k, r0)[2], r0[2] - np.dot(k, r0) * k[2])
+    lo, hi = sorted((0.0, angle))
+    turns = np.minimum(lo + np.mod(phi0 - lo, np.pi) + [0.0, np.pi], hi)
+    r = _rodrigues(k, np.append(angle * t / duration, turns), r0)
+    rho = np.hypot(r[:, 0], r[:, 1])
+    clearance = min(rho[0], rho[n - 1], *rho[n:])
+    if clearance < 1e-9:
+        raise ValueError("rotation segment passes through or too close "
+                         "to a pole; represent pole crossings with "
+                         "LinearSegment")
+    # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
+    if not latitude and abs(angle) / max(n - 1, 1) >= np.pi * clearance:
+        raise ValueError(f"rotation segment comes within {clearance:.3e} "
+                         f"of a pole, too close to lift at {n} samples")
+    alpha = np.arctan2(rho[:n], r[:n, 2])
+    beta = np.unwrap(np.arctan2(r[:n, 1], r[:n, 0]))
+    if alpha_start < 0:
+        alpha, beta = -alpha, beta + np.pi
+    beta = beta + 2.0 * np.pi * np.round((beta_start - beta[0])
+                                         / (2.0 * np.pi))
+    if max(abs(alpha_start - alpha[0]), abs(beta_start - beta[0])) > 1e-6:
+        raise ValueError("start coordinates do not lie on the declared arc")
+    if latitude:
+        return LinearSegment(alpha_start, beta_start, alpha_start,
+                             beta_start + k[2] * angle, duration)
+    return SampledSegment(alpha, beta, duration)
 
 
 @dataclass(frozen=True)
@@ -460,33 +425,33 @@ class SchmidtPath:
                            closed=self.closed)
 
 
-def solid_angle(path: SchmidtPath, samples: int = 1000) -> float:
+def solid_angle(path: SchmidtPath) -> float:
     """Signed solid angle enclosed by a closed path.
 
     Evaluates the loop integral of (1 - cos(alpha)) d(beta) over the
-    continuous extended-alpha parametrization; linear segments contribute in
-    closed form, rotation and sampled segments by the trapezoid rule
-    (`samples` points for rotation arcs). This chart form is singular at the
-    south pole, where a crossing would shift the result by 2*pi, so a
-    segment whose alpha range reaches an odd multiple of pi raises
-    ValueError; pole crossings must run through alpha = 0. Rotation arcs
-    stay clear of both poles by construction.
+    continuous extended-alpha parametrization; linear segments (latitude
+    rotation arcs among them) contribute in closed form, sampled segments
+    (tilted rotation arcs among them) by the trapezoid rule on their own
+    samples. This chart form is singular at the south pole, where a
+    crossing would shift the result by 2*pi, so a segment whose alpha range
+    reaches an odd multiple of pi raises ValueError; pole crossings must
+    run through alpha = 0. Rotation arcs stay clear of both poles by
+    construction.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")
     total = 0.0
     for i, seg in enumerate(path.segments):
-        if not isinstance(seg, RotationSegment):
-            alpha = ((seg.alpha_start, seg.alpha_end)
-                     if isinstance(seg, LinearSegment) else seg.alpha)
-            lo, hi = np.min(alpha), np.max(alpha)
-            # smallest odd multiple of pi at or above lo
-            pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
-            if pole <= hi:
-                raise ValueError(
-                    f"segment {i} reaches the south pole (alpha = "
-                    f"{pole:.6g}), where the chart solid angle is singular; "
-                    "route pole crossings through alpha = 0")
-        dbeta, cos_int = seg._beta_integrals(samples)
+        alpha = ((seg.alpha_start, seg.alpha_end)
+                 if isinstance(seg, LinearSegment) else seg.alpha)
+        lo, hi = np.min(alpha), np.max(alpha)
+        # smallest odd multiple of pi at or above lo
+        pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
+        if pole <= hi:
+            raise ValueError(
+                f"segment {i} reaches the south pole (alpha = "
+                f"{pole:.6g}), where the chart solid angle is singular; "
+                "route pole crossings through alpha = 0")
+        dbeta, cos_int = seg._beta_integrals()
         total += dbeta - cos_int
     return float(total)

@@ -403,8 +403,8 @@ def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
 ], ids=["coarse-latitude-arc", "full-turn-near-pole"])
 def test_latitude_arc_clear_of_poles_runs(tmp_path, capsys, alpha_start,
                                           angle, samples):
-    # each step is below pi times the arc's clearance from the poles, so
-    # the lift is exact at the requested sampling and at path building's
+    # an arc about the z axis is a latitude arc with exact rates, whatever
+    # the sampling: no step rule applies to it
     closed = angle == 2 * np.pi
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": closed,
@@ -420,6 +420,31 @@ def test_latitude_arc_clear_of_poles_runs(tmp_path, capsys, alpha_start,
     if closed:
         cap = 2 * np.pi * (1 - np.cos(alpha_start))
         assert abs(omega - cap) <= 1e-12
+
+
+@pytest.mark.parametrize("axis, alpha_start, tol", [
+    ([0.0, 0.0, 1.0], 0.02, 1e-12),
+    ([0.0, 0.01, 1.0], 0.03, 1e-7),
+], ids=["latitude", "tilted"])
+def test_ten_turn_arc_near_pole_runs(tmp_path, capsys, axis, alpha_start,
+                                     tol):
+    # ten turns near the north pole: the arc is lifted once, at the
+    # requested 20000 samples, where each step is below pi times its
+    # clearance; a full turn about k encloses the cap 2 pi (1 - k . r0)
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": True,
+        "samples_per_segment": 20000,
+        "path": {"segments": [dict(_rotation(axis, 20 * np.pi),
+                                   alpha_start=alpha_start, beta_start=0.0)],
+                 "closed": True},
+    })
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    k = np.asarray(axis) / np.linalg.norm(axis)
+    r0 = schmidt_gates.sphere_point(alpha_start, 0.0)
+    cap = 20 * np.pi * (1 - float(np.dot(k, r0)))
+    assert abs(json.loads(out.read_text())["solid_angle"] - cap) <= tol
 
 
 def test_sampled_segment_needs_three_samples(tmp_path, capsys):

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from schmidt_gates.sphere import (
     BRANCHES,
     LinearSegment,
-    RotationSegment,
     SampledSegment,
     SchmidtPath,
     assemble_state,
     concurrence,
     equator_arc,
     meridian_arc,
+    rotation_arc,
     schmidt_decompose,
     solid_angle,
     sphere_point,
@@ -184,7 +184,7 @@ def test_linear_segment_integrals_match_trapezoid():
                             rng.uniform(-3, 3), rng.uniform(-3, 3),
                             rng.uniform(0.5, 2.0))
         _, alpha, beta = seg.sample(200001)
-        dbeta, cos_int = seg._beta_integrals(1000)
+        dbeta, cos_int = seg._beta_integrals()
         assert abs(dbeta - (beta[-1] - beta[0])) < TOL
         assert abs(cos_int - np.trapezoid(np.cos(alpha), x=beta)) < 1e-9
 
@@ -199,7 +199,8 @@ def test_equator_and_meridian_constructors():
 
 
 def test_rotation_segment_about_z_is_latitude():
-    seg = RotationSegment(np.pi / 3, 0.2, (0, 0, 1), 1.1, 1.0)
+    seg = rotation_arc(np.pi / 3, 0.2, (0, 0, 1), 1.1, 1.0)
+    assert isinstance(seg, LinearSegment)
     end = seg.end_coords()
     assert end.alpha == pytest.approx(np.pi / 3, abs=1e-9)
     assert end.beta == pytest.approx(0.2 + 1.1, abs=1e-9)
@@ -213,8 +214,8 @@ def test_rotation_segment_matches_rodrigues_pointwise():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(-1.0, 1.0)
-        seg = RotationSegment(a0, b0, tuple(axis), angle, 1.0)
         try:
+            seg = rotation_arc(a0, b0, tuple(axis), angle, 1.0, samples=64)
             _, alpha, beta = seg.sample(64)
         except ValueError:
             continue  # arc wandered over a pole; rejection is the contract
@@ -229,7 +230,7 @@ def test_rotation_segment_matches_rodrigues_pointwise():
 
 def test_rotation_segment_extended_branch():
     # declared on the alpha < 0 copy of the chart
-    seg = RotationSegment(-np.pi / 3, 0.2 + np.pi, (0, 0, 1), 0.7, 1.0)
+    seg = rotation_arc(-np.pi / 3, 0.2 + np.pi, (0, 0, 1), 0.7, 1.0)
     end = seg.end_coords()
     assert end.alpha == pytest.approx(-np.pi / 3, abs=1e-9)
     assert end.beta == pytest.approx(0.2 + np.pi + 0.7, abs=1e-9)
@@ -237,24 +238,22 @@ def test_rotation_segment_extended_branch():
 
 def test_rotation_segment_rejections():
     with pytest.raises(ValueError):
-        RotationSegment(0.3, 0.0, (0, 0, 0), 1.0, 1.0)
+        rotation_arc(0.3, 0.0, (0, 0, 0), 1.0, 1.0)
     # arc through the north pole
-    seg = RotationSegment(np.pi / 2, np.pi / 2, (1, 0, 0), np.pi, 1.0)
     with pytest.raises(ValueError):
-        seg.sample(100)
+        rotation_arc(np.pi / 2, np.pi / 2, (1, 0, 0), np.pi, 1.0, samples=100)
     # a start wound past the principal chart copies cannot be lifted
-    bad = RotationSegment(np.pi / 3 + 2 * np.pi, 0.2, (0, 0, 1), 1.0, 1.0)
     with pytest.raises(ValueError):
-        bad.end_coords()
+        rotation_arc(np.pi / 3 + 2 * np.pi, 0.2, (0, 0, 1), 1.0, 1.0)
 
 
 def test_rotation_segment_start_past_south_pole_refused():
     # the lift's alpha lands within 1e-6 of the declared start, but on the
     # chart copy whose beta is off by pi
     for alpha_start in (np.pi + 4e-7, -np.pi - 4e-7):
-        seg = RotationSegment(alpha_start, 0.3, (0.3, 0.2, 1.0), 1e-5, 1.0)
         with pytest.raises(ValueError, match="start coordinates"):
-            seg.sample(100)
+            rotation_arc(alpha_start, 0.3, (0.3, 0.2, 1.0), 1e-5, 1.0,
+                         samples=100)
 
 
 _AXES = st.one_of(
@@ -267,20 +266,24 @@ _AXES = st.one_of(
 @given(alpha0=st.floats(-3.1, 3.1), beta0=st.floats(-7.0, 7.0), axis=_AXES,
        angle=st.floats(-15.0, 15.0), n=st.integers(2, 2000))
 def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
-    seg = RotationSegment(alpha0, beta0, axis, angle, 1.0)
+    # a z axis gives a latitude LinearSegment, any other the lifted samples
     try:
-        _, alpha, beta = seg.sample(n)
+        seg = rotation_arc(alpha0, beta0, axis, angle, 1.0, samples=n)
     except ValueError:
         return  # refused: too close to a pole for this step
-    _, fine_alpha, fine_beta = seg.sample(64 * (n - 1) + 1)
+    _, alpha, beta = seg.sample(n)
+    fine = rotation_arc(alpha0, beta0, axis, angle, 1.0,
+                        samples=64 * (n - 1) + 1)
+    _, fine_alpha, fine_beta = fine.sample(64 * (n - 1) + 1)
     assert np.max(np.abs(alpha - fine_alpha[::64])) <= 1e-9
     assert np.max(np.abs(beta - fine_beta[::64])) <= 1e-9
-    k = np.asarray(seg.axis)
+    k = np.asarray(axis) / np.linalg.norm(axis)
     r0 = sphere_point(alpha0, beta0)
     phi = angle * np.linspace(0.0, 1.0, n)[:, None]
     expect = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
               + (1 - np.cos(phi)) * np.dot(k, r0) * k)
     assert np.max(np.abs(sphere_point(alpha, beta).T - expect)) <= 1e-9
+    assert np.max(np.abs(seg.end_coords().point() - expect[-1])) <= 1e-9
 
 
 def test_sampled_segment_validation():
@@ -346,10 +349,10 @@ def test_solid_angle_small_circles_match_cap_area():
         r0 = np.cos(tilt) * k + np.sin(tilt) * ortho
         alpha0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2])
         beta0 = np.arctan2(r0[1], r0[0])
-        loop = SchmidtPath((RotationSegment(alpha0, beta0, tuple(k),
-                                            2 * np.pi, 1.0),), closed=True)
+        loop = SchmidtPath((rotation_arc(alpha0, beta0, tuple(k), 2 * np.pi,
+                                         1.0, samples=20001),), closed=True)
         expect = 2 * np.pi * (1 - float(np.dot(k, r0)))
-        assert solid_angle(loop, samples=20001) == pytest.approx(expect, abs=1e-8)
+        assert solid_angle(loop) == pytest.approx(expect, abs=1e-8)
         done += 1
 
 
