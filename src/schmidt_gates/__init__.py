@@ -31,7 +31,6 @@ from .sphere import (
 )
 from .gates import (
     frame_unitaries,
-    lambda_gate,
     schmidt_gate,
     u_general,
 )
@@ -47,7 +46,6 @@ from .dynamics import (
     ConstantPulse,
     HamiltonianSchedule,
     SampledPulse,
-    TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -57,7 +55,6 @@ from .dynamics import (
     tilted_schedule,
     tilted_segment_propagator,
     trotter_propagate,
-    two_pulse_schedule,
 )
 
 __version__ = "0.1.0"

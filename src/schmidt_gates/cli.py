@@ -28,7 +28,6 @@ import sys
 import numpy as np
 
 from .dynamics import (
-    TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -38,7 +37,7 @@ from .dynamics import (
     tilted_segment_propagator,
     trotter_propagate,
 )
-from .gates import lambda_gate, schmidt_gate, u_general
+from .gates import schmidt_gate, u_general
 from .invariants import classify, closed_form_invariants, makhlin_invariants
 from .linalg import gate_fidelity, phase_aligned_distance, unitarity_defect
 from .sphere import (
@@ -358,8 +357,7 @@ def _build_gate(spec: dict, tol: float):
     """Returns (matrix, echo-dict, closed_form_invariants or None)."""
     if spec["kind"] == "geometric":
         sector = spec.get("sector", "gamma")
-        build = schmidt_gate if sector == "gamma" else lambda_gate
-        u = build(spec["alpha0"], spec["beta0"], spec["omega"])
+        u = schmidt_gate(spec["alpha0"], spec["beta0"], spec["omega"], sector)
         echo = {"kind": "geometric", "alpha0": spec["alpha0"],
                 "beta0": spec["beta0"], "omega": spec["omega"],
                 "sector": sector}
@@ -437,8 +435,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
     predicted = None
     fidelity = None
     if path.closed and phase_zero:
-        build = schmidt_gate if sector == "gamma" else lambda_gate
-        target = build(start.alpha, start.beta, omega)
+        target = schmidt_gate(start.alpha, start.beta, omega, sector)
         fidelity = gate_fidelity(u, target)
         predicted = {"alpha0": start.alpha, "beta0": start.beta,
                      "omega": omega}
@@ -515,7 +512,7 @@ def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
         omega, resid = extract_rotation_angle(composed_tilted_gate(theta))
         max_resid = max(max_resid, resid)
         for n in n_values:
-            approx = trotter_propagate(TrotterPlan(float(theta), int(n)))
+            approx = trotter_propagate(theta, int(n))
             infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
             err = phase_aligned_distance(exact, approx)
             rows.append([

@@ -10,6 +10,11 @@ which the sphere point precesses (r' = B x r). The gamma-sector triple
 (h_xy, h_dm, h_z) acts as the Pauli triple on span{|01>, |10>} and
 annihilates |00>, |11>; the lambda-sector triple is its analog on
 span{|00>, |11>}.
+
+The transmon pulse family is tilted_schedule(theta, t1, tau), whose
+theta = 0 member drives the orange-slice loop, and
+trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
+pulse.
 """
 
 from __future__ import annotations
@@ -194,17 +199,11 @@ def orange_slice_path(t1: float, tau: float) -> SchmidtPath:
     ), closed=True)
 
 
-def two_pulse_schedule(t1: float, tau: float) -> HamiltonianSchedule:
-    """The two constant pulses generating the orange-slice loop:
-    -(pi/(2 t1)) h_z during [0, t1], then -(pi/(2 (tau-t1))) h_xy.
-    """
-    return tilted_schedule(0.0, t1, tau)
-
-
 def tilted_schedule(theta: float, t1: float, tau: float) -> HamiltonianSchedule:
-    """Two-pulse schedule with the second pulse tilted by theta:
-    -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0
-    recovers the plain two-pulse schedule.
+    """Two-pulse schedule: -(pi/(2 t1)) h_z during [0, t1], then the
+    second pulse tilted by theta,
+    -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
+    the plain two-pulse schedule that generates the orange-slice loop.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
@@ -228,28 +227,18 @@ def composed_tilted_gate(theta: float) -> np.ndarray:
     return propagate(tilted_schedule(theta, 1.0, 2.0))
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
+def trotter_propagate(theta: float, n: int) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
-    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
+    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z), formed
+    as a 4x4 matrix and raised to the n-th power by binary powering; n must
+    be a positive integer.
     """
-
-    theta: float
-    n: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError("step count n must be a positive integer")
-
-
-def trotter_propagate(plan: TrotterPlan) -> np.ndarray:
-    """n-fold repetition of the Trotter step, formed as a 4x4 matrix and
-    raised to the n-th power by binary powering.
-    """
-    k = np.pi / (2.0 * plan.n)
-    xy = embed(su2_exp(-k * np.cos(plan.theta), 0.0, 0.0, 1.0), "gamma")
-    z = embed(su2_exp(0.0, 0.0, k * np.sin(plan.theta), 1.0), "gamma")
-    return np.linalg.matrix_power(xy @ z, plan.n)
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError("step count n must be a positive integer")
+    k = np.pi / (2.0 * n)
+    xy = embed(su2_exp(-k * np.cos(theta), 0.0, 0.0, 1.0), "gamma")
+    z = embed(su2_exp(0.0, 0.0, k * np.sin(theta), 1.0), "gamma")
+    return np.linalg.matrix_power(xy @ z, n)
 
 
 def extract_rotation_angle(u: np.ndarray) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 A gate anchored at Schmidt coordinates (alpha0, beta0) with loop solid
 angle omega acts as identity on its invariant product pair and multiplies
 the entangled pair by exp(-+ i omega / 2). It is therefore a 2x2 SU(2)
-block on the sector pair, placed in the 4x4 matrix by linalg.embed. The
-gamma sector entangles span{|01>, |10>}, the lambda sector
+block on the sector pair, placed in the 4x4 matrix by linalg.embed.
+schmidt_gate builds it for either sector, named by its `sector` argument:
+the gamma sector entangles span{|01>, |10>}, the lambda sector
 span{|00>, |11>} (standard frame).
 """
 
@@ -28,39 +29,27 @@ def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _standard_gate(alpha0: float, beta0: float, omega: float,
-                   sector: str) -> np.ndarray:
+def schmidt_gate(alpha0: float, beta0: float, omega: float,
+                 sector: str = "gamma", frame=None) -> np.ndarray:
+    """Geometric gate of the sector ("gamma" or "lambda"; any other name
+    raises ValueError).
+
+    Identity on the other sector's pair; phases exp(-+ i omega/2) on the
+    sector's entangled pair anchored at (alpha0, beta0). The arbitrary-frame
+    gate is the standard-frame gate conjugated by the frame's local
+    unitaries.
+    """
     f, g = _amplitudes(alpha0, beta0)
     plus = np.array([f, g])
     minus = np.array([-np.conj(g), np.conj(f)])
     block = np.outer(plus, plus.conj()) * np.exp(-0.5j * omega)
     block += np.outer(minus, minus.conj()) * np.exp(+0.5j * omega)
-    return embed(block, sector)
-
-
-def _in_frame(u: np.ndarray, frame) -> np.ndarray:
+    u = embed(block, sector)
     if frame is None:
         return u
     a, b = frame_unitaries(frame)
     local = tensor_product(a, b)
     return local @ u @ local.conj().T
-
-
-def schmidt_gate(alpha0: float, beta0: float, omega: float,
-                 frame=None) -> np.ndarray:
-    """Geometric gate of the gamma sector.
-
-    Identity on |n,-m> and |-n,m>; phases exp(-+ i omega/2) on the
-    entangled pair anchored at (alpha0, beta0). The arbitrary-frame gate is
-    the standard-frame gate conjugated by the frame's local unitaries.
-    """
-    return _in_frame(_standard_gate(alpha0, beta0, omega, "gamma"), frame)
-
-
-def lambda_gate(alpha0: float, beta0: float, omega: float,
-                frame=None) -> np.ndarray:
-    """Geometric gate of the lambda sector (couples |00> and |11>)."""
-    return _in_frame(_standard_gate(alpha0, beta0, omega, "lambda"), frame)
 
 
 def u_general(omega: float) -> np.ndarray:

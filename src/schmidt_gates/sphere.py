@@ -241,13 +241,15 @@ class LinearSegment:
                              self.beta_start, self.duration)
 
     def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), closed form."""
+        """(integral of d beta, integral of cos(alpha) d beta), closed form.
+
+        d beta (sin(alpha_end) - sin(alpha_start)) / d alpha, written with
+        sinc so that a vanishing d alpha cancels nothing.
+        """
         dbeta = self.beta_end - self.beta_start
         da = self.alpha_end - self.alpha_start
-        if da == 0.0:
-            return dbeta, np.cos(self.alpha_start) * dbeta
-        cos_int = dbeta * (np.sin(self.alpha_end) - np.sin(self.alpha_start)) / da
-        return dbeta, cos_int
+        mid = self.alpha_start + 0.5 * da
+        return dbeta, dbeta * np.cos(mid) * np.sinc(da / (2.0 * np.pi))
 
 
 def equator_arc(beta_start: float, beta_end: float, duration: float) -> LinearSegment:
@@ -305,8 +307,13 @@ class SampledSegment:
         t, alpha, beta = self.sample(n)
         if t.size < 3:
             raise ValueError("segment needs at least 3 samples for its rates")
-        return (t, alpha, beta, np.gradient(alpha, t, edge_order=2),
-                np.gradient(beta, t, edge_order=2))
+        # a step too short for double precision gives inf or nan rates
+        with np.errstate(all="ignore"):
+            da = np.gradient(alpha, t, edge_order=2)
+            db = np.gradient(beta, t, edge_order=2)
+        if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
+            raise ValueError("segment rates overflow double precision")
+        return t, alpha, beta, da, db
 
     def reversed(self) -> "SampledSegment":
         return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)

@@ -14,18 +14,17 @@ from schmidt_gates.dynamics import (
     H_DM,
     H_XY,
     H_Z,
-    TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
     orange_slice_path,
     propagate,
     reverse_engineer,
+    tilted_schedule,
     tilted_segment_propagator,
     trotter_propagate,
-    two_pulse_schedule,
 )
-from schmidt_gates.gates import lambda_gate, schmidt_gate, u_general
+from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     EntanglerClass,
     classify,
@@ -67,7 +66,7 @@ def entangling_map_grid():
 
 def test_criterion_01_two_pulse_reproduces_rotation_gate():
     t0 = time.perf_counter()
-    u = propagate(two_pulse_schedule(1.0, 2.0))
+    u = propagate(tilted_schedule(0.0, 1.0, 2.0))
     elapsed = time.perf_counter() - t0
     fid = gate_fidelity(u, ISWAP_LIKE)
     assert fid >= 1.0 - 1e-12
@@ -197,8 +196,9 @@ def test_criterion_08_operator_algebra_and_gate_commutation():
         frame = (unit2(), unit2()) if k % 2 else None
         g = schmidt_gate(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
                          rng.uniform(-2 * np.pi, 2 * np.pi), frame=frame)
-        l = lambda_gate(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
-                        rng.uniform(-2 * np.pi, 2 * np.pi), frame=frame)
+        l = schmidt_gate(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
+                         rng.uniform(-2 * np.pi, 2 * np.pi), sector="lambda",
+                         frame=frame)
         worst = max(worst, np.max(np.abs(g @ l - l @ g)))
     assert worst <= 1e-12
     print(f"criterion 08: PASS - su(2) relations exact to {algebra:.1e}; "
@@ -225,7 +225,7 @@ def test_criterion_10_trotter_error_halves_per_doubling():
     dist = {}
     infid = {}
     for n in ns:
-        u = trotter_propagate(TrotterPlan(theta, n))
+        u = trotter_propagate(theta, n)
         dist[n] = phase_aligned_distance(exact, u)
         infid[n] = max(0.0, 1.0 - gate_fidelity(exact, u))
     ratios = [dist[n] / dist[2 * n] for n in ns[:-1]]
@@ -239,7 +239,7 @@ def test_criterion_10_trotter_error_halves_per_doubling():
     for th in (0.0, np.pi / 2):
         ref = tilted_segment_propagator(th)
         for n in ns:
-            u = trotter_propagate(TrotterPlan(th, n))
+            u = trotter_propagate(th, n)
             worst_exact = max(worst_exact, np.max(np.abs(u - ref)))
     assert worst_exact <= 1e-13
     print(f"criterion 10: PASS - phase-aligned Trotter error halves per "

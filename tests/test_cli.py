@@ -60,6 +60,43 @@ def test_simulate_orange_slice_report(tmp_path, capsys):
     assert np.max(np.abs(u - expect)) < 1e-10
 
 
+def test_simulate_orange_slice_lambda_sector(tmp_path, capsys):
+    scn = write_scenario(tmp_path, {**ORANGE, "sector": "lambda"})
+    code, out, _ = run_main(["simulate", scn], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["sector"] == "lambda"
+    assert report["holonomy_fidelity"] >= 1.0 - report["tolerance"]
+    assert report["checks"]["holonomy_fidelity"] is True
+    u = np.array([[complex(re, im) for re, im in row]
+                  for row in report["propagator"]])
+    # the gamma pair |01>, |10> is idle; the swap acts on |00>, |11>
+    gamma, lam = [1, 2], [0, 3]
+    assert np.array_equal(u[np.ix_(gamma, gamma)], np.eye(2))
+    assert np.array_equal(u[np.ix_(gamma, lam)], np.zeros((2, 2)))
+    assert np.max(np.abs(np.abs(u[np.ix_(lam, lam)])
+                         - [[0, 1], [1, 0]])) < 1e-10
+
+
+def test_nearly_flat_spiral_loop_keeps_its_integrals(tmp_path, capsys):
+    # alpha rises by 1e-14 over a full turn: the cos(alpha) d beta integral
+    # must not come from a difference of sines divided by that step
+    a0, a1, two_pi = 0.3, 0.3 + 1e-14, 2 * np.pi
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate",
+        "path": {"segments": [
+            {"kind": "linear", "alpha_start": a0, "beta_start": 0.0,
+             "alpha_end": a1, "beta_end": two_pi, "duration": 1.0},
+            {"kind": "linear", "alpha_start": a1, "beta_start": two_pi,
+             "alpha_end": a0, "beta_end": two_pi, "duration": 1.0}]}})
+    code, out, _ = run_main(["simulate", scn], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["solid_angle"] - two_pi * (1 - np.cos(a0))) < 1e-12
+    assert abs(report["dynamical_phase"]["plus"]
+               + np.pi * np.cos(a0)) < 1e-12
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     scn = write_scenario(tmp_path, ORANGE)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -137,6 +174,19 @@ def test_classify_geometric_gate(tmp_path, capsys):
     assert report["entangler_class"] == "SPE"
     assert report["invariants"]["g1_re"] == pytest.approx(0.0, abs=1e-12)
     assert report["invariants"]["g2"] == pytest.approx(-1.0, abs=1e-12)
+    assert report["checks"]["matches_closed_form"] is True
+
+
+def test_classify_lambda_geometric_gate(tmp_path, capsys):
+    gate = {"kind": "geometric", "alpha0": np.pi / 2, "beta0": 0.3,
+            "omega": -np.pi, "sector": "lambda"}
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify", "gate": gate})
+    code, out, _ = run_main(["classify", scn], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["gate"] == gate
+    assert report["entangler_class"] == "SPE"
     assert report["checks"]["matches_closed_form"] is True
 
 
@@ -590,17 +640,28 @@ def test_huge_rotation_axis_is_normalized(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-@pytest.mark.parametrize("segment", [
-    _rotation([0.3, -0.5, 0.8], angle=1.3, duration=1e-320),
-    _rotation([0.0, 0.0, 1.0], angle=1.3, duration=1e-300),
-    {"kind": "sampled", "alpha": [0.5, 0.6, 0.7], "beta": [0.1, 0.2, 0.3],
-     "duration": 1e-320},
-    _linear(0.3, 1e200, 1.0),
+NOT_FINITE = ("a result is not finite (an input is too large, or a duration "
+              "too short, for double precision)")
+
+RATES_OVERFLOW = "invalid path: segment rates overflow double precision"
+
+
+@pytest.mark.parametrize("segment, reason", [
+    (_rotation([0.3, -0.5, 0.8], angle=1.3, duration=1e-320),
+     RATES_OVERFLOW),
+    (_rotation([0.0, 0.0, 1.0], angle=1.3, duration=1e-300), NOT_FINITE),
+    ({"kind": "sampled", "alpha": [0.5, 0.6, 0.7], "beta": [0.1, 0.2, 0.3],
+      "duration": 1e-320}, RATES_OVERFLOW),
+    ({"kind": "sampled", "alpha": [0.1, 1e300, 0.2], "beta": [0.1, 0.2, 0.3],
+      "duration": 1e-300}, RATES_OVERFLOW),
+    (_linear(0.3, 1e200, 1.0), NOT_FINITE),
 ], ids=["rotation-duration-1e-320", "z-rotation-duration-1e-300",
-        "sampled-duration-1e-320", "spiral-to-1e200"])
-def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment):
-    # finite inputs whose fields overflow inside the propagation: one
-    # diagnostic line, no numpy warnings before it, and no output file
+        "sampled-duration-1e-320", "sampled-rate-overflow", "spiral-to-1e200"])
+def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
+                                                  reason):
+    # finite inputs whose rates or fields overflow: one diagnostic line (the
+    # rates of a sampled or tilted-arc segment are named), no numpy warnings
+    # before it, and no output file
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "path": {"segments": [segment]}})
@@ -608,8 +669,7 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment):
     code, stdout, err, caught = run_quietly(
         ["simulate", scn, "--out", str(out)], capsys)
     assert code == 2 and stdout == "" and caught == []
-    assert err == ("error: a result is not finite (an input is too large, "
-                   "or a duration too short, for double precision)\n")
+    assert err == f"error: {reason}\n"
     assert not out.exists()
 
 

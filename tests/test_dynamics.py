@@ -11,7 +11,6 @@ from schmidt_gates.dynamics import (
     ConstantPulse,
     HamiltonianSchedule,
     SampledPulse,
-    TrotterPlan,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -21,9 +20,8 @@ from schmidt_gates.dynamics import (
     tilted_schedule,
     tilted_segment_propagator,
     trotter_propagate,
-    two_pulse_schedule,
 )
-from schmidt_gates.gates import lambda_gate, schmidt_gate, u_general
+from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.linalg import gate_fidelity
 from schmidt_gates.sphere import (
     LinearSegment,
@@ -250,7 +248,7 @@ def test_orange_slice_path_properties():
 
 
 def test_two_pulse_schedule_gives_rotation_gate():
-    sched = two_pulse_schedule(1.0, 2.0)
+    sched = tilted_schedule(0.0, 1.0, 2.0)
     assert len(sched.pulses) == 2
     assert sched.pulses[0].c_z == pytest.approx(-np.pi / 2)
     assert sched.pulses[1].c_xy == pytest.approx(-np.pi / 2)
@@ -260,13 +258,14 @@ def test_two_pulse_schedule_gives_rotation_gate():
     v = propagate(reverse_engineer(orange_slice_path(1.0, 2.0)))
     assert np.max(np.abs(u - v)) < TOL
     with pytest.raises(ValueError):
-        two_pulse_schedule(1.0, 1.0)
+        tilted_schedule(0.0, 1.0, 1.0)
 
 
 def test_orange_slice_lambda_sector():
     sched = reverse_engineer(orange_slice_path(1.0, 2.0), sector="lambda")
     u = propagate(sched)
-    assert np.max(np.abs(u - lambda_gate(np.pi / 2, np.pi / 2, -np.pi))) < TOL
+    assert np.max(np.abs(u - schmidt_gate(np.pi / 2, np.pi / 2, -np.pi,
+                                             sector="lambda"))) < TOL
 
 
 def test_sampled_lambda_loop_is_lambda_gate():
@@ -281,7 +280,8 @@ def test_sampled_lambda_loop_is_lambda_gate():
     assert isinstance(sched.pulses[0], SampledPulse)
     u = propagate(sched)
     phi_plus, _ = dynamical_phase(loop)
-    target = lambda_gate(a0, b0, solid_angle(loop) - 2 * phi_plus)
+    target = schmidt_gate(a0, b0, solid_angle(loop) - 2 * phi_plus,
+                          sector="lambda")
     assert np.max(np.abs(u - target)) < TOL_SAMPLED
     gamma, lam = [1, 2], [0, 3]
     assert np.array_equal(u[np.ix_(gamma, gamma)], np.eye(2))
@@ -340,11 +340,6 @@ def test_dynamical_phase_latitude_loop():
 
 
 def test_tilted_schedule_limits():
-    s0 = tilted_schedule(0.0, 1.0, 2.0)
-    ref = two_pulse_schedule(1.0, 2.0)
-    for a, b in zip(s0.pulses, ref.pulses):
-        assert np.allclose([a.c_xy, a.c_dm, a.c_z], [b.c_xy, b.c_dm, b.c_z],
-                           atol=TOL)
     assert gate_fidelity(composed_tilted_gate(0.0), u_general(-np.pi)) > 1 - TOL
     assert gate_fidelity(composed_tilted_gate(np.pi / 2), np.eye(4)) > 1 - TOL
 
@@ -372,30 +367,30 @@ def test_extract_rotation_angle_round_trip():
 
 def test_trotter_plan_validation():
     with pytest.raises(ValueError):
-        TrotterPlan(0.3, 0)
+        trotter_propagate(0.3, 0)
     with pytest.raises(ValueError):
-        TrotterPlan(0.3, 2.0)
-    TrotterPlan(0.3, np.int64(4))
+        trotter_propagate(0.3, 2.0)
+    trotter_propagate(0.3, np.int64(4))
 
 
 def test_trotter_exact_at_axis_aligned_angles():
     for theta in (0.0, np.pi / 2):
         exact = tilted_segment_propagator(theta)
         for n in (1, 3, 16, 257):
-            u = trotter_propagate(TrotterPlan(theta, n))
+            u = trotter_propagate(theta, n)
             assert np.max(np.abs(u - exact)) < 1e-13
 
 
 def test_trotter_error_scales_quadratically():
     theta = np.pi / 4
     exact = tilted_segment_propagator(theta)
-    e32 = 1 - gate_fidelity(exact, trotter_propagate(TrotterPlan(theta, 32)))
-    e64 = 1 - gate_fidelity(exact, trotter_propagate(TrotterPlan(theta, 64)))
+    e32 = 1 - gate_fidelity(exact, trotter_propagate(theta, 32))
+    e64 = 1 - gate_fidelity(exact, trotter_propagate(theta, 64))
     assert 3.5 < e32 / e64 < 4.5
 
 
 def test_trotter_approaches_tilted_propagator():
     theta = 0.9
     exact = tilted_segment_propagator(theta)
-    u = trotter_propagate(TrotterPlan(theta, 4096))
+    u = trotter_propagate(theta, 4096)
     assert gate_fidelity(u, exact) > 1 - 1e-7

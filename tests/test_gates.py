@@ -1,8 +1,8 @@
 import numpy as np
+import pytest
 
 from schmidt_gates.gates import (
     frame_unitaries,
-    lambda_gate,
     schmidt_gate,
     u_general,
 )
@@ -71,7 +71,7 @@ def test_lambda_gate_eigenstructure():
         b0 = rng.uniform(-np.pi, np.pi)
         w = rng.uniform(-2 * np.pi, 2 * np.pi)
         frame = random_frame(rng)
-        u = lambda_gate(a0, b0, w, frame=frame)
+        u = schmidt_gate(a0, b0, w, sector="lambda", frame=frame)
         lp = assemble_state(a0, b0, "lambda+", frame=frame)
         lm = assemble_state(a0, b0, "lambda-", frame=frame)
         gp = assemble_state(a0, b0, "gamma+", frame=frame)
@@ -86,11 +86,11 @@ def test_gates_are_exact_sector_blocks():
     # the idle pair is the identity and nothing couples it to the sector
     # pair: exact ones and zeros, not values within a tolerance
     rng = np.random.default_rng(47)
-    for build, pair, idle in ((schmidt_gate, [1, 2], [0, 3]),
-                              (lambda_gate, [0, 3], [1, 2])):
+    for sector, pair, idle in (("gamma", [1, 2], [0, 3]),
+                               ("lambda", [0, 3], [1, 2])):
         for _ in range(200):
             a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-            u = build(a0, b0, w)
+            u = schmidt_gate(a0, b0, w, sector)
             assert np.all(u[idle, idle] == 1.0)
             outside = np.ones((4, 4), dtype=bool)
             outside[np.ix_(pair, pair)] = False
@@ -148,5 +148,10 @@ def test_gamma_and_lambda_gates_commute():
         w1, w2 = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
         frame = random_frame(rng)
         g = schmidt_gate(a1, b1, w1, frame=frame)
-        l = lambda_gate(a2, b2, w2, frame=frame)
+        l = schmidt_gate(a2, b2, w2, sector="lambda", frame=frame)
         assert np.max(np.abs(g @ l - l @ g)) < TOL
+
+
+def test_unknown_sector_rejected():
+    with pytest.raises(ValueError, match="unknown sector 'delta'"):
+        schmidt_gate(0.7, 0.2, 1.0, sector="delta")

@@ -179,10 +179,13 @@ def test_linear_segment_basics():
 
 def test_linear_segment_integrals_match_trapezoid():
     rng = np.random.default_rng(37)
-    for _ in range(30):
-        seg = LinearSegment(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                            rng.uniform(-3, 3), rng.uniform(-3, 3),
-                            rng.uniform(0.5, 2.0))
+    segments = [LinearSegment(rng.uniform(-3, 3), rng.uniform(-3, 3),
+                              rng.uniform(-3, 3), rng.uniform(-3, 3),
+                              rng.uniform(0.5, 2.0)) for _ in range(30)]
+    # alpha steps far below the spacing of sin(alpha) near its value
+    segments += [LinearSegment(a, -1.0, a + da, 2 * np.pi, 1.0)
+                 for a in (0.3, 1.2, -2.5) for da in (1e-14, -3e-13, 1e-10)]
+    for seg in segments:
         _, alpha, beta = seg.sample(200001)
         dbeta, cos_int = seg._beta_integrals()
         assert abs(dbeta - (beta[-1] - beta[0])) < TOL
