@@ -12,6 +12,7 @@ from .linalg import (
     gate_fidelity,
     phase_aligned_distance,
     su2_exp,
+    su2_product,
     tensor_product,
 )
 from .sphere import (

@@ -7,9 +7,9 @@ report or a CSV table. All floating-point output is rendered with 17
 significant digits so identical scenarios produce byte-identical files.
 Exit status is 0 iff every tolerance check requested by the scenario
 passes; scenario problems (schema violations, non-finite numbers, paths
-that cannot be resolved, results that overflow double precision, an
-output file that cannot be written) exit with status 2 and a one-line
-diagnostic.
+that cannot be resolved, results that overflow double precision, a
+sampling or grid too large for memory, an output file that cannot be
+written) exit with status 2 and a one-line diagnostic.
 
 Every subcommand has one contract: `run_<name>(scenario, tol)` (dashes in
 the name become underscores) returns `(text, summary, passed)`, the JSON
@@ -243,6 +243,8 @@ def _declared_branch(instance, branches: list, path: tuple) -> dict:
 
 _NOT_FINITE = ("a result is not finite (an input is too large, or a "
                "duration too short, for double precision)")
+
+_NO_MEMORY = "the requested sampling or grid does not fit in memory"
 
 
 def format_float(x: float) -> str:
@@ -576,8 +578,9 @@ def main(argv=None) -> int:
         _write_text(text, out)
         if summary is not None:
             print(summary, file=sys.stderr)
-    except (ScenarioError, FloatingPointError) as exc:
-        reason = exc if isinstance(exc, ScenarioError) else _NOT_FINITE
+    except (ScenarioError, FloatingPointError, MemoryError) as exc:
+        reason = (exc if isinstance(exc, ScenarioError) else _NOT_FINITE
+                  if isinstance(exc, FloatingPointError) else _NO_MEMORY)
         print(f"error: {reason}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -24,26 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import u_general
-from .linalg import _PAIRS, I2, embed, su2_exp
+from .linalg import (
+    _PAIRS, PAULI_X, PAULI_Y, PAULI_Z, embed, su2_exp, su2_product)
 from .sphere import SchmidtPath, equator_arc, meridian_arc
 
-H_XY = np.zeros((4, 4), dtype=np.complex128)
-H_XY[1, 2] = H_XY[2, 1] = 1.0
 
-H_DM = np.zeros((4, 4), dtype=np.complex128)
-H_DM[1, 2] = -1j
-H_DM[2, 1] = 1j
-
-H_Z = np.diag([0, 1, -1, 0]).astype(np.complex128)
-
-L_XY = np.zeros((4, 4), dtype=np.complex128)
-L_XY[0, 3] = L_XY[3, 0] = 1.0
-
-L_DM = np.zeros((4, 4), dtype=np.complex128)
-L_DM[0, 3] = -1j
-L_DM[3, 0] = 1j
-
-L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
+# Each sector's (h_xy, h_dm, h_z): the Pauli triple on its pair, zero on
+# the other pair.
+H_XY, H_DM, H_Z, L_XY, L_DM, L_Z = (
+    embed(p, s) - embed(np.zeros((2, 2)), s)
+    for s in ("gamma", "lambda") for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 @dataclass(frozen=True)
@@ -58,6 +48,10 @@ class ConstantPulse:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("pulse duration must be positive")
+
+    def steps(self) -> np.ndarray:
+        """Column (c_xy, c_dm, c_z, dt) of the pulse as one exact step."""
+        return np.array([[self.c_xy, self.c_dm, self.c_z, self.duration]]).T
 
 
 @dataclass(frozen=True)
@@ -84,8 +78,10 @@ class SampledPulse:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-
-Pulse = ConstantPulse | SampledPulse
+    def steps(self) -> np.ndarray:
+        """Midpoint steps between samples, as columns (c_xy, c_dm, c_z, dt)."""
+        c = np.array([self.c_xy, self.c_dm, self.c_z])
+        return np.vstack([0.5 * (c[:, :-1] + c[:, 1:]), np.diff(self.times)])
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg, samples: int) -> Pulse:
+def _segment_pulse(seg, samples: int) -> ConstantPulse | SampledPulse:
     """The field that drives one segment, from its chart rates."""
     t, _, beta, da, db = seg.chart(samples)
     if np.ndim(da) == 0 and (da == 0.0 or db == 0.0):
@@ -146,23 +142,13 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
 
 
 def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
-    """Time-ordered propagator of a schedule (latest pulse leftmost).
-
-    Every pulse acts on the schedule's sector pair alone, so the product
-    is formed on 2x2 blocks and embedded into 4x4 once at the end.
-    Constant pulses exponentiate exactly; sampled pulses step between
-    consecutive samples using the midpoint (averaged) coefficients.
-    """
-    u = I2
-    for pulse in schedule.pulses:
-        if isinstance(pulse, ConstantPulse):
-            u = su2_exp(pulse.c_xy, pulse.c_dm, pulse.c_z, pulse.duration) @ u
-        else:
-            mid = [0.5 * (c[:-1] + c[1:])
-                   for c in (pulse.c_xy, pulse.c_dm, pulse.c_z)]
-            for step in su2_exp(*mid, np.diff(pulse.times)):
-                u = step @ u
-    return embed(u, schedule.sector)
+    """Time-ordered propagator of a schedule (latest pulse leftmost): the
+    steps of all its pulses, on the sector pair alone, are exponentiated as
+    one stack of Cayley-Klein pairs, composed by su2_product and embedded
+    once. A schedule without pulses gives the identity."""
+    pairs = su2_exp(*np.hstack([np.empty((4, 0))]
+                               + [p.steps() for p in schedule.pulses]))
+    return embed(su2_product(*pairs), schedule.sector)
 
 
 def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
@@ -217,9 +203,8 @@ def tilted_segment_propagator(theta: float) -> np.ndarray:
     """Exact propagator of the tilted second pulse,
     exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)).
     """
-    k = 0.5 * np.pi
-    return embed(su2_exp(-k * np.cos(theta), 0.0, k * np.sin(theta), 1.0),
-                 "gamma")
+    tilted = tilted_schedule(theta, 1.0, 2.0).pulses[1:]
+    return propagate(HamiltonianSchedule(tilted))
 
 
 def composed_tilted_gate(theta: float) -> np.ndarray:
@@ -229,16 +214,17 @@ def composed_tilted_gate(theta: float) -> np.ndarray:
 
 def trotter_propagate(theta: float, n: int) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
-    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z), formed
-    as a 4x4 matrix and raised to the n-th power by binary powering; n must
-    be a positive integer.
+    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z): the
+    product of the pair stack (z, xy), embedded and raised to the n-th
+    power by binary powering; n must be a positive integer.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("step count n must be a positive integer")
     k = np.pi / (2.0 * n)
-    xy = embed(su2_exp(-k * np.cos(theta), 0.0, 0.0, 1.0), "gamma")
-    z = embed(su2_exp(0.0, 0.0, k * np.sin(theta), 1.0), "gamma")
-    return np.linalg.matrix_power(xy @ z, n)
+    z_then_xy = su2_exp([0.0, -k * np.cos(theta)], 0.0,
+                        [k * np.sin(theta), 0.0], 1.0)
+    step = embed(su2_product(*z_then_xy), "gamma")
+    return np.linalg.matrix_power(step, n)
 
 
 def extract_rotation_angle(u: np.ndarray) -> tuple[float, float]:

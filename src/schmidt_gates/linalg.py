@@ -2,10 +2,11 @@
 
 Gates are explicit 4x4 numpy arrays in the computational product basis
 |00>, |01>, |10>, |11> (row-major, qubit a first). Each sector drives one
-pair of basis states, so gates and propagators are 2x2 SU(2) blocks
-(propagators from su2_exp) that embed places on the sector pair, with the
-identity on the other pair. ATOL_PIPELINE is the default tolerance for
-quantities assembled from several numerical stages.
+pair of basis states, so gates and propagators are 2x2 SU(2) blocks that
+embed places on the sector pair, with the identity on the other pair. A
+propagator is carried as the Cayley-Klein pair (a, b) of its block
+[[a, -conj(b)], [b, conj(a)]] until su2_product composes it. ATOL_PIPELINE
+is the default tolerance for quantities assembled from several stages.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 ATOL_PIPELINE = 1e-10
-
-I2 = np.eye(2, dtype=np.complex128)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -41,24 +40,35 @@ def require_unitary(u: np.ndarray, tol: float = ATOL_PIPELINE) -> None:
         raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
 
 
-def su2_exp(c_xy, c_dm, c_z, t) -> np.ndarray:
-    """exp(-i t (c_xy X + c_dm Y + c_z Z)) in closed form.
-
-    The coefficients and t are scalars or arrays of one shape; the result
-    has that shape followed by (2, 2). The v -> 0 limit is handled through
-    sinc, so vanishing fields give the identity exactly.
+def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair (a, b) of exp(-i t (c_xy X + c_dm Y + c_z Z)):
+    a = cos(w t) - i s v_z, b = -i s (v_x + i v_y), w = |v|, s = sin(w t)/w,
+    for scalars or arrays of one shape. The v -> 0 limit is handled through
+    sinc, so vanishing fields give the identity pair (1, 0) exactly.
     """
     vx, vy, vz, t = (np.asarray(a, dtype=float) for a in (c_xy, c_dm, c_z, t))
     w = np.sqrt(vx * vx + vy * vy + vz * vz)
     cos = np.cos(w * t)
-    # sin(w t) / w, finite at w = 0
     snc = t * np.sinc(w * t / np.pi)
-    u = np.empty(cos.shape + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = cos - 1j * snc * vz
-    u[..., 0, 1] = -1j * snc * (vx - 1j * vy)
-    u[..., 1, 0] = -1j * snc * (vx + 1j * vy)
-    u[..., 1, 1] = cos + 1j * snc * vz
-    return u
+    return cos - 1j * (snc * vz), snc * (vy - 1j * vx)
+
+
+def su2_product(a, b) -> np.ndarray:
+    """2x2 block of the time-ordered product of a stack of Cayley-Klein
+    pairs, the first acting first; an empty stack gives the identity. Each
+    pass combines neighbours, later on the left, as a = a1 a0 - conj(b1) b0
+    and b = b1 a0 + conj(a1) b0, and carries an odd last pair over.
+    """
+    a, b = (np.atleast_1d(np.asarray(x, dtype=np.complex128)) for x in (a, b))
+    if a.size == 0:
+        return np.eye(2, dtype=np.complex128)
+    while a.size > 1:
+        n = a.size - a.size % 2
+        a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
+        a, b = (np.concatenate((a1 * a0 - b1.conj() * b0, a[n:])),
+                np.concatenate((b1 * a0 + a1.conj() * b0, b[n:])))
+    # adding +0 turns every exact -0 (as in -conj(0)) into +0
+    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]]) + 0.0
 
 
 # Basis indices of the pair each sector drives; the other pair is idle.

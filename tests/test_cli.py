@@ -673,6 +673,27 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, fields", [
+    ("simulate", {"loop": False, "samples_per_segment": 10**17,
+                  "path": {"segments": [_linear(0.3, 0.6, 1.0)]}}),
+    ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 10**17},
+                   "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
+], ids=["simulate-samples-1e17", "sweep-map-count-1e17"])
+def test_input_too_large_for_memory_gives_one_diagnostic(tmp_path, capsys,
+                                                         command, fields):
+    # 1e17 float64 samples need 711 PiB, more than any address space, so
+    # the allocation fails at once: one diagnostic, exit 2, no output file
+    scn = write_scenario(tmp_path, {"schema_version": 1, "command": command,
+                                    **fields})
+    out = tmp_path / "out"
+    code, stdout, err, caught = run_quietly(
+        [command, scn, "--out", str(out)], capsys)
+    assert (code, stdout, caught) == (2, "", [])
+    assert err == ("error: the requested sampling or grid does not fit in "
+                   "memory\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("matrix", [
     [[[1e200, 1e200]] * 4] * 4,
     [[[1e200, 0.0] if i == j else [0.0, 0.0] for j in range(4)]

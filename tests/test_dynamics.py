@@ -162,6 +162,13 @@ def test_omega22_identity():
 # ------------------------------------------------------------ propagation
 
 
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_propagate_empty_schedule_is_identity(sector):
+    u = propagate(HamiltonianSchedule((), sector=sector))
+    assert u.dtype == np.complex128
+    assert np.array_equal(u, np.eye(4))
+
+
 def test_propagate_drags_schmidt_vectors_exactly():
     # constant-coefficient pulses are exponentiated in closed form, so the
     # transported branch states match the chart states to rounding error

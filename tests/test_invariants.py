@@ -10,7 +10,12 @@ from schmidt_gates.invariants import (
     closed_form_invariants,
     makhlin_invariants,
 )
-from schmidt_gates.linalg import tensor_product, unitarity_defect
+from schmidt_gates.linalg import (
+    embed,
+    su2_product,
+    tensor_product,
+    unitarity_defect,
+)
 
 TOL = 1e-12
 
@@ -102,6 +107,19 @@ def test_closed_form_matches_pipeline():
         ref = closed_form_invariants(a0, w)
         assert abs(inv.g1 - ref.g1) < TOL
         assert abs(inv.g2 - ref.g2) < TOL
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_sector_block_invariants_closed_form(sector):
+    # any SU(2) block U = [[a, -conj(b)], [b, conj(a)]] on a sector pair has
+    # G1 = |a|^4 and G2 = 3 - 4 |b|^2, a route that shares no code with the
+    # Bell-basis computation
+    x = np.random.default_rng(57).normal(size=(4, 2000))
+    x /= np.linalg.norm(x, axis=0)
+    for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3]):
+        inv = makhlin_invariants(embed(su2_product(a, b), sector))
+        assert abs(inv.g1 - abs(a) ** 4) <= 1e-14
+        assert abs(inv.g2 - (3.0 - 4.0 * abs(b) ** 2)) <= 1e-14
 
 
 def test_closed_form_beta_independence():

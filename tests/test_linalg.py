@@ -2,7 +2,6 @@ import numpy as np
 
 from schmidt_gates.dynamics import H_DM, H_XY, H_Z, L_DM, L_XY, L_Z, embed
 from schmidt_gates.linalg import (
-    I2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -10,6 +9,7 @@ from schmidt_gates.linalg import (
     phase_aligned_distance,
     require_unitary,
     su2_exp,
+    su2_product,
     tensor_product,
     unitarity_defect,
 )
@@ -41,6 +41,21 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def su2_block(a, b):
+    """The block [[a, -conj(b)], [b, conj(a)]] of Cayley-Klein pairs, with
+    the stack shape of a and b in front."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.stack([np.stack([a, -b.conj()], -1),
+                     np.stack([b, a.conj()], -1)], -2)
+
+
+def random_pairs(rng, n):
+    """n Haar-random SU(2) pairs (a, b) with |a|^2 + |b|^2 = 1."""
+    x = rng.normal(size=(4, n))
+    x /= np.linalg.norm(x, axis=0)
+    return x[0] + 1j * x[1], x[2] + 1j * x[3]
+
+
 def random_field(rng):
     """Random (c_xy, c_dm, c_z) and the 2x2 generator they define."""
     c = rng.normal(size=3)
@@ -52,7 +67,7 @@ def test_pauli_algebra():
     assert np.allclose(PAULI_Y @ PAULI_Z, 1j * PAULI_X, atol=0)
     assert np.allclose(PAULI_Z @ PAULI_X, 1j * PAULI_Y, atol=0)
     for p in (PAULI_X, PAULI_Y, PAULI_Z):
-        assert np.allclose(p @ p, I2, atol=0)
+        assert np.allclose(p @ p, np.eye(2), atol=0)
 
 
 def test_tensor_product_layout():
@@ -91,7 +106,8 @@ def test_herm_exp_2x2_against_series():
     for _ in range(50):
         c, h = random_field(rng)
         t = rng.uniform(-2, 2)
-        assert np.max(np.abs(su2_exp(*c, t) - series_exp(h, t))) < TOL
+        u = su2_block(*su2_exp(*c, t))
+        assert np.max(np.abs(u - series_exp(h, t))) < TOL
 
 
 def test_herm_exp_pair_block_against_series():
@@ -103,10 +119,10 @@ def test_herm_exp_pair_block_against_series():
             c = rng.normal(size=3)
             h = sum(ck * op for ck, op in zip(c, ops))
             t = rng.uniform(-2, 2)
-            u = embed(su2_exp(*c, t), sector)
+            u = embed(su2_block(*su2_exp(*c, t)), sector)
             assert np.max(np.abs(u - series_exp(h, t))) < TOL
     with pytest.raises(ValueError):
-        embed(I2, "mu")
+        embed(np.eye(2), "mu")
 
 
 def test_herm_exp_group_property_and_unitarity():
@@ -115,20 +131,21 @@ def test_herm_exp_group_property_and_unitarity():
         c, _ = random_field(rng)
         t1 = rng.uniform(-1, 1)
         t2 = rng.uniform(-1, 1)
-        u12 = su2_exp(*c, t1) @ su2_exp(*c, t2)
-        assert np.max(np.abs(u12 - su2_exp(*c, t1 + t2))) < TOL
-        assert unitarity_defect(su2_exp(*c, t1)) < TOL
+        u1, u2, u12 = (su2_block(*su2_exp(*c, t)) for t in (t1, t2, t1 + t2))
+        assert np.max(np.abs(u1 @ u2 - u12)) < TOL
+        assert unitarity_defect(u1) < TOL
 
 
 def test_herm_exp_degenerate_limits():
     # a vanishing field or a vanishing time hits the sinc branch exactly
-    assert np.max(np.abs(su2_exp(0.0, 0.0, 0.0, 1.7) - I2)) == 0.0
-    assert np.max(np.abs(su2_exp(0.3, -0.2, 0.9, 0.0) - I2)) == 0.0
-    u = su2_exp(0.0, 0.0, 3.0, 0.5)
+    i2 = np.eye(2)
+    assert np.max(np.abs(su2_block(*su2_exp(0.0, 0.0, 0.0, 1.7)) - i2)) == 0.0
+    assert np.max(np.abs(su2_block(*su2_exp(0.3, -0.2, 0.9, 0.0)) - i2)) == 0.0
+    u = su2_block(*su2_exp(0.0, 0.0, 3.0, 0.5))
     assert np.max(np.abs(u - np.diag([np.exp(-1.5j), np.exp(1.5j)]))) < TOL
-    u = su2_exp(1e-300, 0.0, 0.0, 2.0)
+    u = su2_block(*su2_exp(1e-300, 0.0, 0.0, 2.0))
     assert np.all(np.isfinite(u))
-    assert np.max(np.abs(u - I2)) < TOL
+    assert np.max(np.abs(u - i2)) < TOL
 
 
 def test_su2_exp_stacked_matches_elementwise():
@@ -136,10 +153,29 @@ def test_su2_exp_stacked_matches_elementwise():
     c = rng.normal(size=(3, 200))
     c[:, :5] = 0.0
     t = rng.uniform(-2, 2, size=200)
-    stacked = su2_exp(*c, t)
+    stacked = su2_block(*su2_exp(*c, t))
     assert stacked.shape == (200, 2, 2)
     for k in range(200):
-        assert np.array_equal(stacked[k], su2_exp(*c[:, k], t[k]))
+        assert np.array_equal(stacked[k], su2_block(*su2_exp(*c[:, k], t[k])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1001])
+def test_su2_product_matches_sequential_fold(n):
+    # the pairwise product keeps the time order (first pair rightmost) and
+    # carries odd stacks; random pairs do not commute
+    a, b = random_pairs(np.random.default_rng(28 + n), n)
+    fold = np.eye(2, dtype=complex)
+    for block in su2_block(a, b):
+        fold = block @ fold
+    assert np.max(np.abs(su2_product(a, b) - fold)) < 1e-13
+    if n == 1:
+        assert np.array_equal(su2_product(a, b), su2_block(a[0], b[0]))
+
+
+def test_su2_product_of_empty_stack_is_identity():
+    product = su2_product(np.empty(0), np.empty(0))
+    assert product.dtype == np.complex128
+    assert np.array_equal(product, np.eye(2))
 
 
 def test_gate_fidelity_phase_invariance():
