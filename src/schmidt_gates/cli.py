@@ -574,13 +574,15 @@ def main(argv=None) -> int:
         # an overflow or invalid value anywhere in the numerics is the
         # not-finite diagnostic, not a stream of numpy warnings before it
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            text, summary, passed = run(scenario, tol)
+            try:
+                text, summary, passed = run(scenario, tol)
+            except MemoryError:
+                raise ScenarioError(_NO_MEMORY) from None
         _write_text(text, out)
         if summary is not None:
             print(summary, file=sys.stderr)
-    except (ScenarioError, FloatingPointError, MemoryError) as exc:
-        reason = (exc if isinstance(exc, ScenarioError) else _NOT_FINITE
-                  if isinstance(exc, FloatingPointError) else _NO_MEMORY)
+    except (ScenarioError, FloatingPointError) as exc:
+        reason = exc if isinstance(exc, ScenarioError) else _NOT_FINITE
         print(f"error: {reason}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -24,16 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import u_general
-from .linalg import (
-    _PAIRS, PAULI_X, PAULI_Y, PAULI_Z, embed, su2_exp, su2_product)
+from .linalg import _PAIRS, embed, su2_exp, su2_product
 from .sphere import SchmidtPath, equator_arc, meridian_arc
 
+H_XY = np.zeros((4, 4), dtype=np.complex128)
+H_XY[1, 2] = H_XY[2, 1] = 1.0
 
-# Each sector's (h_xy, h_dm, h_z): the Pauli triple on its pair, zero on
-# the other pair.
-H_XY, H_DM, H_Z, L_XY, L_DM, L_Z = (
-    embed(p, s) - embed(np.zeros((2, 2)), s)
-    for s in ("gamma", "lambda") for p in (PAULI_X, PAULI_Y, PAULI_Z))
+H_DM = np.zeros((4, 4), dtype=np.complex128)
+H_DM[1, 2] = -1j
+H_DM[2, 1] = 1j
+
+H_Z = np.diag([0, 1, -1, 0]).astype(np.complex128)
+
+L_XY = np.zeros((4, 4), dtype=np.complex128)
+L_XY[0, 3] = L_XY[3, 0] = 1.0
+
+L_DM = np.zeros((4, 4), dtype=np.complex128)
+L_DM[0, 3] = -1j
+L_DM[3, 0] = 1j
+
+L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
 
 
 @dataclass(frozen=True)
