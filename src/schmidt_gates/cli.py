@@ -356,7 +356,8 @@ def _build_path(spec: dict, loop: bool, samples: int) -> SchmidtPath:
 
 
 def _build_gate(spec: dict, tol: float):
-    """Returns (matrix, echo-dict, closed_form_invariants or None)."""
+    """Returns (matrix, echo-dict, closed_form_invariants or None); a
+    general matrix gate is the one without a closed form."""
     if spec["kind"] == "geometric":
         sector = spec.get("sector", "gamma")
         u = schmidt_gate(spec["alpha0"], spec["beta0"], spec["omega"], sector)
@@ -400,18 +401,21 @@ def _invariants_entry(inv) -> dict:
     return {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2}
 
 
-def _assess(u: np.ndarray, tol: float, closed=None, **atol):
-    """(invariants entry, entangler class, deviation) of the gate `u`. The
-    deviation from the closed-form invariants `closed` is None without
-    them; `atol` is passed on to `makhlin_invariants`."""
+def _assess(u: np.ndarray, tol: float, closed=None, general=False, **atol):
+    """(invariants, entangler class, deviation) of the gate `u`, or arrays
+    of them for a stack of gates. The deviation from the closed-form
+    invariants `closed` is None without them; a `general` gate, one that is
+    not a sector block, is classified by the convex-hull test; `atol` is
+    passed on to `makhlin_invariants`."""
     try:
         inv = makhlin_invariants(u, **atol)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     deviation = None
     if closed is not None:
-        deviation = max(abs(inv.g1 - closed.g1), abs(inv.g2 - closed.g2))
-    return _invariants_entry(inv), classify(inv, tol).value, deviation
+        deviation = np.maximum(abs(inv.g1 - closed.g1),
+                               abs(inv.g2 - closed.g2))
+    return inv, classify(inv, tol, gate=u if general else None), deviation
 
 
 def run_simulate(scenario: dict, tol: float) -> _Result:
@@ -443,7 +447,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
 
-    invariants, label, _ = _assess(u, tol)
+    inv, label, _ = _assess(u, tol)
     return _json_result("simulate", {
         "sector": sector,
         "loop": loop,
@@ -457,23 +461,25 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "holonomy_fidelity_applicable": path.closed and phase_zero,
         "predicted_gate": predicted,
         "propagator": matrix_entries(u),
-        "invariants": invariants,
-        "entangler_class": label,
+        "invariants": _invariants_entry(inv),
+        "entangler_class": label.value,
     }, tol, checks)
 
 
 def run_classify(scenario: dict, tol: float) -> _Result:
     u, echo, closed = _build_gate(scenario["gate"], tol)
-    invariants, label, deviation = _assess(u, tol, closed, atol=tol)
+    inv, label, deviation = _assess(u, tol, closed, general=closed is None,
+                                    atol=tol)
     checks = {"gate_unitary": unitarity_defect(u) <= tol}
     if closed is not None:
+        deviation = float(deviation)
         checks["matches_closed_form"] = deviation <= tol
     return _json_result("classify", {
         "gate": echo,
-        "invariants": invariants,
+        "invariants": _invariants_entry(inv),
         "closed_form": None if closed is None else _invariants_entry(closed),
         "closed_form_deviation": deviation,
-        "entangler_class": label,
+        "entangler_class": label.value,
     }, tol, checks)
 
 
@@ -486,19 +492,29 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
+# Gates per pipeline call in sweep-map: large enough that numpy's per-call
+# cost is spread thin, small enough that a large grid's working arrays stay
+# a few hundred kB instead of growing with the grid.
+_SWEEP_BLOCK = 512
+
+
 def run_sweep_map(scenario: dict, tol: float) -> _Result:
     alphas = _grid(scenario, "alpha0")
     omegas = _grid(scenario, "omega")
     beta0 = scenario.get("beta0", 0.0)
     rows = []
     max_dev = 0.0
-    for a in alphas:
-        for w in omegas:
-            invariants, label, deviation = _assess(
-                schmidt_gate(a, beta0, w), tol, closed_form_invariants(a, w))
-            max_dev = max(max_dev, deviation)
-            rows.append([format_float(a), format_float(w),
-                         *map(format_float, invariants.values()), label])
+    points = alphas.size * omegas.size
+    # the grid in row order (alpha0 slow), one block of points at a time
+    for start in range(0, points, _SWEEP_BLOCK):
+        index = np.arange(start, min(start + _SWEEP_BLOCK, points))
+        a, w = alphas[index // omegas.size], omegas[index % omegas.size]
+        inv, labels, deviation = _assess(
+            schmidt_gate(a, beta0, w), tol, closed_form_invariants(a, w))
+        max_dev = max(max_dev, deviation.max())
+        rows += ([*map(format_float, values), label.value]
+                 for *values, label in zip(a, w, inv.g1.real, inv.g1.imag,
+                                           inv.g2, labels))
     return _table_result(
         "sweep-map",
         ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], rows,

@@ -1,4 +1,4 @@
-"""Construction of geometric two-qubit gates as explicit 4x4 matrices.
+"""Construction of geometric two-qubit gates as 4x4 matrices or stacks.
 
 A gate anchored at Schmidt coordinates (alpha0, beta0) with loop solid
 angle omega acts as identity on its invariant product pair and multiplies
@@ -6,7 +6,9 @@ the entangled pair by exp(-+ i omega / 2). It is therefore a 2x2 SU(2)
 block on the sector pair, placed in the 4x4 matrix by linalg.embed.
 schmidt_gate builds it for either sector, named by its `sector` argument:
 the gamma sector entangles span{|01>, |10>}, the lambda sector
-span{|00>, |11>} (standard frame).
+span{|00>, |11>} (standard frame). Its arguments broadcast: arrays of
+anchors and solid angles give a (..., 4, 4) stack of gates in one call,
+which is how sweep-map builds its grid, one bounded block at a time.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ def schmidt_gate(alpha0: float, beta0: float, omega: float,
     Identity on the other sector's pair; phases exp(-+ i omega/2) on the
     sector's entangled pair anchored at (alpha0, beta0). The arbitrary-frame
     gate is the standard-frame gate conjugated by the frame's local
-    unitaries.
+    unitaries. alpha0, beta0 and omega broadcast against one another; the
+    result has their broadcast shape followed by (4, 4).
     """
     f, g = _amplitudes(alpha0, beta0)
-    plus = np.array([f, g])
-    minus = np.array([-np.conj(g), np.conj(f)])
-    block = np.outer(plus, plus.conj()) * np.exp(-0.5j * omega)
-    block += np.outer(minus, minus.conj()) * np.exp(+0.5j * omega)
+    plus = np.stack([f, g], axis=-1)
+    minus = np.stack([-np.conj(g), np.conj(f)], axis=-1)
+    omega = np.asarray(omega)[..., None, None]
+    block = plus[..., :, None] * plus.conj()[..., None, :] \
+        * np.exp(-0.5j * omega)
+    block += minus[..., :, None] * minus.conj()[..., None, :] \
+        * np.exp(+0.5j * omega)
     u = embed(block, sector)
     if frame is None:
         return u

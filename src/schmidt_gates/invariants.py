@@ -1,8 +1,15 @@
 """Local invariants and entangling-power classification of two-qubit gates.
 
 The invariants (G1, G2) are computed in the Bell (magic) basis; they are
-unchanged under single-qubit rotations before and after the gate. A gate
-is a perfect entangler (PE) when |G1| <= 1/4 and -1 <= G2 <= 1, and a
+unchanged under single-qubit rotations before and after the gate. Every
+function here works elementwise on stacks, of (..., 4, 4) gates or of
+anchors and solid angles, so a table of gates is one call.
+
+A gate is a perfect entangler (PE) when 0 lies in the convex hull of the
+eigenvalues of its Bell-basis matrix m (Makhlin, QIP 1, 243 (2002); Zhang,
+Vala, Sastry and Whaley, PRA 67, 042313 (2003)). For the sector-block
+gates the pipeline builds this reduces to |G1| <= 1/4 and -1 <= G2 <= 1,
+which `classify` applies unless it is given the gate itself. A PE is a
 special perfect entangler (SPE) when additionally G1 = 0; both conditions
 are applied with a configurable tolerance.
 """
@@ -39,49 +46,62 @@ def bell_transform() -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalInvariants:
-    """Pair of local invariants; g1 is complex, g2 real for unitary input."""
+    """Pair of local invariants; g1 is complex, g2 real for unitary input.
+    Both are arrays of the stack's shape when computed for a stack."""
 
-    g1: complex
-    g2: float
+    g1: complex | np.ndarray
+    g2: float | np.ndarray
+
+
+def _bell_m(u: np.ndarray) -> np.ndarray:
+    """m = (Q^dag U Q)^T (Q^dag U Q) of a gate or a stack of gates."""
+    mb = _BELL.conj().T @ u @ _BELL
+    return mb.swapaxes(-1, -2) @ mb
 
 
 def makhlin_invariants(u: np.ndarray,
                        atol: float = ATOL_PIPELINE) -> LocalInvariants:
-    """Local invariants of a two-qubit gate.
+    """Local invariants of a two-qubit gate, or of each gate of a stack.
 
     With m = (Q^dag U Q)^T (Q^dag U Q) in the Bell basis:
     G1 = tr(m)^2 / (16 det U), G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
     |det U| is renormalized to one before dividing so near-unitary input
     noise is not amplified. `atol` bounds how far from unitary the input
     may be; the imaginary part of G2 (identically zero for exact unitaries)
-    is checked against the same scale.
+    is checked against the same scale; both checks cover every gate of a
+    stack.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_unitary(u, tol=atol)
-    det = np.linalg.det(u)
+    # one gate is a stack of one, so it takes numpy's array arithmetic,
+    # whose complex products can differ from scalar arithmetic in the last bit
+    stack = u.reshape(-1, 4, 4)
+    det = np.linalg.det(stack)
     det = det / abs(det)
-    mb = _BELL.conj().T @ u @ _BELL
-    m = mb.T @ mb
-    tr = np.trace(m)
-    tr2 = np.trace(m @ m)
+    m = _bell_m(stack)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr2 = np.trace(m @ m, axis1=-2, axis2=-1)
     g1 = tr * tr / (16.0 * det)
     g2 = (tr * tr - tr2) / (4.0 * det)
-    if abs(g2.imag) > max(_G2_IMAG_TOL, atol):
-        raise ValueError(f"G2 has imaginary part {g2.imag:.3e}; "
+    worst = max(g2.imag.min(), g2.imag.max(), key=abs)
+    if abs(worst) > max(_G2_IMAG_TOL, atol):
+        raise ValueError(f"G2 has imaginary part {worst:.3e}; "
                          "input is too far from unitary")
-    return LocalInvariants(g1=complex(g1), g2=float(g2.real))
+    shape = u.shape[:-2]
+    return LocalInvariants(g1=g1.reshape(shape)[()],
+                           g2=g2.real.reshape(shape)[()])
 
 
 def closed_form_invariants(alpha0: float, omega: float) -> LocalInvariants:
     """Invariants of the geometric gate at anchor alpha0 with solid angle
-    omega, independent of beta0:
+    omega, independent of beta0 (elementwise over broadcast arrays):
     G1 = [4 - 2 sin^2(alpha0) (1 - cos omega)]^2 / 16,
     G2 = 3 - 2 sin^2(alpha0) (1 - cos omega).
     """
     shared = 2.0 * np.sin(alpha0) ** 2 * (1.0 - np.cos(omega))
     g1 = (4.0 - shared) ** 2 / 16.0
     g2 = 3.0 - shared
-    return LocalInvariants(g1=complex(g1), g2=float(g2))
+    return LocalInvariants(g1=np.asarray(g1, dtype=np.complex128)[()], g2=g2)
 
 
 class EntanglerClass(enum.Enum):
@@ -90,13 +110,32 @@ class EntanglerClass(enum.Enum):
     SPE = "SPE"
 
 
-def classify(inv: LocalInvariants, tol: float = CLASSIFY_TOL) -> EntanglerClass:
-    """Classify a gate by its local invariants (SPE implies PE)."""
+def _hull_gap(u: np.ndarray) -> np.ndarray:
+    """Widest angular gap between the eigenvalues of m on the unit circle;
+    0 lies in their convex hull iff it is at most pi."""
+    angles = np.sort(np.angle(np.linalg.eigvals(_bell_m(u))), axis=-1)
+    wrapped = np.concatenate([angles, angles[..., :1] + 2.0 * np.pi], axis=-1)
+    return np.diff(wrapped, axis=-1).max(axis=-1)
+
+
+def classify(inv: LocalInvariants, tol: float = CLASSIFY_TOL, gate=None):
+    """Entangler class of a gate from its local invariants (SPE implies PE);
+    an array of classes for the invariants of a stack.
+
+    Without `gate` a gate is PE when |G1| <= 1/4 and -1 <= G2 <= 1, which is
+    exact for sector-block gates but not for general ones. Pass the gate (or
+    stack) the invariants belong to and PE is decided by the convex-hull
+    test instead, which is exact for every two-qubit gate: no gap between
+    the eigenvalues of m wider than pi + tol.
+    """
     if not tol >= 0:
         raise ValueError("tolerance must be non-negative")
-    is_pe = (abs(inv.g1) <= 0.25 + tol) and (-1.0 - tol <= inv.g2 <= 1.0 + tol)
-    if not is_pe:
-        return EntanglerClass.NOT_PE
-    if abs(inv.g1) <= tol:
-        return EntanglerClass.SPE
-    return EntanglerClass.PE
+    if gate is None:
+        is_pe = ((abs(inv.g1) <= 0.25 + tol) & (-1.0 - tol <= inv.g2)
+                 & (inv.g2 <= 1.0 + tol))
+    else:
+        is_pe = _hull_gap(gate) <= np.pi + tol
+    labels = np.full(np.shape(is_pe), EntanglerClass.NOT_PE, dtype=object)
+    labels[is_pe] = EntanglerClass.PE
+    labels[is_pe & (abs(inv.g1) <= tol)] = EntanglerClass.SPE
+    return labels[()]

@@ -1,12 +1,14 @@
 """Small dense linear-algebra kernels shared by the whole package.
 
-Gates are explicit 4x4 numpy arrays in the computational product basis
-|00>, |01>, |10>, |11> (row-major, qubit a first). Each sector drives one
-pair of basis states, so gates and propagators are 2x2 SU(2) blocks that
-embed places on the sector pair, with the identity on the other pair. A
-propagator is carried as the Cayley-Klein pair (a, b) of its block
-[[a, -conj(b)], [b, conj(a)]] until su2_product composes it. ATOL_PIPELINE
-is the default tolerance for quantities assembled from several stages.
+Gates are 4x4 numpy arrays in the computational product basis |00>, |01>,
+|10>, |11> (row-major, qubit a first), or stacks of them of shape
+(..., 4, 4); embed and unitarity_defect act on the last two axes. Each
+sector drives one pair of basis states, so gates and propagators are 2x2
+SU(2) blocks that embed places on the sector pair, with the identity on the
+other pair. A propagator is carried as the Cayley-Klein pair (a, b) of its
+block [[a, -conj(b)], [b, conj(a)]] until su2_product composes it.
+ATOL_PIPELINE is the default tolerance for quantities assembled from
+several stages.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |u^dagger u - 1|; inf (never nan) when that product overflows."""
+    """max |u^dagger u - 1| over a matrix or a stack of them; inf (never
+    nan) when that product overflows."""
     u = np.asarray(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(abs(u.conj().T @ u - np.eye(len(u))).max())
+        defect = float(abs(u.conj().swapaxes(-1, -2) @ u
+                           - np.eye(u.shape[-1])).max())
     return defect if defect < np.inf else np.inf
 
 
@@ -72,18 +76,20 @@ def su2_product(a, b) -> np.ndarray:
 
 
 # Basis indices of the pair each sector drives; the other pair is idle.
-_PAIRS = {"gamma": [1, 2], "lambda": [0, 3]}
+_PAIRS = {"gamma": slice(1, 3), "lambda": slice(0, 4, 3)}
 
 
 def embed(block: np.ndarray, sector: str) -> np.ndarray:
     """4x4 matrix acting as the 2x2 `block` on the sector's pair (gamma:
-    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair.
+    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair;
+    a (..., 2, 2) stack of blocks gives a (..., 4, 4) stack of gates.
     """
     if sector not in _PAIRS:
         raise ValueError(f"unknown sector {sector!r}")
     pair = _PAIRS[sector]
-    u = np.eye(4, dtype=np.complex128)
-    u[np.ix_(pair, pair)] = block
+    block = np.asarray(block)
+    u = np.tile(np.eye(4, dtype=np.complex128), (*block.shape[:-2], 1, 1))
+    u[..., pair, pair] = block
     return u
 
 

@@ -54,14 +54,8 @@ def entangling_map_grid():
     """Classified 200x200 (alpha0, omega) grid used by criteria 4 and 5."""
     alphas = np.linspace(0.0, np.pi / 2, 200)
     omegas = np.linspace(-np.pi, np.pi, 200)
-    g1 = np.empty((200, 200))
-    cls = np.empty((200, 200), dtype=object)
-    for i, a in enumerate(alphas):
-        for j, w in enumerate(omegas):
-            inv = makhlin_invariants(schmidt_gate(a, 0.0, w))
-            g1[i, j] = inv.g1.real
-            cls[i, j] = classify(inv)
-    return alphas, omegas, g1, cls
+    inv = makhlin_invariants(schmidt_gate(alphas[:, None], 0.0, omegas))
+    return alphas, omegas, inv.g1.real, classify(inv)
 
 
 def test_criterion_01_two_pulse_reproduces_rotation_gate():

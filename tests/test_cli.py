@@ -263,6 +263,40 @@ def test_sweep_map_output(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_map_blocks_match_one_gate_at_a_time(tmp_path, capsys):
+    # 23 x 29 = 667 points: one full block and a part-filled second one
+    from schmidt_gates import cli
+    from schmidt_gates.gates import schmidt_gate
+    from schmidt_gates.invariants import (
+        classify,
+        closed_form_invariants,
+        makhlin_invariants,
+    )
+    assert cli._SWEEP_BLOCK < 23 * 29 < 2 * cli._SWEEP_BLOCK
+    out = tmp_path / "map.csv"
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "sweep-map",
+        "alpha0": {"start": 0.05, "stop": 3.0, "count": 23},
+        "omega": {"start": -6.0, "stop": 5.5, "count": 29},
+        "beta0": 0.7, "out": str(out)})
+    code, _, err = run_main(["sweep-map", scn], capsys)
+    assert code == 0
+    lines = ["alpha0,omega,g1_re,g1_im,g2,entangler_class"]
+    worst = 0.0
+    for a in np.linspace(0.05, 3.0, 23):
+        for w in np.linspace(-6.0, 5.5, 29):
+            inv = makhlin_invariants(schmidt_gate(a, 0.7, w))
+            closed = closed_form_invariants(a, w)
+            worst = max(worst, abs(inv.g1 - closed.g1),
+                        abs(inv.g2 - closed.g2))
+            values = (a, w, inv.g1.real, inv.g1.imag, inv.g2)
+            lines.append(",".join([*(format(float(x), ".17g") for x in values),
+                                   classify(inv).value]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert err == (f"sweep-map: 667 rows, max closed-form deviation "
+                   f"{worst:.3e}, checks pass\n")
+
+
 def test_trotter_sweep_output(tmp_path, capsys):
     out = tmp_path / "trot.csv"
     scn = write_scenario(tmp_path, {

@@ -155,3 +155,29 @@ def test_gamma_and_lambda_gates_commute():
 def test_unknown_sector_rejected():
     with pytest.raises(ValueError, match="unknown sector 'delta'"):
         schmidt_gate(0.7, 0.2, 1.0, sector="delta")
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+@pytest.mark.parametrize("framed", [False, True], ids=["standard", "frame"])
+def test_broadcast_gates_equal_scalar_calls_bitwise(sector, framed):
+    # a stack is the same arithmetic as one gate at a time, to the last bit
+    rng = np.random.default_rng(49)
+    frame = random_frame(rng) if framed else None
+    alphas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(7, 1))
+    omegas = rng.uniform(-4 * np.pi, 4 * np.pi, size=(1, 9))
+    beta0 = rng.uniform(-np.pi, np.pi)
+    stack = schmidt_gate(alphas, beta0, omegas, sector, frame)
+    assert stack.shape == (7, 9, 4, 4)
+    for i, a0 in enumerate(alphas[:, 0]):
+        for j, w in enumerate(omegas[0]):
+            one = schmidt_gate(a0, beta0, w, sector, frame)
+            assert one.shape == (4, 4)
+            assert one.tobytes() == stack[i, j].tobytes()
+    # per-gate anchors along one axis
+    betas = rng.uniform(-np.pi, np.pi, size=9)
+    flat = schmidt_gate(alphas[np.arange(9) % 7, 0], betas, omegas[0],
+                        sector, frame)
+    for k in range(9):
+        one = schmidt_gate(alphas[k % 7, 0], betas[k], omegas[0, k],
+                           sector, frame)
+        assert one.tobytes() == flat[k].tobytes()

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
@@ -41,10 +45,14 @@ SQRT_SWAP = np.array([
 ], dtype=complex)
 
 
-def random_unitary2(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def haar_unitary(rng, dim=4):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_unitary2(rng):
+    return haar_unitary(rng, 2)
 
 
 def test_bell_transform_is_unitary_magic_basis():
@@ -182,3 +190,126 @@ def test_classify_tolerance_boundaries():
     assert classify(LocalInvariants(2e-9, 0.3), tol) is EntanglerClass.PE
     with pytest.raises(ValueError):
         classify(LocalInvariants(0.0, 0.0), tol=-1.0)
+
+
+def test_stacked_invariants_equal_per_gate_calls():
+    # one call on a stack prints the same 17-digit values as one call per
+    # gate: 500 Haar gates and 500 geometric gates of each sector
+    rng = np.random.default_rng(58)
+    haar = np.array([haar_unitary(rng) for _ in range(500)])
+    a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, 500))
+    for stack in (haar, schmidt_gate(a0, b0, w),
+                  schmidt_gate(a0, b0, w, "lambda")):
+        inv = makhlin_invariants(stack)
+        assert inv.g1.shape == inv.g2.shape == (500,)
+        for u, g1, g2 in zip(stack, inv.g1, inv.g2):
+            one = makhlin_invariants(u)
+            assert repr(complex(g1)) == repr(complex(one.g1))
+            assert repr(float(g2)) == repr(float(one.g2))
+    grid = makhlin_invariants(schmidt_gate(a0.reshape(20, 25), 0.3,
+                                           w.reshape(20, 25)))
+    assert grid.g1.shape == (20, 25)
+
+
+def test_stack_with_one_non_unitary_gate_rejected():
+    stack = schmidt_gate(np.linspace(0.1, 3.0, 40), 0.2, 1.3)
+    stack[17, 0, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        makhlin_invariants(stack)
+    makhlin_invariants(np.delete(stack, 17, axis=0))
+
+
+def test_classify_stack_equals_per_gate_calls():
+    rng = np.random.default_rng(59)
+    a0 = rng.uniform(0.0, np.pi, size=300)
+    w = rng.uniform(-np.pi, np.pi, size=300)
+    # include exact SPE and boundary points of the equator column
+    a0[:4] = np.pi / 2
+    w[:4] = [-np.pi, np.pi, np.pi / 2, 0.0]
+    inv = makhlin_invariants(schmidt_gate(a0, 0.0, w))
+    labels = classify(inv)
+    assert labels.shape == (300,)
+    for k in range(300):
+        one = classify(makhlin_invariants(schmidt_gate(a0[k], 0.0, w[k])))
+        assert labels[k] is one
+    assert set(labels) == set(EntanglerClass)
+    closed = closed_form_invariants(a0, w)
+    assert closed.g1.shape == closed.g2.shape == (300,)
+    for k in range(300):
+        one = closed_form_invariants(a0[k], w[k])
+        assert complex(closed.g1[k]) == complex(one.g1)
+        assert float(closed.g2[k]) == float(one.g2)
+
+
+def hull_contains_zero(points) -> bool:
+    """Oracle: 0 lies in the convex hull of four points in the plane iff it
+    lies in one of the triangles of three of them (Caratheodory), where a
+    triangle contains it iff the three edge cross products share a sign."""
+    for a, b, c in itertools.combinations(points, 3):
+        cross = [(p.conjugate() * q).imag for p, q in ((a, b), (b, c), (c, a))]
+        if min(cross) >= 0.0 or max(cross) <= 0.0:
+            return True
+    return False
+
+
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def hull_class(u) -> EntanglerClass:
+    """Oracle class of a general gate: the spectrum of m is that of
+    U (Y x Y) U^T (Y x Y), computed without the Bell basis."""
+    spectrum = np.linalg.eigvals(u @ SPIN_FLIP @ u.T @ SPIN_FLIP)
+    if not hull_contains_zero(spectrum):
+        return EntanglerClass.NOT_PE
+    inv = makhlin_invariants(u)
+    return EntanglerClass.SPE if abs(inv.g1) <= 1e-9 else EntanglerClass.PE
+
+
+def test_classify_general_gate_by_hull():
+    for u, label in ((np.eye(4), EntanglerClass.NOT_PE),
+                     (SWAP, EntanglerClass.NOT_PE),
+                     (CNOT, EntanglerClass.SPE),
+                     (SQRT_SWAP, EntanglerClass.PE),
+                     (u_general(-np.pi), EntanglerClass.SPE)):
+        assert classify(makhlin_invariants(u), gate=u) is label
+    # on Haar gates the |G1|, G2 thresholds call some gates PE that are
+    # not; the hull test answers like the oracle on all of them
+    rng = np.random.default_rng(0)
+    stack = np.array([haar_unitary(rng) for _ in range(2000)])
+    inv = makhlin_invariants(stack)
+    by_hull = classify(inv, gate=stack)
+    by_rule = classify(inv)
+    assert list(by_hull) == [hull_class(u) for u in stack]
+    wrong = (by_rule != EntanglerClass.NOT_PE) & (
+        by_hull == EntanglerClass.NOT_PE)
+    assert wrong.sum() >= 10
+    assert not np.any((by_hull != EntanglerClass.NOT_PE)
+                      & (by_rule == EntanglerClass.NOT_PE))
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_threshold_rule_is_exact_for_sector_blocks(sector):
+    x = np.random.default_rng(60).normal(size=(4, 2000))
+    x /= np.linalg.norm(x, axis=0)
+    stack = np.array([embed(su2_product(a, b), sector)
+                      for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3])])
+    inv = makhlin_invariants(stack)
+    assert list(classify(inv)) == list(classify(inv, gate=stack))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_hull_class_of_haar_gates(seed):
+    # the class is the oracle's, is unchanged by local unitaries before and
+    # after the gate, and a PE always passes the necessary |G1|, G2 rule
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng)
+    inv = makhlin_invariants(u)
+    label = classify(inv, gate=u)
+    assert label is hull_class(u)
+    before = tensor_product(random_unitary2(rng), random_unitary2(rng))
+    after = tensor_product(random_unitary2(rng), random_unitary2(rng))
+    moved = after @ u @ before
+    assert classify(makhlin_invariants(moved), gate=moved) is label
+    if label is not EntanglerClass.NOT_PE:
+        assert classify(inv) is not EntanglerClass.NOT_PE
