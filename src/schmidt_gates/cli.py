@@ -198,6 +198,8 @@ def _validate(instance, schema: dict, path: tuple) -> None:
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not lo <= len(instance) <= hi:
             raise _invalid(path, f"{len(instance)} items, need {lo} to {hi}")
+        if schema["items"] == _NUMBER and _finite_numbers(instance):
+            return
         for i, item in enumerate(instance):
             _validate(item, schema["items"], (*path, i))
     elif kind == "object":
@@ -210,6 +212,22 @@ def _validate(instance, schema: dict, path: tuple) -> None:
                 _validate(value, properties[key], (*path, key))
             elif schema.get("additionalProperties") is False:
                 raise _invalid((*path, key), "unexpected property")
+
+
+def _finite_numbers(values: list) -> bool:
+    """Whether every value is an int or a float (not a bool) strictly inside
+    the double range, decided for the whole array in one pass. Anything
+    else, including a value that rounds to the range's edge, is left to the
+    per-item walk, which names the first bad index."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        numbers = np.array(values, dtype=float)
+    except OverflowError:
+        return False
+    # in place: a second array of the size of the input would raise the
+    # peak memory of a run whose input is a long sampled segment
+    return bool(np.abs(numbers, out=numbers).max() < sys.float_info.max)
 
 
 def _declared_branch(instance, branches: list, path: tuple) -> dict:
@@ -248,6 +266,7 @@ _NO_MEMORY = "the requested sampling or grid does not fit in memory"
 
 
 def format_float(x: float) -> str:
+    """17-digit text of one report number; tables use _render instead."""
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ScenarioError(_NOT_FINITE)
@@ -316,15 +335,33 @@ def _json_result(command: str, fields: dict, tol: float,
     return dump_report(report), None, passed
 
 
-def _table_result(command: str, header: list[str], rows: list[list[str]],
-                  measure: str, worst: float, tol: float) -> _Result:
-    """A CSV table and its summary line; the checks pass iff the largest
-    `measure` is within tolerance."""
+def _render(row: str, columns: list) -> str:
+    """Lines of a table block: the one-line format `row` filled with the
+    equal-length 1-D `columns`, row by row, in one % call. A float column
+    takes %.17g, whose text is format_float's; an object column holds text
+    cells, each value formatted once. A non-finite number anywhere in the
+    block is the not-finite diagnostic."""
+    numbers = [column for column in columns if column.dtype != object]
+    if not np.isfinite(numbers).all():
+        raise ScenarioError(_NOT_FINITE)
+    cells = np.column_stack(columns).ravel().tolist()
+    return (row * len(columns[0])) % tuple(cells)
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The 17-digit text of each value, as an object column for _render."""
+    return np.array(_render("%.17g\n", [values]).splitlines(), dtype=object)
+
+
+def _table_result(command: str, header: list[str], blocks: list[str],
+                  rows: int, measure: str, worst: float,
+                  tol: float) -> _Result:
+    """A CSV table of `rows` rows rendered as `blocks`, and its summary
+    line; the checks pass iff the largest `measure` is within tolerance."""
     passed = worst <= tol
-    summary = (f"{command}: {len(rows)} rows, max {measure} {worst:.3e}, "
+    summary = (f"{command}: {rows} rows, max {measure} {worst:.3e}, "
                f"checks {'pass' if passed else 'FAIL'}")
-    text = "\n".join(",".join(line) for line in [header, *rows]) + "\n"
-    return text, summary, passed
+    return ",".join(header) + "\n" + "".join(blocks), summary, passed
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +479,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
     fidelity = None
     if path.closed and phase_zero:
         target = schmidt_gate(start.alpha, start.beta, omega, sector)
-        fidelity = gate_fidelity(u, target)
+        fidelity = float(gate_fidelity(u, target))
         predicted = {"alpha0": start.alpha, "beta0": start.beta,
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
@@ -492,9 +529,10 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
-# Gates per pipeline call in sweep-map: large enough that numpy's per-call
-# cost is spread thin, small enough that a large grid's working arrays stay
-# a few hundred kB instead of growing with the grid.
+# Grid points (sweep-map) or theta values (trotter-sweep) per pipeline call:
+# large enough that numpy's per-call cost is spread thin, small enough that
+# a large grid's working arrays stay a few hundred kB instead of growing
+# with the grid.
 _SWEEP_BLOCK = 512
 
 
@@ -502,45 +540,54 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
     alphas = _grid(scenario, "alpha0")
     omegas = _grid(scenario, "omega")
     beta0 = scenario.get("beta0", 0.0)
-    rows = []
+    alpha_cells, omega_cells = _cells(alphas), _cells(omegas)
+    blocks = []
     max_dev = 0.0
     points = alphas.size * omegas.size
     # the grid in row order (alpha0 slow), one block of points at a time
     for start in range(0, points, _SWEEP_BLOCK):
-        index = np.arange(start, min(start + _SWEEP_BLOCK, points))
-        a, w = alphas[index // omegas.size], omegas[index % omegas.size]
+        i, j = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, points)),
+                         omegas.size)
+        a, w = alphas[i], omegas[j]
         inv, labels, deviation = _assess(
             schmidt_gate(a, beta0, w), tol, closed_form_invariants(a, w))
         max_dev = max(max_dev, deviation.max())
-        rows += ([*map(format_float, values), label.value]
-                 for *values, label in zip(a, w, inv.g1.real, inv.g1.imag,
-                                           inv.g2, labels))
+        blocks.append(_render("%s,%s,%.17g,%.17g,%.17g,%s\n", [
+            alpha_cells[i], omega_cells[j], inv.g1.real, inv.g1.imag, inv.g2,
+            np.array([label.value for label in labels], dtype=object)]))
     return _table_result(
         "sweep-map",
-        ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], rows,
-        "closed-form deviation", max_dev, tol)
+        ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], blocks,
+        points, "closed-form deviation", max_dev, tol)
 
 
 def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
-    n_values = scenario["n_values"]
-    rows = []
+    thetas = _grid(scenario, "theta")
+    n_values = [int(n) for n in scenario["n_values"]]
+    n_cells = np.array([str(n) for n in n_values], dtype=object)
+    blocks = []
     max_resid = 0.0
-    for theta in _grid(scenario, "theta"):
+    # rows in theta order, each theta's n_values together; one block of
+    # theta at a time, with one trotter_propagate call per n
+    for start in range(0, thetas.size, _SWEEP_BLOCK):
+        theta = thetas[start:start + _SWEEP_BLOCK]
         exact = tilted_segment_propagator(theta)
         omega, resid = extract_rotation_angle(composed_tilted_gate(theta))
-        max_resid = max(max_resid, resid)
-        for n in n_values:
-            approx = trotter_propagate(theta, int(n))
-            infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
-            err = phase_aligned_distance(exact, approx)
-            rows.append([
-                format_float(theta), str(int(n)), format_float(infid),
-                format_float(err), format_float(omega),
-            ])
+        max_resid = max(max_resid, resid.max())
+        infid, err = np.empty((2, theta.size, len(n_values)))
+        for k, n in enumerate(n_values):
+            approx = trotter_propagate(theta, n)
+            infid[:, k] = np.maximum(0.0, 1.0 - gate_fidelity(exact, approx))
+            err[:, k] = phase_aligned_distance(exact, approx)
+        blocks.append(_render("%s,%s,%.17g,%.17g,%s\n", [
+            np.repeat(_cells(theta), len(n_values)),
+            np.tile(n_cells, theta.size), infid.ravel(), err.ravel(),
+            np.repeat(_cells(omega), len(n_values))]))
     return _table_result(
         "trotter-sweep",
-        ["theta", "n", "infidelity", "trotter_error", "omega_empirical"], rows,
-        "rotation-form residual", max_resid, tol)
+        ["theta", "n", "infidelity", "trotter_error", "omega_empirical"],
+        blocks, thetas.size * len(n_values), "rotation-form residual",
+        max_resid, tol)
 
 
 # --------------------------------------------------------------------------

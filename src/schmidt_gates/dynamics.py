@@ -14,7 +14,9 @@ span{|00>, |11>}.
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse.
+pulse. The tilted and Trotter propagators, extract_rotation_angle and the
+gate comparisons of linalg take a stack of theta (or of gates) as well as
+one, so trotter-sweep computes a block of table rows per call.
 """
 
 from __future__ import annotations
@@ -195,11 +197,13 @@ def orange_slice_path(t1: float, tau: float) -> SchmidtPath:
     ), closed=True)
 
 
-def tilted_schedule(theta: float, t1: float, tau: float) -> HamiltonianSchedule:
+def tilted_schedule(theta, t1: float, tau: float) -> HamiltonianSchedule:
     """Two-pulse schedule: -(pi/(2 t1)) h_z during [0, t1], then the
     second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
-    the plain two-pulse schedule that generates the orange-slice loop.
+    the plain two-pulse schedule that generates the orange-slice loop. A
+    stack of theta gives a tilted pulse with stacked coefficients, which
+    the tilted propagators below take; propagate takes scalar pulses.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
@@ -209,39 +213,55 @@ def tilted_schedule(theta: float, t1: float, tau: float) -> HamiltonianSchedule:
     ))
 
 
-def tilted_segment_propagator(theta: float) -> np.ndarray:
+def _tilted_propagator(theta, first: int) -> np.ndarray:
+    """Propagator of the pulses of tilted_schedule(theta, 1, 2) from index
+    `first` on, for a scalar theta or elementwise over a stack: each
+    coefficient of the pulses is stacked on the last axis, exponentiated by
+    one su2_exp call and composed by one su2_product call."""
+    pulses = tilted_schedule(theta, 1.0, 2.0).pulses[first:]
+    steps = (np.stack(np.broadcast_arrays(*(getattr(p, name) for p in pulses)),
+                      axis=-1)
+             for name in ("c_xy", "c_dm", "c_z", "duration"))
+    return embed(su2_product(*su2_exp(*steps)), "gamma")
+
+
+def tilted_segment_propagator(theta) -> np.ndarray:
     """Exact propagator of the tilted second pulse,
-    exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)).
+    exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)); a stack of theta
+    gives a (..., 4, 4) stack.
     """
-    tilted = tilted_schedule(theta, 1.0, 2.0).pulses[1:]
-    return propagate(HamiltonianSchedule(tilted))
+    return _tilted_propagator(theta, 1)
 
 
-def composed_tilted_gate(theta: float) -> np.ndarray:
-    """Exact propagator of the full tilted sequence (both pulses)."""
-    return propagate(tilted_schedule(theta, 1.0, 2.0))
+def composed_tilted_gate(theta) -> np.ndarray:
+    """Exact propagator of the full tilted sequence (both pulses); a stack
+    of theta gives a (..., 4, 4) stack."""
+    return _tilted_propagator(theta, 0)
 
 
-def trotter_propagate(theta: float, n: int) -> np.ndarray:
+def trotter_propagate(theta, n: int) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z): the
     product of the pair stack (z, xy), embedded and raised to the n-th
-    power by binary powering; n must be a positive integer.
+    power by binary powering; n must be a positive integer. A stack of
+    theta gives a (..., 4, 4) stack, powered by one matrix_power call.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("step count n must be a positive integer")
     k = np.pi / (2.0 * n)
-    z_then_xy = su2_exp([0.0, -k * np.cos(theta)], 0.0,
-                        [k * np.sin(theta), 0.0], 1.0)
+    zero = np.zeros(np.shape(theta))
+    z_then_xy = su2_exp(np.stack([zero, -k * np.cos(theta)], axis=-1), 0.0,
+                        np.stack([k * np.sin(theta), zero], axis=-1), 1.0)
     step = embed(su2_product(*z_then_xy), "gamma")
     return np.linalg.matrix_power(step, n)
 
 
-def extract_rotation_angle(u: np.ndarray) -> tuple[float, float]:
+def extract_rotation_angle(u: np.ndarray):
     """Rotation angle omega of a gate of the real middle-block rotation
-    form, plus the residual max|u - rebuilt form|.
+    form, plus the residual max|u - rebuilt form|; for a (..., 4, 4) stack,
+    arrays of both.
     """
     u = np.asarray(u, dtype=np.complex128)
-    omega = 2.0 * np.arctan2(u[2, 1].real, u[1, 1].real)
-    residual = float(np.max(np.abs(u - u_general(omega))))
-    return float(omega), residual
+    omega = 2.0 * np.arctan2(u[..., 2, 1].real, u[..., 1, 1].real)
+    residual = np.abs(u - u_general(omega)).max(axis=(-2, -1))
+    return omega, residual

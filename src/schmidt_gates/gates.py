@@ -58,11 +58,13 @@ def schmidt_gate(alpha0: float, beta0: float, omega: float,
     return local @ u @ local.conj().T
 
 
-def u_general(omega: float) -> np.ndarray:
+def u_general(omega) -> np.ndarray:
     """Gamma-sector gate at (alpha0, beta0) = (pi/2, pi/2): a real rotation
     by omega/2 in the {|01>, |10>} plane. omega = -pi gives the iSWAP-type
-    gate with rows (1,0,0,0), (0,0,1,0), (0,-1,0,0), (0,0,0,1).
+    gate with rows (1,0,0,0), (0,0,1,0), (0,-1,0,0), (0,0,0,1). A stack of
+    omega gives a (..., 4, 4) stack.
     """
     c = np.cos(0.5 * omega)
     s = np.sin(0.5 * omega)
-    return embed([[c, -s], [s, c]], "gamma")
+    return embed(np.stack([np.stack([c, -s], axis=-1),
+                           np.stack([s, c], axis=-1)], axis=-2), "gamma")

@@ -2,11 +2,14 @@
 
 Gates are 4x4 numpy arrays in the computational product basis |00>, |01>,
 |10>, |11> (row-major, qubit a first), or stacks of them of shape
-(..., 4, 4); embed and unitarity_defect act on the last two axes. Each
-sector drives one pair of basis states, so gates and propagators are 2x2
-SU(2) blocks that embed places on the sector pair, with the identity on the
-other pair. A propagator is carried as the Cayley-Klein pair (a, b) of its
-block [[a, -conj(b)], [b, conj(a)]] until su2_product composes it.
+(..., 4, 4); embed, unitarity_defect, gate_fidelity and
+phase_aligned_distance act on the last two axes, so one gate is the 0-d
+case of a stack. Each sector drives one pair of basis states, so gates and
+propagators are 2x2 SU(2) blocks that embed places on the sector pair, with
+the identity on the other pair. A propagator is carried as the Cayley-Klein
+pair (a, b) of its block [[a, -conj(b)], [b, conj(a)]] until su2_product
+composes it, along the last axis of a pair stack whose leading axes are a
+batch.
 ATOL_PIPELINE is the default tolerance for quantities assembled from
 several stages.
 """
@@ -59,20 +62,29 @@ def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
 
 def su2_product(a, b) -> np.ndarray:
     """2x2 block of the time-ordered product of a stack of Cayley-Klein
-    pairs, the first acting first; an empty stack gives the identity. Each
-    pass combines neighbours, later on the left, as a = a1 a0 - conj(b1) b0
-    and b = b1 a0 + conj(a1) b0, and carries an odd last pair over.
+    pairs along the last axis, the first acting first; leading axes are a
+    batch, giving a (..., 2, 2) stack of blocks. An empty stack gives the
+    identity. Each pass combines neighbours, later on the left, as
+    a = a1 a0 - conj(b1) b0 and b = b1 a0 + conj(a1) b0, and carries an odd
+    last pair over.
     """
-    a, b = (np.atleast_1d(np.asarray(x, dtype=np.complex128)) for x in (a, b))
-    if a.size == 0:
-        return np.eye(2, dtype=np.complex128)
-    while a.size > 1:
-        n = a.size - a.size % 2
+    # .T puts the pair axis first (a no-op on one stack), so each pass
+    # slices it as one stack whatever the batch
+    a, b = (np.atleast_1d(np.asarray(x, dtype=np.complex128)).T
+            for x in (a, b))
+    if len(a) == 0:
+        return np.tile(np.eye(2, dtype=np.complex128), (*a.shape[:0:-1], 1, 1))
+    while len(a) > 1:
+        n = len(a) - len(a) % 2
         a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
         a, b = (np.concatenate((a1 * a0 - b1.conj() * b0, a[n:])),
                 np.concatenate((b1 * a0 + a1.conj() * b0, b[n:])))
+    a, b = a[0].T, b[0].T
+    block = np.empty((*a.shape, 2, 2), dtype=np.complex128)
+    block[..., 0, 0], block[..., 0, 1] = a, -b.conj()
+    block[..., 1, 0], block[..., 1, 1] = b, a.conj()
     # adding +0 turns every exact -0 (as in -conj(0)) into +0
-    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]]) + 0.0
+    return block + 0.0
 
 
 # Basis indices of the pair each sector drives; the other pair is idle.
@@ -93,17 +105,23 @@ def embed(block: np.ndarray, sector: str) -> np.ndarray:
     return u
 
 
-def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """|Tr(U^dag V)| / dim, insensitive to global phase on either gate."""
+def gate_fidelity(u: np.ndarray, v: np.ndarray):
+    """|Tr(U^dag V)| / dim, insensitive to global phase on either gate, for
+    two gates or elementwise over stacks (..., dim, dim). The modulus is
+    np.hypot, which rounds as a complex scalar's abs does; numpy's array abs
+    can differ from both in the last bit.
+    """
     u = np.asarray(u)
     v = np.asarray(v)
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    t = np.trace(u.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1)
+    return np.hypot(t.real, t.imag) / u.shape[-1]
 
 
-def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phi of ||u - exp(i phi) v||_F / sqrt(dim).
+def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
+    """min over phi of ||u - exp(i phi) v||_F / sqrt(dim), for two gates or
+    elementwise over stacks.
 
     Equals sqrt(2 (1 - gate_fidelity)); unlike the trace infidelity it is
     linear, not quadratic, in a small traceless defect between the gates.
     """
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - gate_fidelity(u, v)))))
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - gate_fidelity(u, v))))

@@ -323,6 +323,117 @@ def test_trotter_sweep_output(tmp_path, capsys):
                                                             abs=1e-9)
 
 
+@pytest.mark.parametrize("theta", [
+    [float(x) for x in np.random.default_rng(43).uniform(-3.0, 3.0, 530)],
+    {"start": -2.5, "stop": 2.9, "count": 530},
+], ids=["list", "grid"])
+def test_trotter_sweep_blocks_match_one_row_at_a_time(tmp_path, capsys,
+                                                      theta):
+    # 530 theta: one full block and a part-filled second one
+    from schmidt_gates import cli
+    from schmidt_gates.dynamics import (
+        composed_tilted_gate,
+        extract_rotation_angle,
+        tilted_segment_propagator,
+        trotter_propagate,
+    )
+    from schmidt_gates.linalg import gate_fidelity, phase_aligned_distance
+    assert cli._SWEEP_BLOCK < 530 < 2 * cli._SWEEP_BLOCK
+    n_values = [1, 5, 512]
+    out = tmp_path / "trot.csv"
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "trotter-sweep", "theta": theta,
+        "n_values": n_values, "out": str(out)})
+    code, _, err = run_main(["trotter-sweep", scn], capsys)
+    assert code == 0
+    thetas = (np.asarray(theta, dtype=float) if isinstance(theta, list)
+              else np.linspace(theta["start"], theta["stop"], theta["count"]))
+    lines = ["theta,n,infidelity,trotter_error,omega_empirical"]
+    worst = 0.0
+    for th in thetas:
+        exact = tilted_segment_propagator(th)
+        omega, resid = extract_rotation_angle(composed_tilted_gate(th))
+        worst = max(worst, resid)
+        for n in n_values:
+            approx = trotter_propagate(th, n)
+            infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
+            values = (th, n, infid, phase_aligned_distance(exact, approx),
+                      omega)
+            lines.append(",".join(format(float(x), ".17g") for x in values))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert err == (f"trotter-sweep: {530 * 3} rows, max rotation-form "
+                   f"residual {worst:.3e}, checks pass\n")
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308,
+                               1e16, 0.1, 1 / 3, np.pi])
+def test_table_cells_print_as_format_float(x):
+    from schmidt_gates import cli
+    assert "%.17g" % x == format(x, ".17g") == cli.format_float(x)
+    block = cli._render("%s,%.17g\n", [np.array(["a", "b"], dtype=object),
+                                        np.array([x, -x])])
+    assert block == (f"a,{cli.format_float(x)}\n"
+                     f"b,{cli.format_float(-x)}\n")
+    assert list(cli._cells(np.array([x, x]))) == [cli.format_float(x)] * 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_table_block_with_non_finite_value_rejected(bad, column):
+    from schmidt_gates import cli
+    numbers = [np.array([0.5, 1.5, 2.5]), np.array([3.0, 4.0, 5.0])]
+    numbers[column][2] = bad
+    with pytest.raises(cli.ScenarioError) as info:
+        cli._render("%s,%.17g,%.17g\n",
+                    [np.array(["a", "b", "c"], dtype=object), *numbers])
+    assert str(info.value) == cli._NOT_FINITE
+    with pytest.raises(cli.ScenarioError):
+        cli._cells(numbers[column])
+
+
+_SAMPLED = {"kind": "sampled", "duration": 1.0,
+            "beta": [0.01 * k for k in range(1500)],
+            "alpha": [0.5 + 1e-4 * k for k in range(1500)]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({700: True}, "True is not of type 'number'"),
+    ({700: "0.5"}, "'0.5' is not of type 'number'"),
+    ({700: None, 900: True}, "None is not of type 'number'"),
+    ({700: 10 ** 400}, f"{10 ** 400!r} is not a finite number"),
+    # an integer above the double range that rounds down into it
+    ({700: 2 ** 1024 - 2 ** 971 + 1},
+     f"{2 ** 1024 - 2 ** 971 + 1!r} is not a finite number"),
+    ({700: float("nan")}, "nan is not a finite number"),
+    ({700: -float("inf"), 900: "x"}, "-inf is not a finite number"),
+])
+def test_long_number_array_diagnostic_names_first_bad_item(tmp_path, capsys,
+                                                           bad, message):
+    # a valid long array is accepted in one pass; an invalid one gets the
+    # per-item diagnostic of its first bad element
+    segment = {**_SAMPLED, "alpha": list(_SAMPLED["alpha"])}
+    for index, value in bad.items():
+        segment["alpha"][index] = value
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [segment], "closed": False}}))
+    code, out, err = run_main(["simulate", str(scn)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: scenario field 'path/segments/0/alpha/700': "
+                   f"{message}\n")
+
+
+def test_long_number_array_at_range_edges_accepted():
+    from schmidt_gates.cli import _validate
+    big = 1.7976931348623157e308
+    schema = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+    for values in ([0.5] * 1000 + [big, -big, 2 ** 1023, 0, -0.0],
+                   [1, 2, 3], [big]):
+        _validate(values, schema, ())
+
+
 def test_scenario_error_paths(tmp_path, capsys):
     # missing file
     code, _, err = run_main(["simulate", str(tmp_path / "nope.json")], capsys)

@@ -401,3 +401,56 @@ def test_trotter_approaches_tilted_propagator():
     exact = tilted_segment_propagator(theta)
     u = trotter_propagate(theta, 4096)
     assert gate_fidelity(u, exact) > 1 - 1e-7
+
+
+def test_tilted_and_trotter_stacks_equal_per_theta_calls():
+    # a stack of theta runs the same array arithmetic as one theta per call
+    rng = np.random.default_rng(41)
+    thetas = np.concatenate([rng.uniform(-4.0, 4.0, 60),
+                             [0.0, -0.0, np.pi / 2, 5e-324]])
+    exact = tilted_segment_propagator(thetas)
+    composed = composed_tilted_gate(thetas)
+    omega, residual = extract_rotation_angle(composed)
+    assert exact.shape == composed.shape == (thetas.size, 4, 4)
+    for n in (1, 2, 7, 512):
+        approx = trotter_propagate(thetas, n)
+        fidelity = gate_fidelity(exact, approx)
+        for k, theta in enumerate(thetas):
+            one = trotter_propagate(theta, n)
+            assert np.array_equal(approx[k], one)
+            assert fidelity[k] == gate_fidelity(exact[k], one)
+    for k, theta in enumerate(thetas):
+        assert np.array_equal(exact[k], tilted_segment_propagator(theta))
+        assert np.array_equal(composed[k], composed_tilted_gate(theta))
+        assert (omega[k], residual[k]) == extract_rotation_angle(composed[k])
+    # leading axes of any shape
+    grid = thetas[:60].reshape(3, 4, 5)
+    assert np.array_equal(trotter_propagate(grid, 9),
+                          trotter_propagate(thetas[:60], 9).reshape(3, 4, 5,
+                                                                    4, 4))
+
+
+def test_trotter_powers_match_closed_form():
+    # One step S = exp(+i k cos(theta) X) exp(-i k sin(theta) Z), k = pi/2n,
+    # is cos(phi) I - i sin(phi) (n.sigma) with, from the SU(2) product
+    # rule, cos(phi) = cos(k c) cos(k s) and sin(phi) n =
+    # (-sin(k c) cos(k s), sin(k c) sin(k s), cos(k c) sin(k s)); so S^n
+    # is cos(n phi) I - i sin(n phi) (n.sigma), embedded on |01>, |10>.
+    thetas = np.linspace(-np.pi, np.pi, 41)
+    for n in (1, 2, 3, 16, 255, 1024, 4096):
+        k = np.pi / (2.0 * n)
+        kc, ks = k * np.cos(thetas), k * np.sin(thetas)
+        v = np.stack([-np.sin(kc) * np.cos(ks), np.sin(kc) * np.sin(ks),
+                      np.cos(kc) * np.sin(ks)], axis=-1)
+        sin_phi = np.linalg.norm(v, axis=-1)
+        phi = np.arctan2(sin_phi, np.cos(kc) * np.cos(ks))
+        axis = v / sin_phi[:, None]
+        x, y, z = axis.T
+        c, s = np.cos(n * phi), np.sin(n * phi)
+        closed = np.zeros((thetas.size, 4, 4), dtype=complex)
+        closed[:, 0, 0] = closed[:, 3, 3] = 1.0
+        closed[:, 1, 1] = c - 1j * s * z
+        closed[:, 1, 2] = -1j * s * (x - 1j * y)
+        closed[:, 2, 1] = -1j * s * (x + 1j * y)
+        closed[:, 2, 2] = c + 1j * s * z
+        assert np.max(np.abs(trotter_propagate(thetas, n) - closed)) < 1e-11

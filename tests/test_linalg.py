@@ -178,6 +178,32 @@ def test_su2_product_of_empty_stack_is_identity():
     assert np.array_equal(product, np.eye(2))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_su2_product_batch_equals_per_batch_calls(n):
+    # leading axes are a batch; each batch element is its own product
+    a, b = random_pairs(np.random.default_rng(29 + n), 3 * 4 * n)
+    a, b = a.reshape(3, 4, n), b.reshape(3, 4, n)
+    product = su2_product(a, b)
+    assert product.shape == (3, 4, 2, 2)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(product[i, j], su2_product(a[i, j], b[i, j]))
+
+
+def test_gate_comparisons_of_stacks_equal_per_gate_calls():
+    rng = np.random.default_rng(30)
+    u = np.array([random_unitary(rng, 4) for _ in range(50)])
+    v = np.array([random_unitary(rng, 4) for _ in range(50)])
+    fidelity, distance = gate_fidelity(u, v), phase_aligned_distance(u, v)
+    assert fidelity.shape == distance.shape == (50,)
+    for k in range(50):
+        assert fidelity[k] == gate_fidelity(u[k], v[k])
+        assert distance[k] == phase_aligned_distance(u[k], v[k])
+        # the modulus rounds as the scalar complex abs does
+        assert gate_fidelity(u[k], v[k]) == abs(
+            complex(np.trace(u[k].conj().T @ v[k]))) / 4
+
+
 def test_gate_fidelity_phase_invariance():
     rng = np.random.default_rng(25)
     for _ in range(20):
