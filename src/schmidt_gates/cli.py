@@ -38,7 +38,12 @@ from .dynamics import (
     trotter_propagate,
 )
 from .gates import schmidt_gate, u_general
-from .invariants import classify, closed_form_invariants, makhlin_invariants
+from .invariants import (
+    EntanglerClass,
+    classify,
+    closed_form_invariants,
+    makhlin_invariants,
+)
 from .linalg import gate_fidelity, phase_aligned_distance, unitarity_defect
 from .sphere import (
     LinearSegment,
@@ -535,6 +540,9 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
 # with the grid.
 _SWEEP_BLOCK = 512
 
+# Entangler class -> its table text, one dict lookup per grid point.
+_LABELS = {label: label.value for label in EntanglerClass}
+
 
 def run_sweep_map(scenario: dict, tol: float) -> _Result:
     alphas = _grid(scenario, "alpha0")
@@ -554,7 +562,7 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
         max_dev = max(max_dev, deviation.max())
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g,%s\n", [
             alpha_cells[i], omega_cells[j], inv.g1.real, inv.g1.imag, inv.g2,
-            np.array([label.value for label in labels], dtype=object)]))
+            np.array([_LABELS[label] for label in labels], dtype=object)]))
     return _table_result(
         "sweep-map",
         ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], blocks,
@@ -623,8 +631,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` reuses: built by its first call, not at import, so a
+# process that only imports the module does not pay for it.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario, args.command)
         tol = args.tol if args.tol is not None else scenario.get(

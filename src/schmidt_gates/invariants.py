@@ -36,6 +36,8 @@ _BELL = np.array([
     [1, 0, 0, -1j],
 ], dtype=np.complex128) / _SQRT2
 
+_BELL_DAG = _BELL.conj().T
+
 
 def bell_transform() -> np.ndarray:
     """Unitary sending the computational basis to the Bell (magic) basis:
@@ -54,8 +56,18 @@ class LocalInvariants:
 
 
 def _bell_m(u: np.ndarray) -> np.ndarray:
-    """m = (Q^dag U Q)^T (Q^dag U Q) of a gate or a stack of gates."""
-    mb = _BELL.conj().T @ u @ _BELL
+    """m = (Q^dag U Q)^T (Q^dag U Q) of a gate or a stack of gates.
+
+    The basis change of a stack of n gates is two matrix products, not 2n:
+    Q^dag times the gates side by side as one (4, 4n) matrix, then the
+    gates stacked as one (4n, 4) matrix times Q. Each entry is the same
+    four-term sum as in the per-gate product."""
+    u = np.asarray(u)
+    shape = u.shape
+    n = u.size // 16
+    side_by_side = u.reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
+    left = (_BELL_DAG @ side_by_side).reshape(4, n, 4).transpose(1, 0, 2)
+    mb = (left.reshape(4 * n, 4) @ _BELL).reshape(shape)
     return mb.swapaxes(-1, -2) @ mb
 
 

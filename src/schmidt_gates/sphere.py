@@ -267,7 +267,7 @@ def _rodrigues(axis: np.ndarray, angle, r0: np.ndarray) -> np.ndarray:
     c = np.cos(angle)[..., None]
     s = np.sin(angle)[..., None]
     k = axis
-    cross = np.cross(np.broadcast_to(k, (angle.size, 3)), r0)
+    cross = np.cross(k, r0)
     dot = float(np.dot(k, r0))
     return c * r0 + s * cross + (1.0 - c[..., 0])[..., None] * dot * k
 

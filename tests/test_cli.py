@@ -936,3 +936,78 @@ def test_meridian_at_negative_zero_beta_report(tmp_path, capsys):
     code, stdout, err = run_main(["simulate", str(scn)], capsys)
     assert (code, err) == (0, "")
     assert stdout == MERIDIAN_AT_NEGATIVE_ZERO
+
+
+def _call(args, capsys, files):
+    """Exit status, stdout, stderr and the bytes of `files` after one
+    `main(args)`; each file is removed first, so a stale copy cannot pass."""
+    for f in files:
+        if f.exists():
+            f.unlink()
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return (code, captured.out, captured.err,
+            [f.read_bytes() if f.exists() else None for f in files])
+
+
+def test_repeated_main_calls_write_what_a_first_call_writes(
+        tmp_path, capsys, monkeypatch):
+    from schmidt_gates import cli
+
+    out = tmp_path / "out.txt"
+    field_out = tmp_path / "field.csv"
+    sweep = {"schema_version": 1, "command": "sweep-map",
+             "alpha0": {"start": 0.1, "stop": 1.4, "count": 23},
+             "omega": {"start": -3.0, "stop": 3.0, "count": 29},
+             "beta0": 0.4}
+    trotter = {"schema_version": 1, "command": "trotter-sweep",
+               "theta": [0.0, 0.3, 1.1], "n_values": [1, 4, 16]}
+    classify_scn = {"schema_version": 1, "command": "classify",
+                    "gate": {"kind": "geometric", "alpha0": 0.7,
+                             "beta0": 0.2, "omega": 2.5}}
+    scn = {name: write_scenario(tmp_path, payload, f"{name}.json")
+           for name, payload in [
+               ("simulate", ORANGE), ("classify", classify_scn),
+               ("sweep", sweep), ("trotter", trotter),
+               ("sweep_field", dict(sweep, out=str(field_out))),
+               ("rejected", dict(ORANGE, extra=1))]}
+    calls = [
+        ["simulate", scn["simulate"]],
+        ["classify", scn["classify"], "--tol", "1e-7"],
+        ["sweep-map", scn["sweep"], "--out", str(out)],
+        ["simulate", scn["rejected"]],
+        ["trotter-sweep", scn["trotter"], "--tol", "1e-3"],
+        ["sweep-map"],
+        ["sweep-map", scn["sweep_field"]],
+        ["classify", scn["classify"], "--out", str(out), "--tol", "1e-12"],
+        ["bogus", scn["simulate"]],
+        ["trotter-sweep", scn["trotter"], "--out", str(out)],
+        ["simulate", scn["simulate"], "--tol", "1e-6", "--out", str(out)],
+        ["sweep-map", scn["sweep"]],
+    ]
+    files = [out, field_out]
+    first = []
+    for args in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        first.append(_call(args, capsys, files))
+
+    build, built = cli.build_parser, []
+
+    def counted_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    for _ in range(2):
+        assert [_call(args, capsys, files) for args in calls] == first
+    assert built == [1]
+    # the public builder still gives a parser of its own
+    assert build() is not cli._PARSER
+    # the mix covers passing, rejected and bad-argv calls
+    codes = [result[0] for result in first]
+    assert codes.count(0) >= 6 and 2 in codes
+    assert ("SystemExit", 2) in codes

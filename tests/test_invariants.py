@@ -9,6 +9,7 @@ from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     EntanglerClass,
     LocalInvariants,
+    _bell_m,
     bell_transform,
     classify,
     closed_form_invariants,
@@ -209,6 +210,31 @@ def test_stacked_invariants_equal_per_gate_calls():
     grid = makhlin_invariants(schmidt_gate(a0.reshape(20, 25), 0.3,
                                            w.reshape(20, 25)))
     assert grid.g1.shape == (20, 25)
+
+
+def _per_gate_bell_m(u):
+    q = bell_transform()
+    mb = q.conj().T @ u @ q
+    return mb.T @ mb
+
+
+@pytest.mark.parametrize("shape", [(1,), (777,), (20, 25)])
+def test_batched_bell_transform_is_the_per_gate_product(shape):
+    # the goldens' last digits rest on this: the two matrix products over a
+    # whole stack give the bits of (Q^dag u Q)^T (Q^dag u Q) gate by gate
+    rng = np.random.default_rng(61)
+    a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, *shape))
+    haar = np.array([haar_unitary(rng) for _ in range(a0.size)])
+    for stack in (schmidt_gate(a0, b0, w), schmidt_gate(a0, b0, w, "lambda"),
+                  haar.reshape(*shape, 4, 4)):
+        m = _bell_m(stack)
+        assert m.shape == stack.shape
+        flat, gates = m.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)
+        bad = [k for k, u in enumerate(gates)
+               if not np.array_equal(flat[k], _per_gate_bell_m(u))]
+        assert not bad, f"{len(bad)} of {len(gates)} gates differ"
+    u = haar_unitary(rng)
+    assert np.array_equal(_bell_m(u), _per_gate_bell_m(u))
 
 
 def test_stack_with_one_non_unitary_gate_rejected():
