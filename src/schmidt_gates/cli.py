@@ -39,12 +39,12 @@ from .dynamics import (
 )
 from .gates import schmidt_gate, u_general
 from .invariants import (
-    EntanglerClass,
     classify,
     closed_form_invariants,
     makhlin_invariants,
 )
-from .linalg import gate_fidelity, phase_aligned_distance, unitarity_defect
+from .linalg import (ATOL_PIPELINE, gate_fidelity, phase_aligned_distance,
+                     unitarity_defect)
 from .sphere import (
     LinearSegment,
     SampledSegment,
@@ -343,9 +343,10 @@ def _json_result(command: str, fields: dict, tol: float,
 def _render(row: str, columns: list) -> str:
     """Lines of a table block: the one-line format `row` filled with the
     equal-length 1-D `columns`, row by row, in one % call. A float column
-    takes %.17g, whose text is format_float's; an object column holds text
-    cells, each value formatted once. A non-finite number anywhere in the
-    block is the not-finite diagnostic."""
+    takes %.17g, whose text is format_float's; an object column holds
+    cells that %s prints as their str (text, or entangler classes), each
+    value formatted once. A non-finite number anywhere in the block is the
+    not-finite diagnostic."""
     numbers = [column for column in columns if column.dtype != object]
     if not np.isfinite(numbers).all():
         raise ScenarioError(_NOT_FINITE)
@@ -511,7 +512,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
 def run_classify(scenario: dict, tol: float) -> _Result:
     u, echo, closed = _build_gate(scenario["gate"], tol)
     inv, label, deviation = _assess(u, tol, closed, general=closed is None,
-                                    atol=tol)
+                                    atol=max(tol, ATOL_PIPELINE))
     checks = {"gate_unitary": unitarity_defect(u) <= tol}
     if closed is not None:
         deviation = float(deviation)
@@ -540,9 +541,6 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
 # with the grid.
 _SWEEP_BLOCK = 512
 
-# Entangler class -> its table text, one dict lookup per grid point.
-_LABELS = {label: label.value for label in EntanglerClass}
-
 
 def run_sweep_map(scenario: dict, tol: float) -> _Result:
     alphas = _grid(scenario, "alpha0")
@@ -562,7 +560,7 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
         max_dev = max(max_dev, deviation.max())
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g,%s\n", [
             alpha_cells[i], omega_cells[j], inv.g1.real, inv.g1.imag, inv.g2,
-            np.array([_LABELS[label] for label in labels], dtype=object)]))
+            labels]))
     return _table_result(
         "sweep-map",
         ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], blocks,

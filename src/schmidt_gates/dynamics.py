@@ -14,9 +14,9 @@ span{|00>, |11>}.
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse. The tilted and Trotter propagators, extract_rotation_angle and the
-gate comparisons of linalg take a stack of theta (or of gates) as well as
-one, so trotter-sweep computes a block of table rows per call.
+pulse. propagate is the one road from a schedule to a gate; a stack of
+theta gives pulses with stacked coefficients, which it propagates as one
+batch, so trotter-sweep computes a block of table rows per call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
 
 @dataclass(frozen=True)
 class ConstantPulse:
-    """Pulse with time-independent coefficients (c_xy, c_dm, c_z)."""
+    """Pulse with time-independent coefficients (c_xy, c_dm, c_z); arrays
+    of coefficients broadcast to a batch of pulses of one duration."""
 
     duration: float
     c_xy: float
@@ -62,8 +63,9 @@ class ConstantPulse:
             raise ValueError("pulse duration must be positive")
 
     def steps(self) -> np.ndarray:
-        """Column (c_xy, c_dm, c_z, dt) of the pulse as one exact step."""
-        return np.array([[self.c_xy, self.c_dm, self.c_z, self.duration]]).T
+        """One exact step (c_xy, c_dm, c_z, dt), of shape (4, *batch, 1)."""
+        return np.stack(np.broadcast_arrays(self.c_xy, self.c_dm, self.c_z,
+                                            self.duration))[..., None]
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,12 @@ def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
     """Time-ordered propagator of a schedule (latest pulse leftmost): the
     steps of all its pulses, on the sector pair alone, are exponentiated as
     one stack of Cayley-Klein pairs, composed by su2_product and embedded
-    once. A schedule without pulses gives the identity."""
-    pairs = su2_exp(*np.hstack([np.empty((4, 0))]
-                               + [p.steps() for p in schedule.pulses]))
+    once. Pulses with stacked coefficients (of one batch shape) give a
+    (*batch, 4, 4) stack of propagators. A schedule without pulses gives
+    the identity."""
+    # the step list lives inside the call: no steps outlive the exponentials
+    pairs = su2_exp(*np.concatenate([p.steps() for p in schedule.pulses]
+                                    or [np.empty((4, 0))], axis=-1))
     return embed(su2_product(*pairs), schedule.sector)
 
 
@@ -202,27 +207,17 @@ def tilted_schedule(theta, t1: float, tau: float) -> HamiltonianSchedule:
     second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
     the plain two-pulse schedule that generates the orange-slice loop. A
-    stack of theta gives a tilted pulse with stacked coefficients, which
-    the tilted propagators below take; propagate takes scalar pulses.
+    stack of theta gives both pulses coefficients of its shape (the first
+    pulse's broadcast), so propagate gives a stack of propagators.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
+    zero, c_z = (np.broadcast_to(c, np.shape(theta))[()]
+                 for c in (0.0, -np.pi / (2.0 * t1)))
     return HamiltonianSchedule((
-        ConstantPulse(t1, 0.0, 0.0, -np.pi / (2.0 * t1)),
+        ConstantPulse(t1, zero, zero, c_z),
         ConstantPulse(tau - t1, -k * np.cos(theta), 0.0, k * np.sin(theta)),
     ))
-
-
-def _tilted_propagator(theta, first: int) -> np.ndarray:
-    """Propagator of the pulses of tilted_schedule(theta, 1, 2) from index
-    `first` on, for a scalar theta or elementwise over a stack: each
-    coefficient of the pulses is stacked on the last axis, exponentiated by
-    one su2_exp call and composed by one su2_product call."""
-    pulses = tilted_schedule(theta, 1.0, 2.0).pulses[first:]
-    steps = (np.stack(np.broadcast_arrays(*(getattr(p, name) for p in pulses)),
-                      axis=-1)
-             for name in ("c_xy", "c_dm", "c_z", "duration"))
-    return embed(su2_product(*su2_exp(*steps)), "gamma")
 
 
 def tilted_segment_propagator(theta) -> np.ndarray:
@@ -230,29 +225,30 @@ def tilted_segment_propagator(theta) -> np.ndarray:
     exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)); a stack of theta
     gives a (..., 4, 4) stack.
     """
-    return _tilted_propagator(theta, 1)
+    tilted = tilted_schedule(theta, 1.0, 2.0).pulses[1]
+    return propagate(HamiltonianSchedule((tilted,)))
 
 
 def composed_tilted_gate(theta) -> np.ndarray:
     """Exact propagator of the full tilted sequence (both pulses); a stack
     of theta gives a (..., 4, 4) stack."""
-    return _tilted_propagator(theta, 0)
+    return propagate(tilted_schedule(theta, 1.0, 2.0))
 
 
 def trotter_propagate(theta, n: int) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z): the
-    product of the pair stack (z, xy), embedded and raised to the n-th
+    propagator of the two-pulse schedule (z, then xy), raised to the n-th
     power by binary powering; n must be a positive integer. A stack of
-    theta gives a (..., 4, 4) stack, powered by one matrix_power call.
+    theta gives a (..., 4, 4) stack, from one call of each.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("step count n must be a positive integer")
     k = np.pi / (2.0 * n)
-    zero = np.zeros(np.shape(theta))
-    z_then_xy = su2_exp(np.stack([zero, -k * np.cos(theta)], axis=-1), 0.0,
-                        np.stack([k * np.sin(theta), zero], axis=-1), 1.0)
-    step = embed(su2_product(*z_then_xy), "gamma")
+    step = propagate(HamiltonianSchedule((
+        ConstantPulse(1.0, 0.0, 0.0, k * np.sin(theta)),
+        ConstantPulse(1.0, -k * np.cos(theta), 0.0, 0.0),
+    )))
     return np.linalg.matrix_power(step, n)
 
 

@@ -2,8 +2,9 @@
 
 A gate anchored at Schmidt coordinates (alpha0, beta0) with loop solid
 angle omega acts as identity on its invariant product pair and multiplies
-the entangled pair by exp(-+ i omega / 2). It is therefore a 2x2 SU(2)
-block on the sector pair, placed in the 4x4 matrix by linalg.embed.
+the entangled pair by exp(-+ i omega / 2): an SU(2) block with Cayley-Klein
+pair a = cos(omega/2) - i sin(omega/2) cos(alpha0) and
+b = -i sin(omega/2) sin(alpha0) exp(i beta0), placed by linalg.embed.
 schmidt_gate builds it for either sector, named by its `sector` argument:
 the gamma sector entangles span{|01>, |10>}, the lambda sector
 span{|00>, |11>} (standard frame). Its arguments broadcast: arrays of
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import embed, tensor_product
-from .sphere import _amplitudes, _check_frame, _perp_a, _perp_b
+from .linalg import embed, su2_block, tensor_product
+from .sphere import _check_frame, _perp_a, _perp_b
 
 
 def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
@@ -42,14 +43,10 @@ def schmidt_gate(alpha0: float, beta0: float, omega: float,
     unitaries. alpha0, beta0 and omega broadcast against one another; the
     result has their broadcast shape followed by (4, 4).
     """
-    f, g = _amplitudes(alpha0, beta0)
-    plus = np.stack([f, g], axis=-1)
-    minus = np.stack([-np.conj(g), np.conj(f)], axis=-1)
-    omega = np.asarray(omega)[..., None, None]
-    block = plus[..., :, None] * plus.conj()[..., None, :] \
-        * np.exp(-0.5j * omega)
-    block += minus[..., :, None] * minus.conj()[..., None, :] \
-        * np.exp(+0.5j * omega)
+    half = 0.5 * np.asarray(omega)
+    s = np.sin(half)
+    block = su2_block(np.cos(half) - 1j * s * np.cos(alpha0),
+                      -1j * s * np.sin(alpha0) * np.exp(1j * beta0))
     u = embed(block, sector)
     if frame is None:
         return u
@@ -64,7 +61,4 @@ def u_general(omega) -> np.ndarray:
     gate with rows (1,0,0,0), (0,0,1,0), (0,-1,0,0), (0,0,0,1). A stack of
     omega gives a (..., 4, 4) stack.
     """
-    c = np.cos(0.5 * omega)
-    s = np.sin(0.5 * omega)
-    return embed(np.stack([np.stack([c, -s], axis=-1),
-                           np.stack([s, c], axis=-1)], axis=-2), "gamma")
+    return embed(su2_block(np.cos(0.5 * omega), np.sin(0.5 * omega)), "gamma")

@@ -121,6 +121,9 @@ class EntanglerClass(enum.Enum):
     PE = "PE"
     SPE = "SPE"
 
+    def __str__(self) -> str:
+        return self._value_
+
 
 def _hull_gap(u: np.ndarray) -> np.ndarray:
     """Widest angular gap between the eigenvalues of m on the unit circle;

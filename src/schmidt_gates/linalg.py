@@ -9,7 +9,7 @@ propagators are 2x2 SU(2) blocks that embed places on the sector pair, with
 the identity on the other pair. A propagator is carried as the Cayley-Klein
 pair (a, b) of its block [[a, -conj(b)], [b, conj(a)]] until su2_product
 composes it, along the last axis of a pair stack whose leading axes are a
-batch.
+batch; su2_block is the one place that forms such a block.
 ATOL_PIPELINE is the default tolerance for quantities assembled from
 several stages.
 """
@@ -73,13 +73,21 @@ def su2_product(a, b) -> np.ndarray:
     a, b = (np.atleast_1d(np.asarray(x, dtype=np.complex128)).T
             for x in (a, b))
     if len(a) == 0:
-        return np.tile(np.eye(2, dtype=np.complex128), (*a.shape[:0:-1], 1, 1))
+        return su2_block(np.ones(a.shape[:0:-1]), 0.0)
     while len(a) > 1:
         n = len(a) - len(a) % 2
         a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
         a, b = (np.concatenate((a1 * a0 - b1.conj() * b0, a[n:])),
                 np.concatenate((b1 * a0 + a1.conj() * b0, b[n:])))
-    a, b = a[0].T, b[0].T
+    return su2_block(a[0].T, b[0].T)
+
+
+def su2_block(a, b) -> np.ndarray:
+    """The 2x2 block [[a, -conj(b)], [b, conj(a)]] of a Cayley-Klein pair;
+    a and b broadcast, and their shape comes first in a (..., 2, 2) stack.
+    Every exact zero of the block is +0.
+    """
+    a, b = np.broadcast_arrays(a, b)
     block = np.empty((*a.shape, 2, 2), dtype=np.complex128)
     block[..., 0, 0], block[..., 0, 1] = a, -b.conj()
     block[..., 1, 0], block[..., 1, 1] = b, a.conj()

@@ -232,6 +232,36 @@ def test_classify_rejects_non_unitary_matrix(tmp_path, capsys):
     assert "unitary" in err
 
 
+def test_classify_below_rounding_tolerance_reports_failed_checks(
+        tmp_path, capsys):
+    # a gate the program built is off unitary by rounding (~3e-16); below
+    # that tolerance its checks fail in the report, as simulate's do,
+    # instead of the invariants refusing it
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify", "tolerance": 1e-17,
+        "gate": {"kind": "geometric", "alpha0": 0.7, "beta0": 0.3,
+                 "omega": 1.1},
+    })
+    code, out, err = run_main(["classify", scn], capsys)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["checks"] == {"gate_unitary": False,
+                                "matches_closed_form": False}
+    assert report["passed"] is False
+    assert report["closed_form_deviation"] < 1e-14
+    # a matrix input is still held to the tolerance itself
+    c, s = np.cos(0.7), np.sin(0.7)
+    rows = [[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]]
+    matrix = [[[float(x), 0.0] for x in row] for row in rows]
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify", "tolerance": 1e-17,
+        "gate": {"kind": "matrix", "matrix": matrix},
+    }, name="matrix.json")
+    code, out, err = run_main(["classify", scn], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: gate matrix is not unitary within tolerance\n"
+
+
 def test_sweep_map_output(tmp_path, capsys):
     out = tmp_path / "map.csv"
     scn = write_scenario(tmp_path, {

@@ -169,6 +169,28 @@ def test_propagate_empty_schedule_is_identity(sector):
     assert np.array_equal(u, np.eye(4))
 
 
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_propagate_stacked_pulses_equal_per_element_calls(sector):
+    # constant pulses with (3, 4) stacks of coefficients, scalar ones mixed
+    # in, give the stack of the propagators of each element's schedule
+    rng = np.random.default_rng(43)
+    c = rng.normal(size=(3, 3, 3, 4))
+    c[0, 0, 0] = 0.0
+    c[1, 2, 1, :2] = -0.0
+    durations = (0.4, 1.3, 0.7)
+    stacked = [ConstantPulse(d, *coeffs) for d, coeffs in zip(durations, c)]
+    stacked[1] = ConstantPulse(1.3, c[1, 0], 0.0, c[1, 2])
+    u = propagate(HamiltonianSchedule(stacked, sector=sector))
+    assert u.shape == (3, 4, 4, 4)
+    for i in range(3):
+        for j in range(4):
+            one = [ConstantPulse(p.duration, *(np.broadcast_to(x, (3, 4))[i, j]
+                                               for x in (p.c_xy, p.c_dm, p.c_z)))
+                   for p in stacked]
+            v = propagate(HamiltonianSchedule(one, sector=sector))
+            assert u[i, j].tobytes() == v.tobytes()
+
+
 def test_propagate_drags_schmidt_vectors_exactly():
     # constant-coefficient pulses are exponentiated in closed form, so the
     # transported branch states match the chart states to rounding error

@@ -1,5 +1,6 @@
 import numpy as np
 
+from schmidt_gates import linalg
 from schmidt_gates.dynamics import H_DM, H_XY, H_Z, L_DM, L_XY, L_Z, embed
 from schmidt_gates.linalg import (
     PAULI_X,
@@ -170,6 +171,36 @@ def test_su2_product_matches_sequential_fold(n):
     assert np.max(np.abs(su2_product(a, b) - fold)) < 1e-13
     if n == 1:
         assert np.array_equal(su2_product(a, b), su2_block(a[0], b[0]))
+
+
+def test_su2_block_broadcasts_a_scalar_against_a_stack():
+    a, b = random_pairs(np.random.default_rng(31), 12)
+    a, b = a.reshape(3, 4), b.reshape(3, 4)
+    block = linalg.su2_block(a, 0.25)
+    assert block.shape == (3, 4, 2, 2) and block.dtype == np.complex128
+    assert np.array_equal(block, su2_block(a, np.full((3, 4), 0.25)))
+    assert np.array_equal(linalg.su2_block(0.5, b),
+                          su2_block(np.full((3, 4), 0.5), b))
+
+
+def test_su2_block_zeros_are_positive():
+    # every sign of zero in either part of a and of b, next to nonzero parts
+    parts = [0.0, -0.0, 1.0, -1.0]
+    a, b = np.meshgrid(*[[complex(re, im) for re in parts for im in parts]] * 2)
+    block = linalg.su2_block(a, b)
+    for part in (block.real, block.imag):
+        assert (part == 0).any()
+        assert not np.signbit(part[part == 0]).any()
+
+
+def test_su2_product_of_one_pair_is_its_block_bit_for_bit():
+    a, b = random_pairs(np.random.default_rng(32), 6)
+    a[:2], b[2:4] = -0.0, 0.0 - 0.0j
+    for k in range(6):
+        product = su2_product(a[k:k + 1], b[k:k + 1])
+        assert product.tobytes() == linalg.su2_block(a[k], b[k]).tobytes()
+    batch = su2_product(a[:, None], b[:, None])
+    assert batch.tobytes() == linalg.su2_block(a, b).tobytes()
 
 
 def test_su2_product_of_empty_stack_is_identity():
