@@ -21,6 +21,7 @@ from .sphere import (
     SchmidtPath,
     LinearSegment,
     SampledSegment,
+    ArcSegment,
     assemble_state,
     concurrence,
     equator_arc,

@@ -375,23 +375,17 @@ def _table_result(command: str, header: list[str], blocks: list[str],
 # --------------------------------------------------------------------------
 
 
-# Segment kind -> constructor of (samples per segment, the schema's other
-# fields); only rotation arcs are lifted at the requested sampling.
-_SEGMENTS = {
-    "linear": lambda samples, **fields: LinearSegment(**fields),
-    "rotation": lambda samples, **fields: rotation_arc(**fields,
-                                                      samples=samples),
-    "sampled": lambda samples, **fields: SampledSegment(**fields),
-}
+# Segment kind -> constructor of the schema's other fields.
+_SEGMENTS = {"linear": LinearSegment, "rotation": rotation_arc,
+             "sampled": SampledSegment}
 
 
-def _build_path(spec: dict, loop: bool, samples: int) -> SchmidtPath:
+def _build_path(spec: dict, loop: bool) -> SchmidtPath:
     try:
         if spec.get("preset") == "orange_slice":
             return orange_slice_path(spec["t1"], spec["tau"])
         specs = [dict(s) for s in spec["segments"]]
-        segments = tuple(_SEGMENTS[s.pop("kind")](samples, **s)
-                         for s in specs)
+        segments = tuple(_SEGMENTS[s.pop("kind")](**s) for s in specs)
         closed = spec.get("closed", loop)
         return SchmidtPath(segments, closed=closed)
     except ValueError as exc:
@@ -465,7 +459,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
     samples = int(scenario.get("samples_per_segment", 1000))
-    path = _build_path(scenario["path"], loop, samples)
+    path = _build_path(scenario["path"], loop)
     if loop and not path.closed:
         raise ScenarioError("simulate in loop mode requires a closed path "
                             "(endpoints differ on the sphere)")

@@ -143,11 +143,11 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
 
     Coordinate-aligned segments (constant alpha or constant beta, rotation
     arcs about the z axis among them) have exact constant chart rates and
-    become constant pulses. Linear spirals are sampled at
-    `samples_per_segment` points with their exact rates. Sampled segments
-    (tilted rotation arcs among them, lifted when they were built) keep
-    their own samples, with rates by np.gradient (one-sided second order
-    at the endpoints). Doubling the sampling should leave the resulting
+    become constant pulses. Spirals and tilted rotation arcs are sampled
+    here, and only here, at `samples_per_segment` points with exact rates (an
+    arc refuses a step not below pi times its clearance). Sampled segments
+    keep their own samples, with rates by np.gradient (one-sided second
+    order at the endpoints). Doubling the sampling should leave the
     propagator unchanged at the 1e-8 level; increase it until it does.
     """
     pulses = [_segment_pulse(seg, samples_per_segment)
@@ -155,16 +155,24 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
     return HamiltonianSchedule(tuple(pulses), sector=sector)
 
 
+def _steps(pulses) -> np.ndarray:
+    """All pulses' steps as one (4, *batch, n) stack, batch shapes broadcast
+    (in a function, so that no pulse's steps outlive the exponentials)."""
+    steps = [p.steps() for p in pulses] or [np.empty((4, 0))]
+    batch = np.broadcast_shapes(*(s.shape[1:-1] for s in steps))
+    return np.concatenate([np.broadcast_to(s.reshape(
+        4, *[1] * (len(batch) + 2 - s.ndim), *s.shape[1:]),
+        (4, *batch, s.shape[-1])) for s in steps], axis=-1)
+
+
 def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
     """Time-ordered propagator of a schedule (latest pulse leftmost): the
     steps of all its pulses, on the sector pair alone, are exponentiated as
     one stack of Cayley-Klein pairs, composed by su2_product and embedded
-    once. Pulses with stacked coefficients (of one batch shape) give a
-    (*batch, 4, 4) stack of propagators. A schedule without pulses gives
-    the identity."""
-    # the step list lives inside the call: no steps outlive the exponentials
-    pairs = su2_exp(*np.concatenate([p.steps() for p in schedule.pulses]
-                                    or [np.empty((4, 0))], axis=-1))
+    once. Pulses with stacked coefficients give a (*batch, 4, 4) stack of
+    propagators, the pulses' batch shapes broadcast against each other. A
+    schedule without pulses gives the identity."""
+    pairs = su2_exp(*_steps(schedule.pulses))
     return embed(su2_product(*pairs), schedule.sector)
 
 
@@ -174,14 +182,10 @@ def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
 
     phi_plus = -(1/2) * integral of cos(alpha) d(beta) along the path and
     phi_minus = -phi_plus; both vanish on geodesic-pair loops. Linear
-    segments contribute in closed form, sampled segments (tilted rotation
-    arcs among them) by the trapezoid rule on their own samples.
+    segments and rotation arcs contribute in closed form, sampled segments
+    by the trapezoid rule on their own samples.
     """
-    cos_int = 0.0
-    for seg in path.segments:
-        _, seg_cos = seg._beta_integrals()
-        cos_int += seg_cos
-    phi_plus = -0.5 * cos_int
+    phi_plus = -0.5 * sum(seg._beta_integrals()[1] for seg in path.segments)
     return float(phi_plus), float(-phi_plus)
 
 
@@ -207,15 +211,13 @@ def tilted_schedule(theta, t1: float, tau: float) -> HamiltonianSchedule:
     second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
     the plain two-pulse schedule that generates the orange-slice loop. A
-    stack of theta gives both pulses coefficients of its shape (the first
-    pulse's broadcast), so propagate gives a stack of propagators.
+    stack of theta gives the second pulse coefficients of its shape, so
+    propagate gives a stack of propagators.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
-    zero, c_z = (np.broadcast_to(c, np.shape(theta))[()]
-                 for c in (0.0, -np.pi / (2.0 * t1)))
     return HamiltonianSchedule((
-        ConstantPulse(t1, zero, zero, c_z),
+        ConstantPulse(t1, 0.0, 0.0, -np.pi / (2.0 * t1)),
         ConstantPulse(tau - t1, -k * np.cos(theta), 0.0, k * np.sin(theta)),
     ))
 

@@ -13,7 +13,7 @@ extended-alpha chart where alpha may leave [0, pi]; the identification
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -261,17 +261,6 @@ def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
     return LinearSegment(alpha_start, beta, alpha_end, beta, duration)
 
 
-def _rodrigues(axis: np.ndarray, angle, r0: np.ndarray) -> np.ndarray:
-    """Rotate r0 about the unit axis; angle may be an array."""
-    angle = np.asarray(angle, dtype=float)
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    k = axis
-    cross = np.cross(k, r0)
-    dot = float(np.dot(k, r0))
-    return c * r0 + s * cross + (1.0 - c[..., 0])[..., None] * dot * k
-
-
 @dataclass(frozen=True)
 class SampledSegment:
     """Uniformly time-sampled chart coordinates (alpha(t), beta(t))."""
@@ -297,23 +286,19 @@ class SampledSegment:
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(float(self.alpha[-1]), float(self.beta[-1]))
 
-    def sample(self, n: int):
-        t = np.linspace(0.0, self.duration, self.alpha.size)
-        return t, self.alpha, self.beta
-
     def chart(self, n: int):
         """(t, alpha, beta, alpha', beta') on the segment's own samples,
-        with the rates by np.gradient."""
-        t, alpha, beta = self.sample(n)
-        if t.size < 3:
+        whatever n, with the rates by np.gradient."""
+        if self.alpha.size < 3:
             raise ValueError("segment needs at least 3 samples for its rates")
+        t = np.linspace(0.0, self.duration, self.alpha.size)
         # a step too short for double precision gives inf or nan rates
         with np.errstate(all="ignore"):
-            da = np.gradient(alpha, t, edge_order=2)
-            db = np.gradient(beta, t, edge_order=2)
+            da = np.gradient(self.alpha, t, edge_order=2)
+            db = np.gradient(self.beta, t, edge_order=2)
         if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
             raise ValueError("segment rates overflow double precision")
-        return t, alpha, beta, da, db
+        return t, self.alpha, self.beta, da, db
 
     def reversed(self) -> "SampledSegment":
         return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
@@ -324,65 +309,125 @@ class SampledSegment:
                 float(np.trapezoid(np.cos(self.alpha), x=self.beta)))
 
 
-def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
-                 duration: float, samples: int = 1000):
-    """Great- or small-circle arc: rotation of the start point by `angle`
-    about a fixed axis, continuing the start coordinates in the chart.
+@dataclass(frozen=True)
+class ArcSegment:
+    """The start point rotated by `angle` about a fixed axis (kept as a unit
+    vector) at a constant rate, continuing the start coordinates in the
+    chart. Its clearance, the least distance from the z axis, must be at
+    least 1e-9. Its end point and beta integrals are closed forms."""
 
-    The arc must stay clear of both poles (use meridian arcs for pole
-    crossings): its clearance, the least distance from the z axis, must be
-    at least 1e-9. About the z axis the arc is the latitude LinearSegment
-    to beta_start + angle k_z. About a tilted axis it is the SampledSegment
-    of its lift at `samples` points, which needs a step
-    |angle| / (samples - 1) below pi * clearance; the axis field itself
-    would add a component parallel to the sphere point (a spurious phase),
-    so the arc is driven by the chart rates of its lift.
-    """
-    if not duration > 0:
-        raise ValueError("segment duration must be positive")
-    k = np.asarray(axis, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(k)
-    if np.isinf(norm):
-        # the squares overflow: scale by the largest component first
-        k = k / np.max(np.abs(k))
-        norm = np.linalg.norm(k)
-    if norm < 1e-12:
-        raise ValueError("rotation axis must be nonzero")
-    k = k / norm
-    latitude = k[0] == 0.0 and k[1] == 0.0
-    # a latitude arc lifts only its start point, for the start check
-    n = 1 if latitude else samples
-    t = np.linspace(0.0, duration, n)
-    r0 = sphere_point(alpha_start, beta_start)
-    # z = a + b cos(phi) + c sin(phi) is extremal at phi0 + m pi: the ends
-    # and the first two such angles inside the arc give its clearance
-    phi0 = np.arctan2(np.cross(k, r0)[2], r0[2] - np.dot(k, r0) * k[2])
-    lo, hi = sorted((0.0, angle))
-    turns = np.minimum(lo + np.mod(phi0 - lo, np.pi) + [0.0, np.pi], hi)
-    r = _rodrigues(k, np.append(angle * t / duration, turns), r0)
-    rho = np.hypot(r[:, 0], r[:, 1])
-    clearance = min(rho[0], rho[n - 1], *rho[n:])
-    if clearance < 1e-9:
-        raise ValueError("rotation segment passes through or too close "
-                         "to a pole; represent pole crossings with "
-                         "LinearSegment")
-    # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
-    if not latitude and abs(angle) / max(n - 1, 1) >= np.pi * clearance:
-        raise ValueError(f"rotation segment comes within {clearance:.3e} "
-                         f"of a pole, too close to lift at {n} samples")
-    alpha = np.arctan2(rho[:n], r[:n, 2])
-    beta = np.unwrap(np.arctan2(r[:n, 1], r[:n, 0]))
-    if alpha_start < 0:
-        alpha, beta = -alpha, beta + np.pi
-    beta = beta + 2.0 * np.pi * np.round((beta_start - beta[0])
-                                         / (2.0 * np.pi))
-    if max(abs(alpha_start - alpha[0]), abs(beta_start - beta[0])) > 1e-6:
-        raise ValueError("start coordinates do not lie on the declared arc")
-    if latitude:
+    alpha_start: float
+    beta_start: float
+    axis: tuple
+    angle: float
+    duration: float
+    clearance: float = field(init=False)
+    # columns c0 k, a, b of r(phi) = c0 k + cos(phi) a + sin(phi) b, c0 = k.r0
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
+    # end coordinates, then the integrals of d beta and of cos(alpha) d beta
+    _closed: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.duration > 0:
+            raise ValueError("segment duration must be positive")
+        k = np.asarray(self.axis, dtype=float)
+        if not np.any(k):
+            raise ValueError("rotation axis must be nonzero")
+        k = k / np.max(np.abs(k))  # now its squares cannot overflow
+        k = k / np.linalg.norm(k)
+        r0 = sphere_point(self.alpha_start, self.beta_start)
+        c0 = float(k @ r0)
+        a, b = r0 - c0 * k, np.cross(k, r0)
+        object.__setattr__(self, "axis", tuple(k.tolist()))
+        object.__setattr__(self, "_basis", np.array([c0 * k, a, b]).T)
+        # z is extremal at phi_top + m pi: these and the ends bound rho
+        phi_top = np.arctan2(b[2], a[2])
+        lo, hi = sorted((0.0, self.angle))
+        turns = np.minimum(lo + np.mod(phi_top - lo, np.pi) + [0.0, np.pi], hi)
+        alpha, beta, rho, _ = self._lift(np.array([0.0, self.angle, *turns]))
+        object.__setattr__(self, "clearance", float(np.min(rho)))
+        if self.clearance < 1e-9:
+            raise ValueError("rotation segment passes through or too close "
+                             "to a pole; represent pole crossings with "
+                             "LinearSegment")
+        if max(abs(self.alpha_start - alpha[0]),
+               abs(self.beta_start - beta[0])) > 1e-6:
+            raise ValueError("start coordinates do not lie on the declared arc")
+        # |alpha'| <= |rate| and |beta'| <= |rate| / rho bound the chart rates
+        if not np.isfinite(self.angle / self.duration / self.clearance):
+            raise ValueError("segment rates overflow double precision")
+        # With z = cos(alpha), P = -sin(e) sin(d), Q = cos(e) cos(d) and d, e =
+        # (theta_k -+ gamma) / 2 (the angles from k to the z axis and to r0),
+        # d beta / d phi = P / (1 - z) + Q / (1 + z) and cos(alpha) d beta /
+        # d phi = c0 + P / (1 - z) - Q / (1 + z). P / (1 - z) integrates to
+        # -sign(d) atan(q tan(u / 2)), q = sin(e) / |sin(d)|, u = phi -
+        # phi_top (Q alike): u / 2 plus an atan2, continuous, free of
+        # subtractions near a pole.
+        theta_k = np.arctan2(np.hypot(k[0], k[1]), k[2])
+        gamma = np.arctan2(np.linalg.norm(b), c0)
+        d, e = 0.5 * (theta_k - gamma), 0.5 * (theta_k + gamma)
+        num = np.array([[np.sin(e)], [abs(np.cos(e))]])
+        den = np.array([[abs(np.sin(d))], [np.cos(d)]])
+        u = np.array([0.0, self.angle]) - phi_top
+        w = np.arctan2((num - den) * np.sin(u),
+                       (num + den) - (num - den) * np.cos(u))
+        north, south = ([-np.sign(d), np.sign(np.cos(e))]
+                        * (0.5 * self.angle + w[:, 1] - w[:, 0]))
+        object.__setattr__(self, "_closed", (
+            float(alpha[1]), float(self.beta_start + north + south),
+            float(north + south), float(c0 * self.angle + north - south)))
+
+    def _lift(self, phi):
+        """Chart, rho and points (x, y, z) at the rotation angles phi."""
+        x, y, z = self._basis @ [np.ones_like(phi), np.cos(phi), np.sin(phi)]
+        rho = np.hypot(x, y)
+        alpha, beta = np.arctan2(rho, z), np.unwrap(np.arctan2(y, x))
+        if self.alpha_start < 0:
+            alpha, beta = -alpha, beta + np.pi
+        beta += 2 * np.pi * np.round((self.beta_start - beta[0]) / (2 * np.pi))
+        return alpha, beta, rho, (x, y, z)
+
+    def start_coords(self) -> SchmidtCoordinates:
+        return SchmidtCoordinates(self.alpha_start, self.beta_start)
+
+    def end_coords(self) -> SchmidtCoordinates:
+        return SchmidtCoordinates(*self._closed[:2])
+
+    def chart(self, n: int):
+        """(t, alpha, beta, alpha', beta') at n points from one Rodrigues
+        pass, with the exact rates of r' = (angle / duration) k x r."""
+        # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
+        if abs(self.angle) / max(n - 1, 1) >= np.pi * self.clearance:
+            raise ValueError(f"rotation segment comes within "
+                             f"{self.clearance:.3e} of a pole, too close to "
+                             f"lift at {n} samples")
+        alpha, beta, rho, (x, y, z) = self._lift(
+            np.linspace(0.0, self.angle, n))
+        (kx, ky, kz), rate = self.axis, self.angle / self.duration
+        # alpha' = -z' / sin(alpha) (on the principal copy) and
+        # beta' = (x y' - y x') / rho^2 for r' = rate k x r
+        da = -np.sign(self.alpha_start) * rate * (kx * y - ky * x) / rho
+        db = rate * (kz - z * (kx * x + ky * y) / rho ** 2)
+        return np.linspace(0.0, self.duration, n), alpha, beta, da, db
+
+    def reversed(self) -> "ArcSegment":
+        return ArcSegment(*self._closed[:2], self.axis, -self.angle,
+                          self.duration)
+
+    def _beta_integrals(self) -> tuple[float, float]:
+        """(integral of d beta, integral of cos(alpha) d beta), closed form."""
+        return self._closed[2:]
+
+
+def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
+                 duration: float):
+    """ArcSegment of the start rotated by `angle` about `axis`; about the z
+    axis, the latitude LinearSegment. Both stay 1e-9 clear of the poles."""
+    arc = ArcSegment(alpha_start, beta_start, axis, angle, duration)
+    if arc.axis[:2] == (0.0, 0.0):
         return LinearSegment(alpha_start, beta_start, alpha_start,
-                             beta_start + k[2] * angle, duration)
-    return SampledSegment(alpha, beta, duration)
+                             beta_start + arc.axis[2] * angle, duration)
+    return arc
 
 
 @dataclass(frozen=True)
@@ -436,21 +481,19 @@ def solid_angle(path: SchmidtPath) -> float:
     """Signed solid angle enclosed by a closed path.
 
     Evaluates the loop integral of (1 - cos(alpha)) d(beta) over the
-    continuous extended-alpha parametrization; linear segments (latitude
-    rotation arcs among them) contribute in closed form, sampled segments
-    (tilted rotation arcs among them) by the trapezoid rule on their own
-    samples. This chart form is singular at the south pole, where a
-    crossing would shift the result by 2*pi, so a segment whose alpha range
-    reaches an odd multiple of pi raises ValueError; pole crossings must
-    run through alpha = 0. Rotation arcs stay clear of both poles by
-    construction.
+    continuous extended-alpha chart: linear segments and rotation arcs in
+    closed form, sampled segments by the trapezoid rule. The chart form is
+    singular at the south pole (a crossing shifts it by 2*pi), so a segment
+    whose alpha range reaches an odd multiple of pi raises ValueError; pole
+    crossings must run through alpha = 0. Rotation arcs never meet a pole,
+    so only a sampled segment needs more than its ends checked.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")
     total = 0.0
     for i, seg in enumerate(path.segments):
-        alpha = ((seg.alpha_start, seg.alpha_end)
-                 if isinstance(seg, LinearSegment) else seg.alpha)
+        alpha = (seg.alpha if isinstance(seg, SampledSegment) else
+                 (seg.start_coords().alpha, seg.end_coords().alpha))
         lo, hi = np.min(alpha), np.max(alpha)
         # smallest odd multiple of pi at or above lo
         pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)

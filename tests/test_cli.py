@@ -608,8 +608,8 @@ def test_non_finite_number_rejected(tmp_path, capsys, command, text, field):
 
 
 def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
-    # two samples are too few to lift this tilted arc; the lift's error
-    # becomes a diagnostic instead of a traceback
+    # a step of 1.3 rad is not below pi times this arc's clearance, so two
+    # samples cannot lift it: the chart's step rule gives a diagnostic
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "samples_per_segment": 2,
@@ -619,7 +619,8 @@ def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
     })
     code, out, err = run_main(["simulate", scn], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: invalid path: ")
+    assert err.startswith("error: invalid path: rotation segment comes within ")
+    assert err.endswith(" of a pole, too close to lift at 2 samples\n")
 
 
 @pytest.mark.parametrize("alpha_start, angle, samples", [
@@ -649,13 +650,13 @@ def test_latitude_arc_clear_of_poles_runs(tmp_path, capsys, alpha_start,
 
 @pytest.mark.parametrize("axis, alpha_start, tol", [
     ([0.0, 0.0, 1.0], 0.02, 1e-12),
-    ([0.0, 0.01, 1.0], 0.03, 1e-7),
+    ([0.0, 0.01, 1.0], 0.03, 1e-10),
 ], ids=["latitude", "tilted"])
 def test_ten_turn_arc_near_pole_runs(tmp_path, capsys, axis, alpha_start,
                                      tol):
-    # ten turns near the north pole: the arc is lifted once, at the
-    # requested 20000 samples, where each step is below pi times its
-    # clearance; a full turn about k encloses the cap 2 pi (1 - k . r0)
+    # ten turns near the north pole, sampled at the requested 20000 points,
+    # where each step is below pi times the arc's clearance; a full turn
+    # about k encloses the cap 2 pi (1 - k . r0), in closed form
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": True,
         "samples_per_segment": 20000,
@@ -683,17 +684,19 @@ def test_sampled_segment_needs_three_samples(tmp_path, capsys):
     assert err.startswith("error: scenario field 'path/segments/0/alpha': ")
 
 
-def test_tilted_arc_rates_need_three_samples(tmp_path, capsys):
-    # two samples lift this arc, but its np.gradient rates need three
-    scn = write_scenario(tmp_path, {
-        "schema_version": 1, "command": "simulate", "loop": False,
-        "samples_per_segment": 2,
-        "path": {"segments": [_rotation([0.3, 0.0, 1.0])]},
-    })
-    code, out, err = run_main(["simulate", scn], capsys)
-    assert code == 2 and out == ""
-    assert err == ("error: invalid path: segment needs at least 3 samples "
-                   "for its rates\n")
+def test_two_sample_tilted_arc_runs(tmp_path, capsys):
+    # a tilted arc has exact rates at any sampling its clearance allows,
+    # so two samples run, as they do for a coordinate spiral
+    for segment in (_rotation([0.3, 0.0, 1.0]), _linear(0.3, 0.5, 1.0)):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": False,
+            "samples_per_segment": 2, "path": {"segments": [segment]},
+        })
+        out = tmp_path / "report.json"
+        code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+        assert code == 0, err
+        (pulse,) = json.loads(out.read_text())["schedule"]
+        assert pulse["kind"] == "sampled" and pulse["samples"] == 2
 
 
 def test_loop_mode_with_path_declared_open_rejected(tmp_path, capsys):

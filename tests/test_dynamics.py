@@ -102,17 +102,22 @@ def test_reverse_engineer_constant_pulse_coefficients():
     assert np.allclose([p.c_xy, p.c_dm, p.c_z], [0.0, 0.0, -0.5 * 0.25],
                        atol=TOL)
 
-    # a tilted rotation axis is resampled through the chart lift
-    seg = rotation_arc(0.9, 0.1, (0.6, 0.0, 0.8), 0.5, 2.0, samples=401)
+    # a tilted rotation axis is sampled by reverse_engineer, with the exact
+    # rates of its chart: the field B = 2 (c_xy, c_dm, c_z) turns the
+    # sphere point as the rotation does, B x r = (angle / duration) k x r
+    seg = rotation_arc(0.9, 0.1, (0.6, 0.0, 0.8), 0.5, 2.0)
     sched = reverse_engineer(SchmidtPath((seg,)), samples_per_segment=401)
     (p,) = sched.pulses
     assert isinstance(p, SampledPulse)
-    t, alpha, beta = seg.sample(401)
-    da = np.gradient(alpha, t, edge_order=2)
-    db = np.gradient(beta, t, edge_order=2)
+    t, alpha, beta, da, db = seg.chart(401)
+    assert np.array_equal(p.times, t)
     assert np.allclose(p.c_xy, -0.5 * da * np.sin(beta), atol=TOL)
     assert np.allclose(p.c_dm, +0.5 * da * np.cos(beta), atol=TOL)
     assert np.allclose(p.c_z, 0.5 * db, atol=TOL)
+    r = sphere_point(alpha, beta).T
+    field = 2.0 * np.stack([p.c_xy, p.c_dm, p.c_z], axis=-1)
+    assert np.allclose(np.cross(field, r), 0.25 * np.cross([0.6, 0.0, 0.8], r),
+                       atol=TOL)
 
 
 def test_reverse_engineer_sampled_coefficients():
@@ -191,6 +196,27 @@ def test_propagate_stacked_pulses_equal_per_element_calls(sector):
             assert u[i, j].tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_propagate_broadcasts_stacked_against_scalar_and_sampled_pulses(
+        sector):
+    # a stacked constant pulse next to a scalar one and a sampled one: the
+    # batch shapes broadcast, and each element of the stack is the
+    # propagator of its own schedule
+    rng = np.random.default_rng(44)
+    c_xy = rng.normal(size=(2, 3))
+    t = np.linspace(0.0, 0.8, 7)
+    sampled = SampledPulse(t, np.sin(t), np.cos(t), t ** 2)
+    scalar = ConstantPulse(0.4, 0.3, -0.2, 0.5)
+    u = propagate(HamiltonianSchedule(
+        (scalar, ConstantPulse(1.1, c_xy, 0.7, -0.1), sampled), sector=sector))
+    assert u.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            one = (scalar, ConstantPulse(1.1, c_xy[i, j], 0.7, -0.1), sampled)
+            v = propagate(HamiltonianSchedule(one, sector=sector))
+            assert u[i, j].tobytes() == v.tobytes()
+
+
 def test_propagate_drags_schmidt_vectors_exactly():
     # constant-coefficient pulses are exponentiated in closed form, so the
     # transported branch states match the chart states to rounding error
@@ -215,7 +241,7 @@ def test_propagate_drags_schmidt_vectors_exactly():
 
 
 def test_propagate_drags_tilted_rotation_arc():
-    seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0, samples=4000)
+    seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
     path = SchmidtPath((seg,))
     u = propagate(reverse_engineer(path, samples_per_segment=4000))
     start, end = path.start_coords(), path.end_coords()
@@ -328,7 +354,7 @@ def test_reversed_loop_inverts_propagator():
 def test_reversed_mixed_loop_negates_solid_angle_and_inverts_propagator():
     # a tilted arc, a sampled segment and a linear closing segment
     a0, b0 = 1.0, 0.4
-    arc = rotation_arc(a0, b0, (0.3, -0.5, 0.8), 0.9, 1.0, samples=2000)
+    arc = rotation_arc(a0, b0, (0.3, -0.5, 0.8), 0.9, 1.0)
     end = arc.end_coords()
     s = np.linspace(0.0, 1.0, 301)
     sampled = SampledSegment(end.alpha + 0.4 * s + 0.1 * np.sin(np.pi * s),
@@ -338,7 +364,7 @@ def test_reversed_mixed_loop_negates_solid_angle_and_inverts_propagator():
     path = SchmidtPath((arc, sampled, closing), closed=True)
     back = path.reversed()
     assert back.closed
-    assert solid_angle(back) == pytest.approx(-solid_angle(path), abs=1e-9)
+    assert solid_angle(back) == pytest.approx(-solid_angle(path), abs=1e-12)
     u = propagate(reverse_engineer(path, samples_per_segment=2000))
     v = propagate(reverse_engineer(back, samples_per_segment=2000))
     assert np.max(np.abs(v @ u - np.eye(4))) < 1e-9
@@ -347,9 +373,8 @@ def test_reversed_mixed_loop_negates_solid_angle_and_inverts_propagator():
     assert np.array_equal(again[1].alpha, sampled.alpha)
     assert np.array_equal(again[1].beta, sampled.beta)
     assert again[1].duration == sampled.duration
-    assert np.array_equal(again[0].alpha, arc.alpha)
-    assert np.array_equal(again[0].beta, arc.beta)
-    assert again[0].duration == arc.duration
+    assert again[0].axis == pytest.approx(arc.axis, abs=1e-15)
+    assert (again[0].angle, again[0].duration) == (arc.angle, arc.duration)
     assert again[0].start_coords().alpha == pytest.approx(a0, abs=1e-12)
     assert again[0].start_coords().beta == pytest.approx(b0, abs=1e-12)
 

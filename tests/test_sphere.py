@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from schmidt_gates.sphere import (
     BRANCHES,
+    ArcSegment,
     LinearSegment,
     SampledSegment,
     SchmidtPath,
@@ -218,8 +219,8 @@ def test_rotation_segment_matches_rodrigues_pointwise():
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(-1.0, 1.0)
         try:
-            seg = rotation_arc(a0, b0, tuple(axis), angle, 1.0, samples=64)
-            _, alpha, beta = seg.sample(64)
+            seg = rotation_arc(a0, b0, tuple(axis), angle, 1.0)
+            _, alpha, beta, *_ = seg.chart(64)
         except ValueError:
             continue  # arc wandered over a pole; rejection is the contract
         r0 = sphere_point(a0, b0)
@@ -244,7 +245,7 @@ def test_rotation_segment_rejections():
         rotation_arc(0.3, 0.0, (0, 0, 0), 1.0, 1.0)
     # arc through the north pole
     with pytest.raises(ValueError):
-        rotation_arc(np.pi / 2, np.pi / 2, (1, 0, 0), np.pi, 1.0, samples=100)
+        rotation_arc(np.pi / 2, np.pi / 2, (1, 0, 0), np.pi, 1.0)
     # a start wound past the principal chart copies cannot be lifted
     with pytest.raises(ValueError):
         rotation_arc(np.pi / 3 + 2 * np.pi, 0.2, (0, 0, 1), 1.0, 1.0)
@@ -255,8 +256,7 @@ def test_rotation_segment_start_past_south_pole_refused():
     # chart copy whose beta is off by pi
     for alpha_start in (np.pi + 4e-7, -np.pi - 4e-7):
         with pytest.raises(ValueError, match="start coordinates"):
-            rotation_arc(alpha_start, 0.3, (0.3, 0.2, 1.0), 1e-5, 1.0,
-                         samples=100)
+            rotation_arc(alpha_start, 0.3, (0.3, 0.2, 1.0), 1e-5, 1.0)
 
 
 _AXES = st.one_of(
@@ -269,15 +269,14 @@ _AXES = st.one_of(
 @given(alpha0=st.floats(-3.1, 3.1), beta0=st.floats(-7.0, 7.0), axis=_AXES,
        angle=st.floats(-15.0, 15.0), n=st.integers(2, 2000))
 def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
-    # a z axis gives a latitude LinearSegment, any other the lifted samples
+    # a z axis gives a latitude LinearSegment, any other an ArcSegment
+    # lifted by its chart at any n its clearance allows
     try:
-        seg = rotation_arc(alpha0, beta0, axis, angle, 1.0, samples=n)
+        seg = rotation_arc(alpha0, beta0, axis, angle, 1.0)
+        _, alpha, beta, *_ = seg.chart(n)
     except ValueError:
         return  # refused: too close to a pole for this step
-    _, alpha, beta = seg.sample(n)
-    fine = rotation_arc(alpha0, beta0, axis, angle, 1.0,
-                        samples=64 * (n - 1) + 1)
-    _, fine_alpha, fine_beta = fine.sample(64 * (n - 1) + 1)
+    _, fine_alpha, fine_beta, *_ = seg.chart(64 * (n - 1) + 1)
     assert np.max(np.abs(alpha - fine_alpha[::64])) <= 1e-9
     assert np.max(np.abs(beta - fine_beta[::64])) <= 1e-9
     k = np.asarray(axis) / np.linalg.norm(axis)
@@ -287,6 +286,159 @@ def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
               + (1 - np.cos(phi)) * np.dot(k, r0) * k)
     assert np.max(np.abs(sphere_point(alpha, beta).T - expect)) <= 1e-9
     assert np.max(np.abs(seg.end_coords().point() - expect[-1])) <= 1e-9
+
+
+def _lift(alpha0, beta0, axis, angle, n):
+    """Independent chart lift of a rotation arc at n points: Rodrigues,
+    atan2 and np.unwrap, beta moved onto the start's 2 pi copy."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    r0 = sphere_point(alpha0, beta0)
+    phi = np.linspace(0.0, angle, n)[:, None]
+    r = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
+         + (1 - np.cos(phi)) * np.dot(k, r0) * k)
+    alpha = np.arctan2(np.hypot(r[:, 0], r[:, 1]), r[:, 2])
+    beta = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
+    return alpha, beta + 2 * np.pi * np.round((beta0 - beta[0]) / (2 * np.pi))
+
+
+def _random_arcs(seed, count, turns=1.0):
+    """Tilted arcs that stay at least 0.05 from both poles."""
+    rng = np.random.default_rng(seed)
+    arcs = []
+    while len(arcs) < count:
+        a0, b0 = rng.uniform(0.2, np.pi - 0.2), rng.uniform(-7.0, 7.0)
+        axis = rng.normal(size=3)
+        angle = turns * rng.uniform(-2 * np.pi, 2 * np.pi)
+        try:
+            arc = rotation_arc(a0, b0, tuple(axis), angle, 1.0)
+        except ValueError:
+            continue
+        if arc.clearance > 0.05:
+            arcs.append(arc)
+    return arcs
+
+
+def test_tilted_rotation_is_an_arc_segment():
+    arc = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 2.0)
+    assert isinstance(arc, ArcSegment)
+    assert np.linalg.norm(arc.axis) == pytest.approx(1.0, abs=1e-15)
+    assert (arc.angle, arc.duration) == (1.3, 2.0)
+    alpha, _ = _lift(1.1, 0.4, arc.axis, 1.3, 100001)
+    assert arc.clearance == pytest.approx(np.min(np.sin(alpha)), abs=1e-10)
+
+
+@pytest.mark.parametrize("turns", [1, 3])
+def test_full_turn_from_extremal_height_encloses_the_cap(turns):
+    # the start sits at the circle's extremal height (r0 in the plane of k
+    # and the z axis), where a tan-based antiderivative picks up a 2 pi
+    # branch error; the cap about k has area 2 pi (1 - k . r0) per turn
+    for a0, b0, axis in [(1.2, 0.0, (0.6, 0.0, 0.8)),
+                         (0.2, 0.0, (0.6, 0.0, 0.8)),
+                         (2.0, np.pi, (-0.6, 0.0, -0.8))]:
+        arc = rotation_arc(a0, b0, axis, 2 * np.pi * turns, 1.0)
+        dbeta, cos_int = arc._beta_integrals()
+        cap = 2 * np.pi * (1 - np.dot(axis, sphere_point(a0, b0)))
+        assert abs(dbeta - cos_int - turns * cap) <= 1e-12 * turns
+        # beta winds by a whole number of turns and alpha returns
+        assert dbeta / (2 * np.pi) == pytest.approx(round(dbeta / (2 * np.pi)),
+                                                    abs=1e-13)
+        end = arc.end_coords()
+        assert end.alpha == pytest.approx(a0, abs=1e-13)
+        assert end.beta == pytest.approx(b0 + dbeta, abs=1e-13)
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["north", "south"])
+def test_arc_passing_a_pole_at_1e6_ends_where_a_fine_lift_ends(pole):
+    # a circle about k whose highest (or lowest) point is 1e-6 from the
+    # pole; the arc runs 0.1 rad to either side of that point, where beta
+    # turns by nearly pi
+    k = np.array([np.sin(0.5), 0.0, pole * np.cos(0.5)])
+    top = np.array([-np.sin(1e-6), 0.0, pole * np.cos(1e-6)])
+    r0 = (np.cos(0.1) * top - np.sin(0.1) * np.cross(k, top)
+          + (1 - np.cos(0.1)) * np.dot(k, top) * k)
+    a0, b0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2]), np.arctan2(r0[1], r0[0])
+    arc = rotation_arc(a0, b0, tuple(k), 0.2, 1.0)
+    assert arc.clearance == pytest.approx(1e-6, rel=1e-6)
+    alpha, beta = _lift(a0, b0, k, 0.2, 200001)
+    assert abs(beta[-1] - beta[0]) > 3.0
+    end = arc.end_coords()
+    assert abs(end.beta - beta[-1]) <= 1e-11
+    assert abs(end.alpha - alpha[-1]) <= 1e-12
+    # the chart refuses a step that np.unwrap could not follow
+    with pytest.raises(ValueError, match="too close to lift at 1000 samples"):
+        arc.chart(1000)
+
+
+def test_arc_on_the_negative_alpha_copy():
+    # (-alpha, beta + pi) is the same sphere point: the copy's chart is the
+    # principal chart with alpha and alpha' negated and beta moved by pi
+    for arc in _random_arcs(41, 10, turns=2.0):
+        start = arc.start_coords()
+        copy = rotation_arc(-start.alpha, start.beta + np.pi, arc.axis,
+                            arc.angle, arc.duration)
+        t, alpha, beta, da, db = arc.chart(501)
+        t2, alpha2, beta2, da2, db2 = copy.chart(501)
+        assert np.array_equal(t, t2)
+        assert np.max(np.abs(alpha2 + alpha)) <= 1e-12
+        assert np.max(np.abs(beta2 - beta - np.pi)) <= 1e-12
+        assert np.max(np.abs(da2 + da)) <= 1e-12 * np.max(np.abs(da))
+        assert np.max(np.abs(db2 - db)) <= 1e-12 * np.max(np.abs(db))
+        end, end2 = arc.end_coords(), copy.end_coords()
+        assert end2.alpha == pytest.approx(-end.alpha, abs=1e-12)
+        assert end2.beta == pytest.approx(end.beta + np.pi, abs=1e-12)
+        assert copy._beta_integrals() == pytest.approx(arc._beta_integrals(),
+                                                       abs=1e-12)
+        assert copy.clearance == pytest.approx(arc.clearance, abs=1e-15)
+
+
+def test_multi_turn_arc_and_its_reverse():
+    for arc in _random_arcs(42, 20, turns=3.0):
+        start, end = arc.start_coords(), arc.end_coords()
+        alpha, beta = _lift(start.alpha, start.beta, arc.axis, arc.angle,
+                            20001)
+        assert end.alpha == pytest.approx(alpha[-1], abs=1e-12)
+        assert end.beta == pytest.approx(beta[-1], abs=1e-11)
+        back = arc.reversed()
+        assert isinstance(back, ArcSegment)
+        assert back.angle == -arc.angle and back.duration == arc.duration
+        assert back.axis == pytest.approx(arc.axis, abs=1e-15)
+        assert back.start_coords() == end
+        assert back.end_coords().alpha == pytest.approx(start.alpha, abs=1e-12)
+        assert back.end_coords().beta == pytest.approx(start.beta, abs=1e-11)
+        assert np.array(back._beta_integrals()) == pytest.approx(
+            -np.array(arc._beta_integrals()), abs=1e-11)
+        # the reverse runs through the same points backwards
+        _, alpha_b, beta_b, *_ = back.chart(2001)
+        _, alpha_f, beta_f, *_ = arc.chart(2001)
+        assert np.max(np.abs(alpha_b[::-1] - alpha_f)) <= 1e-12
+        assert np.max(np.abs(beta_b[::-1] - beta_f)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [300, 1000, 8000])
+def test_arc_end_coords_are_the_last_chart_sample(n):
+    for arc in _random_arcs(43, 20, turns=0.2):
+        _, alpha, beta, *_ = arc.chart(n)
+        end = arc.end_coords()
+        assert abs(end.alpha - alpha[-1]) <= 1e-12
+        assert abs(end.beta - beta[-1]) <= 1e-12
+        assert (alpha[0], beta[0]) == pytest.approx(
+            (arc.alpha_start, arc.beta_start), abs=1e-12)
+
+
+def test_arc_rates_are_exact():
+    # central differences of an independent lift, step h: error O(h^2)
+    h = 1e-5
+    for arc in _random_arcs(44, 10):
+        start = arc.start_coords()
+        t, _, _, da, db = arc.chart(101)
+        for i in range(10, 100, 10):
+            phi = arc.angle * np.array([t[i] - h, t[i] + h]) / arc.duration
+            a_lo, b_lo = _lift(start.alpha, start.beta, arc.axis, phi[0], 2)
+            a_hi, b_hi = _lift(start.alpha, start.beta, arc.axis, phi[1], 2)
+            assert da[i] == pytest.approx((a_hi[-1] - a_lo[-1]) / (2 * h),
+                                          rel=1e-7, abs=1e-8)
+            assert db[i] == pytest.approx((b_hi[-1] - b_lo[-1]) / (2 * h),
+                                          rel=1e-7, abs=1e-8)
 
 
 def test_sampled_segment_validation():
@@ -353,9 +505,9 @@ def test_solid_angle_small_circles_match_cap_area():
         alpha0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2])
         beta0 = np.arctan2(r0[1], r0[0])
         loop = SchmidtPath((rotation_arc(alpha0, beta0, tuple(k), 2 * np.pi,
-                                         1.0, samples=20001),), closed=True)
+                                         1.0),), closed=True)
         expect = 2 * np.pi * (1 - float(np.dot(k, r0)))
-        assert solid_angle(loop) == pytest.approx(expect, abs=1e-8)
+        assert solid_angle(loop) == pytest.approx(expect, abs=1e-12)
         done += 1
 
 
