@@ -10,11 +10,15 @@ the identity on the other pair. A propagator is carried as the Cayley-Klein
 pair (a, b) of its block [[a, -conj(b)], [b, conj(a)]] until su2_product
 composes it, along the last axis of a pair stack whose leading axes are a
 batch; su2_block is the one place that forms such a block.
+gram_upper forms products of stacks held with the gate axis last, one
+length-n row per matrix entry; unitarity_defect is built on it.
 ATOL_PIPELINE is the default tolerance for quantities assembled from
 several stages.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,13 +35,51 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                    np.asarray(b, dtype=np.complex128))
 
 
+@functools.cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (i, j), i <= j, of the upper triangle of a
+    d x d matrix: the diagonal first, then the entries above it in
+    row-major order. Read-only arrays, shared by all callers."""
+    above = np.triu_indices(d, 1)
+    pairs = tuple(np.concatenate((np.arange(d), k)) for k in above)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def gram_upper(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Upper-triangle entries of x^T y for each matrix of two (d, d, n)
+    stacks held with the gate axis last: a (d(d+1)/2, n) array whose first
+    d rows are the diagonal, followed by the entries above it in row-major
+    order. It is the whole product when x^T y is symmetric (x = y) or
+    Hermitian (x = conj y).
+
+    Each term x[k, i] y[k, j] is one product of two gathered (d(d+1)/2, n)
+    arrays, added for k = 0, 1, ... in that order, so every entry is the
+    same arithmetic whatever n is: a matrix alone gives the bits it has in
+    a stack, and there is no per-matrix BLAS call. No temporary is larger
+    than the result, which keeps a block of a few hundred gates inside the
+    allocator's reused memory.
+    """
+    i, j = _upper_pairs(len(x))
+    # take() copies rows for a fraction of the cost of x[k, i]'s indexing
+    out = x[0].take(i, axis=0) * y[0].take(j, axis=0)
+    for k in range(1, len(x)):
+        out += x[k].take(i, axis=0) * y[k].take(j, axis=0)
+    return out
+
+
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |u^dagger u - 1| over a matrix or a stack of them; inf (never
-    nan) when that product overflows."""
+    """max |u^dagger u - 1| over a matrix or a stack of them; 0.0 for an
+    empty stack, and inf (never nan, never a floating-point exception)
+    when that product overflows."""
     u = np.asarray(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(abs(u.conj().swapaxes(-1, -2) @ u
-                           - np.eye(u.shape[-1])).max())
+    d = u.shape[-1]
+    x = u.reshape(-1, d, d).transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        g = gram_upper(x.conj(), x)
+        g[:len(x)] -= 1.0
+        defect = float(abs(g).max(initial=0.0))
     return defect if defect < np.inf else np.inf
 
 

@@ -249,9 +249,10 @@ def test_classify_below_rounding_tolerance_reports_failed_checks(
                                 "matches_closed_form": False}
     assert report["passed"] is False
     assert report["closed_form_deviation"] < 1e-14
-    # a matrix input is still held to the tolerance itself
-    c, s = np.cos(0.7), np.sin(0.7)
-    rows = [[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]]
+    # a matrix input is still held to the tolerance itself: in double
+    # precision 2 (1/sqrt2)^2 rounds to 1 + 2.2e-16
+    h = 1 / np.sqrt(2)
+    rows = [[1, 0, 0, 0], [0, h, h, 0], [0, h, -h, 0], [0, 0, 0, 1]]
     matrix = [[[float(x), 0.0] for x in row] for row in rows]
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "classify", "tolerance": 1e-17,
@@ -945,9 +946,9 @@ MERIDIAN_AT_NEGATIVE_ZERO = """{
     ]
   ],
   "invariants": {
-    "g1_re": 0.65740472229869595,
+    "g1_re": 0.65740472229869573,
     "g1_im": 0,
-    "g2": 2.2432199365413275
+    "g2": 2.2432199365413266
   },
   "entangler_class": "NOT_PE",
   "tolerance": 1.0000000000000001e-09,

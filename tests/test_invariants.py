@@ -9,14 +9,16 @@ from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     EntanglerClass,
     LocalInvariants,
-    _bell_m,
+    _bell,
     bell_transform,
     classify,
     closed_form_invariants,
     makhlin_invariants,
 )
 from schmidt_gates.linalg import (
+    _upper_pairs,
     embed,
+    gram_upper,
     su2_product,
     tensor_product,
     unitarity_defect,
@@ -212,29 +214,82 @@ def test_stacked_invariants_equal_per_gate_calls():
     assert grid.g1.shape == (20, 25)
 
 
-def _per_gate_bell_m(u):
+def _per_gate_bell(u):
     q = bell_transform()
-    mb = q.conj().T @ u @ q
-    return mb.T @ mb
+    return q.conj().T @ u @ q
 
 
 @pytest.mark.parametrize("shape", [(1,), (777,), (20, 25)])
 def test_batched_bell_transform_is_the_per_gate_product(shape):
     # the goldens' last digits rest on this: the two matrix products over a
-    # whole stack give the bits of (Q^dag u Q)^T (Q^dag u Q) gate by gate
+    # whole stack give the bits of Q^dag u Q gate by gate, and the upper
+    # triangle of m = (Q^dag u Q)^T (Q^dag u Q) formed with the gate axis
+    # last has the same bits for a gate inside a stack as for the gate alone
     rng = np.random.default_rng(61)
     a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, *shape))
     haar = np.array([haar_unitary(rng) for _ in range(a0.size)])
+    rows, cols = _upper_pairs(4)
     for stack in (schmidt_gate(a0, b0, w), schmidt_gate(a0, b0, w, "lambda"),
                   haar.reshape(*shape, 4, 4)):
-        m = _bell_m(stack)
-        assert m.shape == stack.shape
-        flat, gates = m.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)
+        mb = _bell(stack)
+        m = gram_upper(mb, mb)
+        gates = stack.reshape(-1, 4, 4)
+        assert mb.shape == (4, 4, len(gates)) and m.shape == (10, len(gates))
         bad = [k for k, u in enumerate(gates)
-               if not np.array_equal(flat[k], _per_gate_bell_m(u))]
+               if not np.array_equal(mb[..., k], _per_gate_bell(u))]
         assert not bad, f"{len(bad)} of {len(gates)} gates differ"
+        alone = [gram_upper(_bell(u), _bell(u))[:, 0] for u in gates]
+        bad = [k for k, mk in enumerate(alone)
+               if not np.array_equal(m[:, k], mk)]
+        assert not bad, f"{len(bad)} of {len(gates)} gates differ"
+        product = np.array([(v.T @ v)[rows, cols]
+                            for v in map(_per_gate_bell, gates)])
+        assert np.max(np.abs(m.T - product)) < 4e-15
     u = haar_unitary(rng)
-    assert np.array_equal(_bell_m(u), _per_gate_bell_m(u))
+    assert np.array_equal(_bell(u)[..., 0], _per_gate_bell(u))
+
+
+def _oracle_invariants(u):
+    """(G1, G2) of one gate from the eigenvalues lam of its Bell-basis m:
+    G1 = (sum lam)^2 / (16 det U), G2 = ((sum lam)^2 - sum lam^2) / (4 det U),
+    with the basis and the determinant written out here."""
+    s = 1 / np.sqrt(2)
+    q = np.array([[s, 0, 0, 1j * s], [0, 1j * s, s, 0],
+                  [0, 1j * s, -s, 0], [s, 0, 0, -1j * s]])
+    mb = q.conj().T @ u @ q
+    lam = np.linalg.eigvals(mb.T @ mb)
+    det = np.linalg.det(u)
+    return (lam.sum() ** 2 / (16 * det),
+            (lam.sum() ** 2 - (lam ** 2).sum()) / (4 * det))
+
+
+def test_invariants_match_eigenvalue_oracle():
+    rng = np.random.default_rng(62)
+    haar = np.array([haar_unitary(rng) for _ in range(500)])
+    a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, 500))
+    for stack in (haar, schmidt_gate(a0, b0, w),
+                  schmidt_gate(a0, b0, w, "lambda")):
+        inv = makhlin_invariants(stack)
+        oracle = np.array([_oracle_invariants(u) for u in stack])
+        assert np.max(np.abs(inv.g1 - oracle[:, 0])) < 1e-13
+        assert np.max(np.abs(inv.g2 - oracle[:, 1])) < 1e-13
+
+
+def test_empty_stack_has_empty_invariants():
+    inv = makhlin_invariants(np.empty((0, 4, 4)))
+    assert inv.g1.shape == inv.g2.shape == (0,)
+    assert inv.g1.dtype == np.complex128 and inv.g2.dtype == np.float64
+    assert classify(inv).shape == (0,)
+
+
+def test_overflowing_gate_in_stack_is_not_unitary():
+    # the unitarity check answers for a gate whose products overflow; it
+    # does not let the overflow escape as a floating-point exception
+    stack = schmidt_gate(np.linspace(0.1, 3.0, 5), 0.2, 1.3)
+    stack[3] = 1e200
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="not unitary"):
+            makhlin_invariants(stack)
 
 
 def test_stack_with_one_non_unitary_gate_rejected():

@@ -102,6 +102,47 @@ def test_defects_and_requires():
     require_unitary(PAULI_X)
 
 
+def test_defect_of_empty_and_overflowing_stacks():
+    assert unitarity_defect(np.empty((0, 4, 4))) == 0.0
+    assert unitarity_defect(np.empty((0, 3, 3), dtype=complex)) == 0.0
+    require_unitary(np.empty((2, 0, 4, 4)))
+    with np.errstate(all="raise"):
+        assert unitarity_defect(np.full((2, 4, 4), 1e200)) == np.inf
+        big = np.tile(np.eye(3, dtype=complex), (3, 1, 1))
+        big[1, 2, 0] = 1e300
+        assert unitarity_defect(big) == np.inf
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_defect_is_the_largest_entry_of_u_dag_u_minus_one(d):
+    rng = np.random.default_rng(25)
+    u = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    for k in range(7):
+        # a matrix alone, against the full product written out
+        full = u[k].conj().T @ u[k] - np.eye(d)
+        assert abs(unitarity_defect(u[k]) - np.abs(full).max()) < 1e-13
+    whole = max(np.abs(v.conj().T @ v - np.eye(d)).max() for v in u)
+    assert abs(unitarity_defect(u.reshape(7, 1, d, d)) - whole) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 5, 512, 777])
+def test_gram_upper_of_a_stack_is_per_matrix_and_exact(n):
+    # the upper triangle of x^T y, diagonal first, for every matrix; a
+    # matrix alone gives the bits it has in the stack
+    rng = np.random.default_rng(26)
+    x, y = (rng.normal(size=(4, 4, n)) + 1j * rng.normal(size=(4, 4, n))
+            for _ in range(2))
+    g = linalg.gram_upper(x, y)
+    rows, cols = linalg._upper_pairs(4)
+    assert list(rows[:4]) == list(cols[:4]) == [0, 1, 2, 3]
+    assert g.shape == (10, n)
+    for k in range(n):
+        alone = linalg.gram_upper(x[..., k:k + 1], y[..., k:k + 1])
+        assert np.array_equal(g[:, k], alone[:, 0])
+        product = x[..., k].T @ y[..., k]
+        assert np.max(np.abs(g[:, k] - product[rows, cols])) < 1e-14
+
+
 def test_herm_exp_2x2_against_series():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -36,7 +36,7 @@ def test_scenario_output_matches_golden(tmp_path, capsys, scenario):
 
 SUMMARIES = {
     "entangler_map": "sweep-map: 625 rows, max closed-form deviation "
-                     "3.997e-15, checks pass\n",
+                     "3.553e-15, checks pass\n",
     "trotter_errors": "trotter-sweep: 63 rows, max rotation-form residual "
                       "2.770e-16, checks pass\n",
 }
