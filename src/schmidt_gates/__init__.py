@@ -47,6 +47,7 @@ from .invariants import (
 from .dynamics import (
     ConstantPulse,
     HamiltonianSchedule,
+    RotatingPulse,
     SampledPulse,
     composed_tilted_gate,
     dynamical_phase,

@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    RotatingPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -43,8 +44,7 @@ from .invariants import (
     closed_form_invariants,
     makhlin_invariants,
 )
-from .linalg import (ATOL_PIPELINE, gate_fidelity, phase_aligned_distance,
-                     unitarity_defect)
+from .linalg import ATOL_PIPELINE, gate_fidelity, unitarity_defect
 from .sphere import (
     LinearSegment,
     SampledSegment,
@@ -430,7 +430,10 @@ def _pulse_summary(pulse) -> dict:
             "area_dm": float(np.trapezoid(pulse.c_dm, x=t)),
             "area_z": float(np.trapezoid(pulse.c_z, x=t)),
         }
-    return {"kind": "constant", "duration": pulse.duration,
+    # a rotating pulse reports its field at the start; it turns about z at
+    # the rate 2 c_z
+    kind = "rotating" if isinstance(pulse, RotatingPulse) else "constant"
+    return {"kind": kind, "duration": pulse.duration,
             "c_xy": pulse.c_xy, "c_dm": pulse.c_dm, "c_z": pulse.c_z}
 
 
@@ -564,30 +567,33 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
 def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
     thetas = _grid(scenario, "theta")
     n_values = [int(n) for n in scenario["n_values"]]
+    n_array = np.array(n_values)
+    theta_cells = _cells(thetas)
     n_cells = np.array([str(n) for n in n_values], dtype=object)
     blocks = []
     max_resid = 0.0
-    # rows in theta order, each theta's n_values together; one block of
-    # theta at a time, with one trotter_propagate call per n
-    for start in range(0, thetas.size, _SWEEP_BLOCK):
-        theta = thetas[start:start + _SWEEP_BLOCK]
-        exact = tilted_segment_propagator(theta)
+    rows = thetas.size * len(n_values)
+    # the rows in theta order, each theta's n_values together, one block of
+    # rows at a time; the exact gates of the block's theta, then one
+    # trotter_propagate call for all its rows
+    for start in range(0, rows, _SWEEP_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, rows)),
+                         len(n_values))
+        theta = thetas[i[0]:i[-1] + 1]
+        exact = tilted_segment_propagator(theta)[i - i[0]]
         omega, resid = extract_rotation_angle(composed_tilted_gate(theta))
         max_resid = max(max_resid, resid.max())
-        infid, err = np.empty((2, theta.size, len(n_values)))
-        for k, n in enumerate(n_values):
-            approx = trotter_propagate(theta, n)
-            infid[:, k] = np.maximum(0.0, 1.0 - gate_fidelity(exact, approx))
-            err[:, k] = phase_aligned_distance(exact, approx)
-        blocks.append(_render("%s,%s,%.17g,%.17g,%s\n", [
-            np.repeat(_cells(theta), len(n_values)),
-            np.tile(n_cells, theta.size), infid.ravel(), err.ravel(),
-            np.repeat(_cells(omega), len(n_values))]))
+        infid = np.maximum(
+            0.0, 1.0 - gate_fidelity(exact, trotter_propagate(thetas[i],
+                                                              n_array[j])))
+        # the phase-aligned distance, sqrt(2 (1 - fidelity))
+        blocks.append(_render("%s,%s,%.17g,%.17g,%.17g\n", [
+            theta_cells[i], n_cells[j], infid, np.sqrt(2.0 * infid),
+            omega[i - i[0]]]))
     return _table_result(
         "trotter-sweep",
         ["theta", "n", "infidelity", "trotter_error", "omega_empirical"],
-        blocks, thetas.size * len(n_values), "rotation-form residual",
-        max_resid, tol)
+        blocks, rows, "rotation-form residual", max_resid, tol)
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,23 @@ which the sphere point precesses (r' = B x r). The gamma-sector triple
 annihilates |00>, |11>; the lambda-sector triple is its analog on
 span{|00>, |11>}.
 
+A segment whose alpha or beta is constant has a constant field. On a
+coordinate spiral (alpha and beta both linear in t, both rates nonzero)
+the field turns about z with beta, H(t) = R(beta' t) H(0) R(beta' t)^dag
+for R(phi) = exp(-i phi Z / 2), so in the frame that turns with it the
+field is constant (the rotating-frame reduction of Rabi, Ramsey and
+Schwinger, Rev. Mod. Phys. 26, 167 (1954)) and the propagator is the
+product of two exponentials, exp(-i T c_z Z) exp(-i T (c_xy X + c_dm Y))
+with (c_xy, c_dm) the field at the start. Only tilted rotation arcs and
+sampled segments are stepped, by the midpoint rule on samples.
+
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse. propagate is the one road from a schedule to a gate; a stack of
-theta gives pulses with stacked coefficients, which it propagates as one
-batch, so trotter-sweep computes a block of table rows per call.
+pulse, its power in closed form. propagate is the one road from a schedule
+to a gate; a stack of theta gives pulses with stacked coefficients, which
+it propagates as one batch, so trotter-sweep computes a block of table
+rows per call.
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import u_general
-from .linalg import _PAIRS, embed, su2_exp, su2_product
-from .sphere import SchmidtPath, equator_arc, meridian_arc
+from .linalg import _PAIRS, embed, su2_block, su2_exp, su2_product
+from .sphere import LinearSegment, SchmidtPath, equator_arc, meridian_arc
 
 H_XY = np.zeros((4, 4), dtype=np.complex128)
 H_XY[1, 2] = H_XY[2, 1] = 1.0
@@ -66,6 +77,26 @@ class ConstantPulse:
         """One exact step (c_xy, c_dm, c_z, dt), of shape (4, *batch, 1)."""
         return np.stack(np.broadcast_arrays(self.c_xy, self.c_dm, self.c_z,
                                             self.duration))[..., None]
+
+
+@dataclass(frozen=True)
+class RotatingPulse:
+    """Pulse whose field starts at (c_xy, c_dm, c_z) and turns about z at
+    the rate 2 c_z, H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i c_z t Z):
+    the field of a coordinate spiral."""
+
+    duration: float
+    c_xy: float
+    c_dm: float
+    c_z: float
+
+    __post_init__ = ConstantPulse.__post_init__
+
+    def steps(self) -> np.ndarray:
+        """Two exact steps, (c_xy, c_dm, 0, T) and then (0, 0, c_z, T): the
+        constant field of the co-rotating frame, then the frame's turn."""
+        return np.array([[self.c_xy, 0.0], [self.c_dm, 0.0],
+                         [0.0, self.c_z], [self.duration, self.duration]])
 
 
 @dataclass(frozen=True)
@@ -120,20 +151,22 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg, samples: int) -> ConstantPulse | SampledPulse:
+def _segment_pulse(seg, samples: int
+                   ) -> ConstantPulse | RotatingPulse | SampledPulse:
     """The field that drives one segment, from its chart rates."""
-    t, _, beta, da, db = seg.chart(samples)
-    if np.ndim(da) == 0 and (da == 0.0 or db == 0.0):
-        # A coordinate-aligned arc has a constant field, read at the exact
-        # start beta; the terms of the vanishing rate are exact zeros.
-        c_xy, c_dm, c_z = _field(da, db, seg.start_coords().beta)
+    if isinstance(seg, LinearSegment):
+        # The field read at the exact start beta: constant on a coordinate-
+        # aligned arc, where the terms of the vanishing rate are exact
+        # zeros, and turning with beta on a spiral.
+        da, db = seg.alpha_rate, seg.beta_rate
+        c_xy, c_dm, c_z = _field(da, db, seg.beta_start)
         if da == 0.0:
-            c_xy = c_dm = 0.0
-        else:
-            c_z = 0.0
-        return ConstantPulse(seg.duration, c_xy, c_dm, c_z)
-    c_xy, c_dm, c_z = _field(da, db, beta)
-    return SampledPulse(t, c_xy, c_dm, np.broadcast_to(c_z, t.shape))
+            return ConstantPulse(seg.duration, 0.0, 0.0, c_z)
+        if db == 0.0:
+            return ConstantPulse(seg.duration, c_xy, c_dm, 0.0)
+        return RotatingPulse(seg.duration, c_xy, c_dm, c_z)
+    t, _, beta, da, db = seg.chart(samples)
+    return SampledPulse(t, *_field(da, db, beta))
 
 
 def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
@@ -143,12 +176,13 @@ def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
 
     Coordinate-aligned segments (constant alpha or constant beta, rotation
     arcs about the z axis among them) have exact constant chart rates and
-    become constant pulses. Spirals and tilted rotation arcs are sampled
-    here, and only here, at `samples_per_segment` points with exact rates (an
-    arc refuses a step not below pi times its clearance). Sampled segments
-    keep their own samples, with rates by np.gradient (one-sided second
-    order at the endpoints). Doubling the sampling should leave the
-    propagator unchanged at the 1e-8 level; increase it until it does.
+    become constant pulses; coordinate spirals become rotating pulses, also
+    exact. Tilted rotation arcs are sampled here, and only here, at
+    `samples_per_segment` points with exact rates (an arc refuses a step
+    not below pi times its clearance). Sampled segments keep their own
+    samples, with rates by np.gradient (one-sided second order at the
+    endpoints). Doubling the sampling should leave the propagator unchanged
+    at the 1e-8 level; increase it until it does.
     """
     pulses = [_segment_pulse(seg, samples_per_segment)
               for seg in path.segments]
@@ -237,21 +271,38 @@ def composed_tilted_gate(theta) -> np.ndarray:
     return propagate(tilted_schedule(theta, 1.0, 2.0))
 
 
-def trotter_propagate(theta, n: int) -> np.ndarray:
+def trotter_propagate(theta, n) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
-    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z): the
-    propagator of the two-pulse schedule (z, then xy), raised to the n-th
-    power by binary powering; n must be a positive integer. A stack of
-    theta gives a (..., 4, 4) stack, from one call of each.
+    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
+
+    The step S, the propagator of the two-pulse schedule (z, then xy), is a
+    rotation cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its
+    n-th power is cos(n phi) I - i sin(n phi) (m.sigma), in closed form for
+    any n. n is a positive integer or an integer array (Python integers
+    beyond int64 too) that broadcasts against theta; the result is a
+    (*broadcast shape, 4, 4) stack.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    n = np.asarray(n)
+    integer = n.dtype.kind in "iu" or (
+        n.dtype == object and all(type(k) is int for k in n.flat))
+    if not (integer and np.all(n >= 1)):
         raise ValueError("step count n must be a positive integer")
-    k = np.pi / (2.0 * n)
+    n = n.astype(float)
+    # pi / (2 n), without forming 2 n, which overflows for n near the
+    # largest double
+    k = 0.5 * np.pi / n
     step = propagate(HamiltonianSchedule((
         ConstantPulse(1.0, 0.0, 0.0, k * np.sin(theta)),
         ConstantPulse(1.0, -k * np.cos(theta), 0.0, 0.0),
     )))
-    return np.linalg.matrix_power(step, n)
+    a, b = step[..., 1, 1], step[..., 2, 1]
+    # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
+    # turns by at most pi/2
+    phi = np.arctan2(np.hypot(a.imag, np.hypot(b.real, b.imag)), a.real)
+    # sin(n phi) / sin(phi), with its limit n at phi = 0
+    ratio = n * np.sinc(n * phi / np.pi) / np.sinc(phi / np.pi)
+    return embed(su2_block(np.cos(n * phi) + 1j * (ratio * a.imag),
+                           ratio * b), "gamma")
 
 
 def extract_rotation_angle(u: np.ndarray):

@@ -396,6 +396,50 @@ def test_trotter_sweep_blocks_match_one_row_at_a_time(tmp_path, capsys,
                    f"residual {worst:.3e}, checks pass\n")
 
 
+def test_trotter_sweep_blocks_split_long_n_values(tmp_path, capsys,
+                                                 monkeypatch):
+    # more n_values than a block holds rows: blocks end inside a theta's
+    # rows, each block's working stack stays within _SWEEP_BLOCK rows, and
+    # the table is the one the rows give one at a time; n beyond int64 runs
+    from schmidt_gates import cli
+    from schmidt_gates.dynamics import (
+        composed_tilted_gate,
+        extract_rotation_angle,
+        tilted_segment_propagator,
+        trotter_propagate,
+    )
+    from schmidt_gates.linalg import gate_fidelity, phase_aligned_distance
+    thetas = [0.0, 0.4, -1.3]
+    n_values = [*range(1, 300), 2 ** 70]
+    assert 1 < 3 * len(n_values) / cli._SWEEP_BLOCK < 2
+    sizes = []
+
+    def recording(theta, n):
+        sizes.append(np.shape(n))
+        return trotter_propagate(theta, n)
+
+    monkeypatch.setattr(cli, "trotter_propagate", recording)
+    out = tmp_path / "trot.csv"
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "trotter-sweep", "theta": thetas,
+        "n_values": n_values, "out": str(out)})
+    code, _, err = run_main(["trotter-sweep", scn], capsys)
+    assert code == 0, err
+    assert sizes == [(cli._SWEEP_BLOCK,), (3 * 300 - cli._SWEEP_BLOCK,)]
+    lines = ["theta,n,infidelity,trotter_error,omega_empirical"]
+    for th in thetas:
+        exact = tilted_segment_propagator(th)
+        omega, _ = extract_rotation_angle(composed_tilted_gate(th))
+        for n in n_values:
+            approx = trotter_propagate(th, n)
+            infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
+            lines.append(",".join([
+                format(th, ".17g"), str(n),
+                *(format(float(x), ".17g") for x in (
+                    infid, phase_aligned_distance(exact, approx), omega))]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                                1.7976931348623157e308, -1.7976931348623157e308,
                                1e16, 0.1, 1 / 3, np.pi])
@@ -687,8 +731,10 @@ def test_sampled_segment_needs_three_samples(tmp_path, capsys):
 
 def test_two_sample_tilted_arc_runs(tmp_path, capsys):
     # a tilted arc has exact rates at any sampling its clearance allows,
-    # so two samples run, as they do for a coordinate spiral
-    for segment in (_rotation([0.3, 0.0, 1.0]), _linear(0.3, 0.5, 1.0)):
+    # so two samples run; a coordinate spiral is not sampled at all, but
+    # runs as one rotating pulse at any sampling
+    for segment, kind in ((_rotation([0.3, 0.0, 1.0]), "sampled"),
+                          (_linear(0.3, 0.5, 1.0), "rotating")):
         scn = write_scenario(tmp_path, {
             "schema_version": 1, "command": "simulate", "loop": False,
             "samples_per_segment": 2, "path": {"segments": [segment]},
@@ -697,7 +743,15 @@ def test_two_sample_tilted_arc_runs(tmp_path, capsys):
         code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
         assert code == 0, err
         (pulse,) = json.loads(out.read_text())["schedule"]
-        assert pulse["kind"] == "sampled" and pulse["samples"] == 2
+        assert pulse["kind"] == kind
+        if kind == "sampled":
+            assert pulse["samples"] == 2
+        else:
+            # the field at the start: (-alpha' sin 0, alpha' cos 0) / 2
+            assert list(pulse) == ["kind", "duration", "c_xy", "c_dm", "c_z"]
+            assert (pulse["c_xy"], pulse["c_dm"], pulse["c_z"]) == (
+                pytest.approx(0.0, abs=1e-15), pytest.approx(0.1),
+                pytest.approx(0.5))
 
 
 def test_loop_mode_with_path_declared_open_rejected(tmp_path, capsys):
@@ -853,8 +907,9 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
 
 
 @pytest.mark.parametrize("command, fields", [
+    # a tilted arc is the segment kind that reverse_engineer samples
     ("simulate", {"loop": False, "samples_per_segment": 10**17,
-                  "path": {"segments": [_linear(0.3, 0.6, 1.0)]}}),
+                  "path": {"segments": [_rotation([0.3, 0.0, 1.0])]}}),
     ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 10**17},
                    "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
 ], ids=["simulate-samples-1e17", "sweep-map-count-1e17"])

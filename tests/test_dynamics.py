@@ -10,6 +10,7 @@ from schmidt_gates.dynamics import (
     L_Z,
     ConstantPulse,
     HamiltonianSchedule,
+    RotatingPulse,
     SampledPulse,
     composed_tilted_gate,
     dynamical_phase,
@@ -60,6 +61,8 @@ def test_sector_operators_commute_across_sectors():
 def test_pulse_and_schedule_validation():
     with pytest.raises(ValueError):
         ConstantPulse(0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        RotatingPulse(-1.0, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         SampledPulse(np.array([0.0]), np.array([1.0]), np.array([1.0]),
                      np.array([1.0]))
@@ -120,16 +123,28 @@ def test_reverse_engineer_constant_pulse_coefficients():
                        atol=TOL)
 
 
+def _rotating_field(p, t):
+    """(c_xy, c_dm, c_z) of a rotating pulse at times t: its start field,
+    turned about z by 2 c_z t."""
+    phi = 2.0 * p.c_z * t
+    cos, sin = np.cos(phi), np.sin(phi)
+    return (p.c_xy * cos - p.c_dm * sin, p.c_xy * sin + p.c_dm * cos,
+            np.broadcast_to(p.c_z, np.shape(t)))
+
+
 def test_reverse_engineer_sampled_coefficients():
+    # a coordinate spiral: the rotating pulse's field at the sample times
+    # is the paper's field at the chart's points
     seg = LinearSegment(0.3, 0.0, 1.2, 3.0, 1.0)
     sched = reverse_engineer(SchmidtPath((seg,)), samples_per_segment=501)
     (p,) = sched.pulses
-    assert isinstance(p, SampledPulse)
+    assert isinstance(p, RotatingPulse)
+    assert p.duration == seg.duration
     t, _, beta = seg.sample(501)
-    assert np.allclose(p.times, t, atol=TOL)
-    assert np.allclose(p.c_xy, -0.5 * seg.alpha_rate * np.sin(beta), atol=TOL)
-    assert np.allclose(p.c_dm, +0.5 * seg.alpha_rate * np.cos(beta), atol=TOL)
-    assert np.allclose(p.c_z, 0.5 * seg.beta_rate, atol=TOL)
+    c_xy, c_dm, c_z = _rotating_field(p, t)
+    assert np.allclose(c_xy, -0.5 * seg.alpha_rate * np.sin(beta), atol=TOL)
+    assert np.allclose(c_dm, +0.5 * seg.alpha_rate * np.cos(beta), atol=TOL)
+    assert np.allclose(c_z, 0.5 * seg.beta_rate, atol=TOL)
 
 
 def test_effective_field_precesses_sphere_point():
@@ -148,7 +163,8 @@ def test_effective_field_precesses_sphere_point():
             field = np.broadcast_to(
                 2 * np.array([p.c_xy, p.c_dm, p.c_z]), r.shape)
         else:
-            field = 2 * np.stack([p.c_xy, p.c_dm, p.c_z], axis=1)
+            assert isinstance(p, RotatingPulse)
+            field = 2 * np.stack(_rotating_field(p, t), axis=1)
         assert np.max(np.abs(dr - np.cross(field, r))) < 1e-5
 
 
@@ -263,11 +279,77 @@ def test_propagate_drags_sampled_segment():
 
 
 def test_propagate_sampled_convergence_under_doubling():
-    seg = LinearSegment(0.3, 0.0, 1.2, 3.0, 1.0)
+    # a tilted arc, the segment kind that reverse_engineer samples
+    seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
     path = SchmidtPath((seg,))
     u1 = propagate(reverse_engineer(path, samples_per_segment=10000))
     u2 = propagate(reverse_engineer(path, samples_per_segment=20000))
     assert np.max(np.abs(u1 - u2)) < 1e-8
+
+
+def _transport(seg, sector):
+    """Exact propagator of the reverse-engineered schedule of one segment:
+    each branch state of the sector is carried from the segment's start to
+    its end, sum over +- of |psi(end)><psi(start)|, and the idle pair is
+    untouched."""
+    a0, b0 = seg.alpha_start, seg.beta_start
+    a1, b1 = seg.alpha_end, seg.beta_end
+    u = np.zeros((4, 4), dtype=complex)
+    for sign in "+-":
+        u += np.outer(assemble_state(a1, b1, sector + sign),
+                      assemble_state(a0, b0, sector + sign).conj())
+    for k in ((0, 3) if sector == "gamma" else (1, 2)):
+        u[k, k] = 1.0
+    return u
+
+
+def _random_spiral(rng, beta_span):
+    """A coordinate spiral, both rates nonzero; about a third of them run
+    alpha through 0."""
+    if rng.integers(3) == 0:
+        a0, a1 = -rng.uniform(0.1, 2.5), rng.uniform(0.1, 2.5)
+    else:
+        a0, a1 = rng.uniform(-3.0, 3.0, 2)
+    b0 = rng.uniform(-np.pi, np.pi)
+    b1 = b0 + rng.choice([-1, 1]) * rng.uniform(0.5, beta_span)
+    if rng.integers(2):
+        a0, a1 = a1, a0
+    return LinearSegment(a0, b0, a1, b1, rng.uniform(0.3, 3.0))
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_spiral_propagator_is_transport(sector):
+    # the two-step rotating-frame form against the transport propagator,
+    # which shares no code with it, on spirals of up to ~13 turns
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        seg = _random_spiral(rng, 80.0)
+        sched = reverse_engineer(SchmidtPath((seg,)), sector=sector)
+        (p,) = sched.pulses
+        assert isinstance(p, RotatingPulse)
+        u = propagate(sched)
+        assert np.max(np.abs(u - _transport(seg, sector))) < 1e-13
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_spiral_propagator_is_limit_of_time_stepping(sector):
+    # the paper's field sampled from the chart and stepped by the midpoint
+    # rule converges to the closed form at second order: its distance falls
+    # by ~4 per doubling of the sampling
+    rng = np.random.default_rng(72)
+    for _ in range(6):
+        seg = _random_spiral(rng, 8.0)
+        exact = propagate(reverse_engineer(SchmidtPath((seg,)), sector=sector))
+        errors = []
+        for n in (200, 400):
+            t, _, beta, da, db = seg.chart(n)
+            sampled = SampledPulse(t, -0.5 * da * np.sin(beta),
+                                   0.5 * da * np.cos(beta),
+                                   np.full(n, 0.5 * db))
+            u = propagate(HamiltonianSchedule((sampled,), sector=sector))
+            errors.append(np.max(np.abs(u - exact)))
+        assert errors[1] > 1e-11
+        assert 3.5 < errors[0] / errors[1] < 4.5
 
 
 def test_closed_loop_propagator_is_geometric_gate():
@@ -324,7 +406,7 @@ def test_orange_slice_lambda_sector():
 
 
 def test_sampled_lambda_loop_is_lambda_gate():
-    # a coordinate spiral (sampled pulse) closed by a meridian (constant
+    # a coordinate spiral (rotating pulse) closed by a meridian (constant
     # pulse) in the lambda sector; the idle gamma pair is untouched exactly
     a0, b0, a1 = 0.6, 0.3, 1.4
     loop = SchmidtPath((
@@ -332,12 +414,12 @@ def test_sampled_lambda_loop_is_lambda_gate():
         LinearSegment(a1, b0 + 2 * np.pi, a0, b0 + 2 * np.pi, 0.7),
     ), closed=True)
     sched = reverse_engineer(loop, sector="lambda", samples_per_segment=4000)
-    assert isinstance(sched.pulses[0], SampledPulse)
+    assert isinstance(sched.pulses[0], RotatingPulse)
     u = propagate(sched)
     phi_plus, _ = dynamical_phase(loop)
     target = schmidt_gate(a0, b0, solid_angle(loop) - 2 * phi_plus,
                           sector="lambda")
-    assert np.max(np.abs(u - target)) < TOL_SAMPLED
+    assert np.max(np.abs(u - target)) < TOL
     gamma, lam = [1, 2], [0, 3]
     assert np.array_equal(u[np.ix_(gamma, gamma)], np.eye(2))
     assert np.array_equal(u[np.ix_(gamma, lam)], np.zeros((2, 2)))
@@ -427,6 +509,29 @@ def test_trotter_plan_validation():
     trotter_propagate(0.3, np.int64(4))
 
 
+def test_trotter_step_counts_broadcast_against_theta():
+    # an integer array of n broadcasts against theta, each element the
+    # same arithmetic as its own call; n beyond int64 is a Python integer
+    thetas = np.array([[0.0], [0.3], [-2.1], [np.pi / 2]])
+    n = np.array([1, 2, 7, 4096, 2 ** 62])
+    u = trotter_propagate(thetas, n)
+    assert u.shape == (4, 5, 4, 4)
+    for i, theta in enumerate(thetas[:, 0]):
+        for j, k in enumerate(n):
+            assert np.array_equal(u[i, j], trotter_propagate(theta, int(k)))
+    huge = trotter_propagate(thetas[:, 0], 2 ** 70)
+    assert np.array_equal(huge, trotter_propagate(thetas[:, 0],
+                                                  [2 ** 70] * 4))
+    # the splitting error is O(1/n), far below rounding, up to the largest
+    # n a double holds
+    exact = tilted_segment_propagator(thetas[:, 0])
+    for u in (huge, trotter_propagate(thetas[:, 0], 10 ** 308)):
+        assert np.max(np.abs(u - exact)) < 1e-15
+    for bad in (np.array([3, 0]), [2.0], True, [2 ** 70, 1.5]):
+        with pytest.raises(ValueError):
+            trotter_propagate(0.3, bad)
+
+
 def test_trotter_exact_at_axis_aligned_angles():
     for theta in (0.0, np.pi / 2):
         exact = tilted_segment_propagator(theta)
@@ -483,8 +588,10 @@ def test_trotter_powers_match_closed_form():
     # rule, cos(phi) = cos(k c) cos(k s) and sin(phi) n =
     # (-sin(k c) cos(k s), sin(k c) sin(k s), cos(k c) sin(k s)); so S^n
     # is cos(n phi) I - i sin(n phi) (n.sigma), embedded on |01>, |10>.
+    # trotter_propagate powers the step in closed form too, so the two
+    # agree to rounding at any n (binary powering drifted by ~n eps).
     thetas = np.linspace(-np.pi, np.pi, 41)
-    for n in (1, 2, 3, 16, 255, 1024, 4096):
+    for n in (1, 2, 3, 16, 255, 1024, 4096, 65536):
         k = np.pi / (2.0 * n)
         kc, ks = k * np.cos(thetas), k * np.sin(thetas)
         v = np.stack([-np.sin(kc) * np.cos(ks), np.sin(kc) * np.sin(ks),
@@ -500,4 +607,4 @@ def test_trotter_powers_match_closed_form():
         closed[:, 1, 2] = -1j * s * (x - 1j * y)
         closed[:, 2, 1] = -1j * s * (x + 1j * y)
         closed[:, 2, 2] = c + 1j * s * z
-        assert np.max(np.abs(trotter_propagate(thetas, n) - closed)) < 1e-11
+        assert np.max(np.abs(trotter_propagate(thetas, n) - closed)) < 1e-14
