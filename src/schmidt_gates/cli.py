@@ -430,8 +430,8 @@ def _pulse_summary(pulse) -> dict:
             "area_dm": float(np.trapezoid(pulse.c_dm, x=t)),
             "area_z": float(np.trapezoid(pulse.c_z, x=t)),
         }
-    # a rotating pulse reports its field at the start; it turns about z at
-    # the rate 2 c_z
+    # a rotating pulse reports its field at the start (a spiral's turns
+    # about z at the rate 2 c_z)
     kind = "rotating" if isinstance(pulse, RotatingPulse) else "constant"
     return {"kind": kind, "duration": pulse.duration,
             "c_xy": pulse.c_xy, "c_dm": pulse.c_dm, "c_z": pulse.c_z}
@@ -461,15 +461,13 @@ def _assess(u: np.ndarray, tol: float, closed=None, general=False, **atol):
 def run_simulate(scenario: dict, tol: float) -> _Result:
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
-    samples = int(scenario.get("samples_per_segment", 1000))
     path = _build_path(scenario["path"], loop)
     if loop and not path.closed:
         raise ScenarioError("simulate in loop mode requires a closed path "
                             "(endpoints differ on the sphere)")
     try:
         omega = solid_angle(path) if path.closed else None
-        schedule = reverse_engineer(path, sector=sector,
-                                    samples_per_segment=samples)
+        schedule = reverse_engineer(path, sector=sector)
         phi_plus, phi_minus = dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc

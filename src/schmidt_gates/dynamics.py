@@ -11,15 +11,26 @@ which the sphere point precesses (r' = B x r). The gamma-sector triple
 annihilates |00>, |11>; the lambda-sector triple is its analog on
 span{|00>, |11>}.
 
-A segment whose alpha or beta is constant has a constant field. On a
-coordinate spiral (alpha and beta both linear in t, both rates nonzero)
-the field turns about z with beta, H(t) = R(beta' t) H(0) R(beta' t)^dag
-for R(phi) = exp(-i phi Z / 2), so in the frame that turns with it the
-field is constant (the rotating-frame reduction of Rabi, Ramsey and
-Schwinger, Rev. Mod. Phys. 26, 167 (1954)) and the propagator is the
-product of two exponentials, exp(-i T c_z Z) exp(-i T (c_xy X + c_dm Y))
-with (c_xy, c_dm) the field at the start. Only tilted rotation arcs and
-sampled segments are stepped, by the midpoint rule on samples.
+A segment whose alpha or beta is constant has a constant field. The other
+analytic segments are exact in a turning frame (the rotating-frame
+reduction of Rabi, Ramsey and Schwinger, Rev. Mod. Phys. 26, 167 (1954)),
+so their propagator is the product of two exponentials:
+
+* on a coordinate spiral (alpha and beta both linear in t, both rates
+  nonzero) the field turns about z with beta, H(t) = R(beta' t) H(0)
+  R(beta' t)^dag for R(phi) = exp(-i phi Z / 2); in the frame that turns
+  with it the field is constant, and the propagator is
+  exp(-i T c_z Z) exp(-i T (c_xy X + c_dm Y)) with (c_xy, c_dm) the field
+  at the start;
+* on a rotation arc about a tilted unit axis k, r' = w k x r with
+  w = angle / T, so B = w k + lam(t) r with lam = beta' cos(alpha) - w k.r0;
+  in the frame turning about k with the arc, r stays at r0 and the field
+  lam(t) r0 keeps its direction, so the propagator is
+  exp(-i (angle / 2) k.sigma) exp(-i (Lam / 2) r0.sigma) with
+  Lam = integral of cos(alpha) d beta - (k.r0) angle.
+
+Only sampled segments are stepped, by the midpoint rule on their own
+samples.
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
@@ -38,7 +49,14 @@ import numpy as np
 
 from .gates import u_general
 from .linalg import _PAIRS, embed, su2_block, su2_exp, su2_product
-from .sphere import LinearSegment, SchmidtPath, equator_arc, meridian_arc
+from .sphere import (
+    ArcSegment,
+    LinearSegment,
+    SchmidtPath,
+    equator_arc,
+    meridian_arc,
+    sphere_point,
+)
 
 H_XY = np.zeros((4, 4), dtype=np.complex128)
 H_XY[1, 2] = H_XY[2, 1] = 1.0
@@ -81,22 +99,33 @@ class ConstantPulse:
 
 @dataclass(frozen=True)
 class RotatingPulse:
-    """Pulse whose field starts at (c_xy, c_dm, c_z) and turns about z at
-    the rate 2 c_z, H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i c_z t Z):
-    the field of a coordinate spiral."""
+    """Pulse whose field starts at (c_xy, c_dm, c_z) and, seen from a frame
+    turning as exp(-i t turn.sigma), keeps one direction, so that there it
+    acts as the field `frame` held for the whole pulse (its mean). The
+    default frame turns about z at the rate 2 c_z and holds the field
+    constant, H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i c_z t Z): the
+    field of a coordinate spiral, frame (c_xy, c_dm, 0), turn (0, 0, c_z)."""
 
     duration: float
     c_xy: float
     c_dm: float
     c_z: float
+    frame: tuple = None
+    turn: tuple = None
 
-    __post_init__ = ConstantPulse.__post_init__
+    def __post_init__(self):
+        ConstantPulse.__post_init__(self)
+        if (self.frame is None) != (self.turn is None):
+            raise ValueError("a pulse's frame field and turn go together")
+        if self.turn is None:
+            object.__setattr__(self, "frame", (self.c_xy, self.c_dm, 0.0))
+            object.__setattr__(self, "turn", (0.0, 0.0, self.c_z))
 
     def steps(self) -> np.ndarray:
-        """Two exact steps, (c_xy, c_dm, 0, T) and then (0, 0, c_z, T): the
-        constant field of the co-rotating frame, then the frame's turn."""
-        return np.array([[self.c_xy, 0.0], [self.c_dm, 0.0],
-                         [0.0, self.c_z], [self.duration, self.duration]])
+        """Two exact steps, (*frame, T) and then (*turn, T): the field in
+        the turning frame, then the frame's turn."""
+        return np.array([*zip(self.frame, self.turn),
+                         (self.duration, self.duration)])
 
 
 @dataclass(frozen=True)
@@ -151,9 +180,9 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg, samples: int
-                   ) -> ConstantPulse | RotatingPulse | SampledPulse:
-    """The field that drives one segment, from its chart rates."""
+def _segment_pulse(seg) -> ConstantPulse | RotatingPulse | SampledPulse:
+    """The pulse that drives one segment, from its exact rates (a sampled
+    segment's from its own samples)."""
     if isinstance(seg, LinearSegment):
         # The field read at the exact start beta: constant on a coordinate-
         # aligned arc, where the terms of the vanishing rate are exact
@@ -165,27 +194,37 @@ def _segment_pulse(seg, samples: int
         if db == 0.0:
             return ConstantPulse(seg.duration, c_xy, c_dm, 0.0)
         return RotatingPulse(seg.duration, c_xy, c_dm, c_z)
-    t, _, beta, da, db = seg.chart(samples)
+    if isinstance(seg, ArcSegment):
+        # B = w k + lam(t) r: the frame turns with the arc, w k / 2, and
+        # holds r at r0, where the field integrates to Lam r0 / 2 over T
+        r0 = sphere_point(seg.alpha_start, seg.beta_start)
+        k = np.array(seg.axis)
+        lam = seg._beta_integrals()[1] - (k @ r0) * seg.angle
+        half = 0.5 / seg.duration
+        start = _field(*seg._rates(*r0, np.hypot(r0[0], r0[1])),
+                       seg.beta_start)
+        return RotatingPulse(seg.duration, *start,
+                             frame=tuple(half * lam * r0),
+                             turn=tuple(half * seg.angle * k))
+    t, _, beta, da, db = seg.chart(seg.alpha.size)
     return SampledPulse(t, *_field(da, db, beta))
 
 
-def reverse_engineer(path: SchmidtPath, sector: str = "gamma",
-                     samples_per_segment: int = 1000) -> HamiltonianSchedule:
+def reverse_engineer(path: SchmidtPath,
+                     sector: str = "gamma") -> HamiltonianSchedule:
     """Hamiltonian schedule whose evolution drags the Schmidt vectors along
     the path with no extra phase.
 
     Coordinate-aligned segments (constant alpha or constant beta, rotation
     arcs about the z axis among them) have exact constant chart rates and
-    become constant pulses; coordinate spirals become rotating pulses, also
-    exact. Tilted rotation arcs are sampled here, and only here, at
-    `samples_per_segment` points with exact rates (an arc refuses a step
-    not below pi times its clearance). Sampled segments keep their own
-    samples, with rates by np.gradient (one-sided second order at the
-    endpoints). Doubling the sampling should leave the propagator unchanged
-    at the 1e-8 level; increase it until it does.
+    become constant pulses. Coordinate spirals and rotation arcs about a
+    tilted axis become rotating pulses, exact in the frame that turns with
+    them; an arc's integral of cos(alpha) d beta is its closed form. Only
+    sampled segments are sampled, on their own samples, with rates by
+    np.gradient (one-sided second order at the endpoints); refining their
+    samples should leave the propagator unchanged at the 1e-8 level.
     """
-    pulses = [_segment_pulse(seg, samples_per_segment)
-              for seg in path.segments]
+    pulses = [_segment_pulse(seg) for seg in path.segments]
     return HamiltonianSchedule(tuple(pulses), sector=sector)
 
 

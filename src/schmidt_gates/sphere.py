@@ -401,14 +401,19 @@ class ArcSegment:
             raise ValueError(f"rotation segment comes within "
                              f"{self.clearance:.3e} of a pole, too close to "
                              f"lift at {n} samples")
-        alpha, beta, rho, (x, y, z) = self._lift(
-            np.linspace(0.0, self.angle, n))
+        alpha, beta, rho, point = self._lift(np.linspace(0.0, self.angle, n))
+        return (np.linspace(0.0, self.duration, n), alpha, beta,
+                *self._rates(*point, rho))
+
+    def _rates(self, x, y, z, rho):
+        """(alpha', beta') at the arc's points (x, y, z), rho = hypot(x, y):
+        the exact rates of r' = (angle / duration) k x r in the arc's chart
+        copy."""
         (kx, ky, kz), rate = self.axis, self.angle / self.duration
         # alpha' = -z' / sin(alpha) (on the principal copy) and
-        # beta' = (x y' - y x') / rho^2 for r' = rate k x r
-        da = -np.sign(self.alpha_start) * rate * (kx * y - ky * x) / rho
-        db = rate * (kz - z * (kx * x + ky * y) / rho ** 2)
-        return np.linspace(0.0, self.duration, n), alpha, beta, da, db
+        # beta' = (x y' - y x') / rho^2
+        return (-np.sign(self.alpha_start) * rate * (kx * y - ky * x) / rho,
+                rate * (kz - z * (kx * x + ky * y) / rho ** 2))
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(*self._closed[:2], self.axis, -self.angle,

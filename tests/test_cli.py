@@ -652,9 +652,28 @@ def test_non_finite_number_rejected(tmp_path, capsys, command, text, field):
     assert err.startswith(f"error: scenario field '{field}': ")
 
 
-def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
+def _transport(a0, b0, a1, b1, sector="gamma"):
+    """Exact propagator that carries each branch state of the sector from
+    (a0, b0) to (a1, b1), sum over +- of |psi(end)><psi(start)|, with the
+    idle pair untouched."""
+    u = np.zeros((4, 4), dtype=complex)
+    for sign in "+-":
+        u += np.outer(schmidt_gates.assemble_state(a1, b1, sector + sign),
+                      schmidt_gates.assemble_state(a0, b0, sector + sign).conj())
+    for k in ((0, 3) if sector == "gamma" else (1, 2)):
+        u[k, k] = 1.0
+    return u
+
+
+def _report_propagator(report):
+    return np.array([[complex(re, im) for re, im in row]
+                     for row in report["propagator"]])
+
+
+def test_two_sample_rotation_arc_matches_transport(tmp_path, capsys):
     # a step of 1.3 rad is not below pi times this arc's clearance, so two
-    # samples cannot lift it: the chart's step rule gives a diagnostic
+    # samples could not lift it; the arc is not sampled, and its propagator
+    # is the transport one, with the end point from an np.unwrap lift
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "samples_per_segment": 2,
@@ -662,10 +681,45 @@ def test_unresolvable_rotation_arc_rejected(tmp_path, capsys):
             "kind": "rotation", "alpha_start": 1.0, "beta_start": 0.2,
             "axis": [0.3, -0.5, 0.8], "angle": 1.3, "duration": 1.0}]},
     })
-    code, out, err = run_main(["simulate", scn], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: invalid path: rotation segment comes within ")
-    assert err.endswith(" of a pole, too close to lift at 2 samples\n")
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    k = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    r0 = schmidt_gates.sphere_point(1.0, 0.2)
+    phi = np.linspace(0.0, 1.3, 2001)[:, None]
+    r = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
+         + (1 - np.cos(phi)) * np.dot(k, r0) * k)
+    beta = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
+    expect = _transport(1.0, 0.2, np.arctan2(np.hypot(*r[-1, :2]), r[-1, 2]),
+                        beta[-1] + 0.2 - beta[0])
+    u = _report_propagator(json.loads(out.read_text()))
+    assert np.max(np.abs(u - expect)) < 1e-13
+
+
+def test_great_circle_is_its_holonomy_at_any_sampling(tmp_path, capsys):
+    # a full great circle about a tilted axis encloses Omega = 2 pi with no
+    # dynamical phase; its report does not depend on samples_per_segment,
+    # and its propagator is the Omega = 2 pi gate to rounding
+    reports = []
+    for samples in (100, 1000):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": True,
+            "samples_per_segment": samples,
+            "path": {"segments": [{
+                "kind": "rotation", "alpha_start": np.pi / 2,
+                "beta_start": np.pi / 2, "axis": [0.6, 0.0, 0.8],
+                "angle": 2 * np.pi, "duration": 1.0}], "closed": True},
+        })
+        out = tmp_path / f"{samples}.json"
+        code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    u = _report_propagator(json.loads(reports[0]))
+    v = schmidt_gates.schmidt_gate(np.pi / 2, np.pi / 2, 2 * np.pi)
+    # min over phi of ||u - exp(i phi) v||_F / 2, formed directly
+    overlap = np.trace(v.conj().T @ u)
+    assert np.linalg.norm(u - overlap / abs(overlap) * v) / 2 <= 1e-14
 
 
 @pytest.mark.parametrize("alpha_start, angle, samples", [
@@ -730,11 +784,17 @@ def test_sampled_segment_needs_three_samples(tmp_path, capsys):
 
 
 def test_two_sample_tilted_arc_runs(tmp_path, capsys):
-    # a tilted arc has exact rates at any sampling its clearance allows,
-    # so two samples run; a coordinate spiral is not sampled at all, but
-    # runs as one rotating pulse at any sampling
-    for segment, kind in ((_rotation([0.3, 0.0, 1.0]), "sampled"),
-                          (_linear(0.3, 0.5, 1.0), "rotating")):
+    # neither a tilted arc nor a coordinate spiral is sampled: each runs as
+    # one rotating pulse at any sampling, reported by its field at the start
+    k = np.array([0.3, 0.0, 1.0]) / np.linalg.norm([0.3, 0.0, 1.0])
+    r0 = schmidt_gates.sphere_point(1.0, 0.2)
+    # the arc's rates at the start, from r0' = (angle / duration) k x r0:
+    # alpha' = -z' / sin(alpha), beta' = (x y' - y x') / sin(alpha)^2
+    dr = 0.5 * np.cross(k, r0)
+    arc_rates = (-dr[2] / np.sin(1.0),
+                 (r0[0] * dr[1] - r0[1] * dr[0]) / np.sin(1.0) ** 2)
+    for segment, (da, db), beta in ((_rotation(list(k)), arc_rates, 0.2),
+                                    (_linear(0.3, 0.5, 1.0), (0.2, 1.0), 0.0)):
         scn = write_scenario(tmp_path, {
             "schema_version": 1, "command": "simulate", "loop": False,
             "samples_per_segment": 2, "path": {"segments": [segment]},
@@ -743,15 +803,12 @@ def test_two_sample_tilted_arc_runs(tmp_path, capsys):
         code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
         assert code == 0, err
         (pulse,) = json.loads(out.read_text())["schedule"]
-        assert pulse["kind"] == kind
-        if kind == "sampled":
-            assert pulse["samples"] == 2
-        else:
-            # the field at the start: (-alpha' sin 0, alpha' cos 0) / 2
-            assert list(pulse) == ["kind", "duration", "c_xy", "c_dm", "c_z"]
-            assert (pulse["c_xy"], pulse["c_dm"], pulse["c_z"]) == (
-                pytest.approx(0.0, abs=1e-15), pytest.approx(0.1),
-                pytest.approx(0.5))
+        assert pulse["kind"] == "rotating"
+        # the paper's field at the start: (-alpha' sin b, alpha' cos b, b') / 2
+        assert list(pulse) == ["kind", "duration", "c_xy", "c_dm", "c_z"]
+        assert [pulse["c_xy"], pulse["c_dm"], pulse["c_z"]] == pytest.approx(
+            [-0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db],
+            abs=1e-15)
 
 
 def test_loop_mode_with_path_declared_open_rejected(tmp_path, capsys):
@@ -907,12 +964,9 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
 
 
 @pytest.mark.parametrize("command, fields", [
-    # a tilted arc is the segment kind that reverse_engineer samples
-    ("simulate", {"loop": False, "samples_per_segment": 10**17,
-                  "path": {"segments": [_rotation([0.3, 0.0, 1.0])]}}),
     ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 10**17},
                    "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
-], ids=["simulate-samples-1e17", "sweep-map-count-1e17"])
+], ids=["sweep-map-count-1e17"])
 def test_input_too_large_for_memory_gives_one_diagnostic(tmp_path, capsys,
                                                          command, fields):
     # 1e17 float64 samples need 711 PiB, more than any address space, so
@@ -922,6 +976,27 @@ def test_input_too_large_for_memory_gives_one_diagnostic(tmp_path, capsys,
     out = tmp_path / "out"
     code, stdout, err, caught = run_quietly(
         [command, scn, "--out", str(out)], capsys)
+    assert (code, stdout, caught) == (2, "", [])
+    assert err == ("error: the requested sampling or grid does not fit in "
+                   "memory\n")
+    assert not out.exists()
+
+
+def test_simulate_out_of_memory_gives_one_diagnostic(tmp_path, capsys,
+                                                    monkeypatch):
+    # no simulate input allocates by its size any more, so an allocation
+    # that fails inside propagate stands in for one: main turns it into
+    # the one diagnostic, exit 2, no output file
+    def no_memory(schedule):
+        raise MemoryError
+
+    monkeypatch.setattr(schmidt_gates.cli, "propagate", no_memory)
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [_rotation([0.3, 0.0, 1.0])]}})
+    out = tmp_path / "out"
+    code, stdout, err, caught = run_quietly(
+        ["simulate", scn, "--out", str(out)], capsys)
     assert (code, stdout, caught) == (2, "", [])
     assert err == ("error: the requested sampling or grid does not fit in "
                    "memory\n")

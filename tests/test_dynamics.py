@@ -25,6 +25,7 @@ from schmidt_gates.dynamics import (
 from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.linalg import gate_fidelity
 from schmidt_gates.sphere import (
+    ArcSegment,
     LinearSegment,
     SampledSegment,
     SchmidtPath,
@@ -105,22 +106,31 @@ def test_reverse_engineer_constant_pulse_coefficients():
     assert np.allclose([p.c_xy, p.c_dm, p.c_z], [0.0, 0.0, -0.5 * 0.25],
                        atol=TOL)
 
-    # a tilted rotation axis is sampled by reverse_engineer, with the exact
-    # rates of its chart: the field B = 2 (c_xy, c_dm, c_z) turns the
-    # sphere point as the rotation does, B x r = (angle / duration) k x r
-    seg = rotation_arc(0.9, 0.1, (0.6, 0.0, 0.8), 0.5, 2.0)
-    sched = reverse_engineer(SchmidtPath((seg,)), samples_per_segment=401)
-    (p,) = sched.pulses
-    assert isinstance(p, SampledPulse)
-    t, alpha, beta, da, db = seg.chart(401)
-    assert np.array_equal(p.times, t)
-    assert np.allclose(p.c_xy, -0.5 * da * np.sin(beta), atol=TOL)
-    assert np.allclose(p.c_dm, +0.5 * da * np.cos(beta), atol=TOL)
-    assert np.allclose(p.c_z, 0.5 * db, atol=TOL)
-    r = sphere_point(alpha, beta).T
-    field = 2.0 * np.stack([p.c_xy, p.c_dm, p.c_z], axis=-1)
-    assert np.allclose(np.cross(field, r), 0.25 * np.cross([0.6, 0.0, 0.8], r),
+    # a tilted rotation axis gives a rotating pulse: the frame turns with the
+    # arc, (angle / 2T) k, and in it the field keeps the direction r0; its
+    # start field is the paper's field at the start, and B = 2 (c_xy, c_dm,
+    # c_z) turns the sphere point as the rotation does,
+    # B x r0 = (angle / duration) k x r0
+    k, rate = np.array([0.6, 0.0, 0.8]), 0.25
+    seg = rotation_arc(0.9, 0.1, tuple(k), 0.5, 2.0)
+    (p,) = reverse_engineer(SchmidtPath((seg,))).pulses
+    assert isinstance(p, RotatingPulse)
+    assert p.duration == 2.0
+    r0 = sphere_point(0.9, 0.1)
+    assert np.allclose(p.turn, 0.5 * rate * k, atol=TOL)
+    assert np.allclose(np.cross(p.frame, r0), 0.0, atol=TOL)
+    dbeta, cos_int = seg._beta_integrals()
+    assert np.allclose(p.frame, (cos_int - 0.5 * (k @ r0)) / 4.0 * r0,
                        atol=TOL)
+    # alpha' = -z' / sin(alpha) and beta' = (x y' - y x') / rho^2 at r0
+    dr = rate * np.cross(k, r0)
+    da = -dr[2] / np.sin(0.9)
+    db = (r0[0] * dr[1] - r0[1] * dr[0]) / np.sin(0.9) ** 2
+    assert np.allclose([p.c_xy, p.c_dm, p.c_z],
+                       [-0.5 * da * np.sin(0.1), 0.5 * da * np.cos(0.1),
+                        0.5 * db], atol=TOL)
+    field = 2.0 * np.array([p.c_xy, p.c_dm, p.c_z])
+    assert np.allclose(np.cross(field, r0), dr, atol=TOL)
 
 
 def _rotating_field(p, t):
@@ -136,7 +146,7 @@ def test_reverse_engineer_sampled_coefficients():
     # a coordinate spiral: the rotating pulse's field at the sample times
     # is the paper's field at the chart's points
     seg = LinearSegment(0.3, 0.0, 1.2, 3.0, 1.0)
-    sched = reverse_engineer(SchmidtPath((seg,)), samples_per_segment=501)
+    sched = reverse_engineer(SchmidtPath((seg,)))
     (p,) = sched.pulses
     assert isinstance(p, RotatingPulse)
     assert p.duration == seg.duration
@@ -154,7 +164,7 @@ def test_effective_field_precesses_sphere_point():
         seg = LinearSegment(rng.uniform(0.3, 1.3), rng.uniform(-2, 2),
                             rng.uniform(0.3, 1.3), rng.uniform(-2, 2),
                             rng.uniform(0.5, 2.0))
-        sched = reverse_engineer(SchmidtPath((seg,)), samples_per_segment=2001)
+        sched = reverse_engineer(SchmidtPath((seg,)))
         (p,) = sched.pulses
         t, alpha, beta = seg.sample(2001)
         r = np.stack([sphere_point(a, b) for a, b in zip(alpha, beta)])
@@ -259,18 +269,18 @@ def test_propagate_drags_schmidt_vectors_exactly():
 def test_propagate_drags_tilted_rotation_arc():
     seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
     path = SchmidtPath((seg,))
-    u = propagate(reverse_engineer(path, samples_per_segment=4000))
+    u = propagate(reverse_engineer(path))
     start, end = path.start_coords(), path.end_coords()
     for br in ("gamma+", "gamma-"):
         psi0 = assemble_state(start.alpha, start.beta, br)
         psi1 = assemble_state(end.alpha, end.beta, br)
-        assert np.max(np.abs(u @ psi0 - psi1)) < TOL_SAMPLED
+        assert np.max(np.abs(u @ psi0 - psi1)) < TOL
 
 
 def test_propagate_drags_sampled_segment():
     seg = LinearSegment(0.3, 0.0, 1.2, 3.0, 1.0)
     path = SchmidtPath((seg,))
-    u = propagate(reverse_engineer(path, samples_per_segment=4000))
+    u = propagate(reverse_engineer(path))
     start, end = path.start_coords(), path.end_coords()
     for br in ("gamma+", "gamma-"):
         psi0 = assemble_state(start.alpha, start.beta, br)
@@ -279,11 +289,11 @@ def test_propagate_drags_sampled_segment():
 
 
 def test_propagate_sampled_convergence_under_doubling():
-    # a tilted arc, the segment kind that reverse_engineer samples
+    # a sampled segment, the one segment kind that is stepped, here the
+    # samples of a tilted arc at n and 2n points
     seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
-    path = SchmidtPath((seg,))
-    u1 = propagate(reverse_engineer(path, samples_per_segment=10000))
-    u2 = propagate(reverse_engineer(path, samples_per_segment=20000))
+    u1, u2 = (propagate(reverse_engineer(SchmidtPath((SampledSegment(
+        *seg.chart(n)[1:3], seg.duration),)))) for n in (10000, 20000))
     assert np.max(np.abs(u1 - u2)) < 1e-8
 
 
@@ -292,8 +302,13 @@ def _transport(seg, sector):
     each branch state of the sector is carried from the segment's start to
     its end, sum over +- of |psi(end)><psi(start)|, and the idle pair is
     untouched."""
-    a0, b0 = seg.alpha_start, seg.beta_start
-    a1, b1 = seg.alpha_end, seg.beta_end
+    start, end = seg.start_coords(), seg.end_coords()
+    return _transport_between(start.alpha, start.beta, end.alpha, end.beta,
+                              sector)
+
+
+def _transport_between(a0, b0, a1, b1, sector):
+    """_transport of a segment from (a0, b0) to (a1, b1)."""
     u = np.zeros((4, 4), dtype=complex)
     for sign in "+-":
         u += np.outer(assemble_state(a1, b1, sector + sign),
@@ -346,6 +361,96 @@ def test_spiral_propagator_is_limit_of_time_stepping(sector):
             sampled = SampledPulse(t, -0.5 * da * np.sin(beta),
                                    0.5 * da * np.cos(beta),
                                    np.full(n, 0.5 * db))
+            u = propagate(HamiltonianSchedule((sampled,), sector=sector))
+            errors.append(np.max(np.abs(u - exact)))
+        assert errors[1] > 1e-11
+        assert 3.5 < errors[0] / errors[1] < 4.5
+
+
+def _random_arc(rng, clearance=1e-3):
+    """A tilted rotation arc of up to two turns either way, from a start in
+    the extended chart, at least `clearance` from both poles."""
+    while True:
+        try:
+            arc = rotation_arc(rng.uniform(-3.0, 3.0), rng.uniform(-7.0, 7.0),
+                               tuple(rng.normal(size=3)),
+                               rng.uniform(-4 * np.pi, 4 * np.pi),
+                               rng.uniform(0.3, 3.0))
+        except ValueError:
+            continue
+        if isinstance(arc, ArcSegment) and arc.clearance >= clearance:
+            return arc
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_arc_propagator_is_transport(sector):
+    # the two-step form in the frame turning about the axis against the
+    # transport propagator, which shares no code with it
+    rng = np.random.default_rng(81)
+    for _ in range(1000):
+        arc = _random_arc(rng)
+        sched = reverse_engineer(SchmidtPath((arc,)), sector=sector)
+        (p,) = sched.pulses
+        assert isinstance(p, RotatingPulse)
+        assert np.max(np.abs(propagate(sched) - _transport(arc, sector))
+                      ) < 1e-13
+
+
+def _rodrigues(k, r, phi):
+    """r rotated by each angle of phi about the unit axis k."""
+    phi = np.asarray(phi)[..., None]
+    return (np.cos(phi) * r + np.sin(phi) * np.cross(k, r)
+            + (1 - np.cos(phi)) * np.dot(k, r) * k)
+
+
+@pytest.mark.parametrize("clearance", [1e-8, 1e-6, 1e-4, 1e-2])
+def test_near_pole_arc_propagator_is_transport(clearance):
+    # arcs that pass either pole at the given clearance, where beta turns
+    # by nearly pi within a few clearances of the closest approach; the
+    # transport's end point is an independent np.unwrap lift on a grid
+    # graded towards the closest approach, run in the arc's direction
+    rng = np.random.default_rng(82)
+    for _ in range(20):
+        pole, tilt = rng.choice([1.0, -1.0]), rng.uniform(0.2, 1.3)
+        az = rng.uniform(-np.pi, np.pi)
+        k = np.array([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                      pole * np.cos(tilt)])
+        top = np.array([-clearance * np.cos(az), -clearance * np.sin(az),
+                        pole * np.sqrt(1.0 - clearance ** 2)])
+        before, after = rng.uniform(0.05, 2.5, 2)
+        sign = rng.choice([1.0, -1.0])
+        r0 = _rodrigues(k, top, -sign * before)
+        a0, b0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2]), np.arctan2(r0[1],
+                                                                      r0[0])
+        arc = rotation_arc(a0, b0, tuple(k), sign * (before + after), 1.0)
+        assert arc.clearance == pytest.approx(clearance, rel=1e-6)
+        near = np.geomspace(1e-3 * clearance, before + after, 3000)
+        grid = np.unique(np.clip(np.concatenate([
+            np.linspace(0.0, before + after, 2001), before - near,
+            before + near]), 0.0, before + after))
+        r = _rodrigues(np.array(arc.axis), sphere_point(a0, b0), sign * grid)
+        beta = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
+        beta += 2 * np.pi * np.round((b0 - beta[0]) / (2 * np.pi))
+        a1 = np.arctan2(np.hypot(r[-1, 0], r[-1, 1]), r[-1, 2])
+        for sector in ("gamma", "lambda"):
+            u = propagate(reverse_engineer(SchmidtPath((arc,)), sector))
+            expect = _transport_between(a0, b0, a1, beta[-1], sector)
+            assert np.max(np.abs(u - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_arc_propagator_is_limit_of_time_stepping(sector):
+    # the paper's field sampled from the arc's chart and stepped by the
+    # midpoint rule converges to the closed form at second order
+    rng = np.random.default_rng(83)
+    for _ in range(6):
+        arc = _random_arc(rng, clearance=0.2)
+        exact = propagate(reverse_engineer(SchmidtPath((arc,)), sector=sector))
+        errors = []
+        for n in (400, 800):
+            t, _, beta, da, db = arc.chart(n)
+            sampled = SampledPulse(t, -0.5 * da * np.sin(beta),
+                                   0.5 * da * np.cos(beta), 0.5 * db)
             u = propagate(HamiltonianSchedule((sampled,), sector=sector))
             errors.append(np.max(np.abs(u - exact)))
         assert errors[1] > 1e-11
@@ -413,7 +518,7 @@ def test_sampled_lambda_loop_is_lambda_gate():
         LinearSegment(a0, b0, a1, b0 + 2 * np.pi, 1.0),
         LinearSegment(a1, b0 + 2 * np.pi, a0, b0 + 2 * np.pi, 0.7),
     ), closed=True)
-    sched = reverse_engineer(loop, sector="lambda", samples_per_segment=4000)
+    sched = reverse_engineer(loop, sector="lambda")
     assert isinstance(sched.pulses[0], RotatingPulse)
     u = propagate(sched)
     phi_plus, _ = dynamical_phase(loop)
@@ -447,8 +552,8 @@ def test_reversed_mixed_loop_negates_solid_angle_and_inverts_propagator():
     back = path.reversed()
     assert back.closed
     assert solid_angle(back) == pytest.approx(-solid_angle(path), abs=1e-12)
-    u = propagate(reverse_engineer(path, samples_per_segment=2000))
-    v = propagate(reverse_engineer(back, samples_per_segment=2000))
+    u = propagate(reverse_engineer(path))
+    v = propagate(reverse_engineer(back))
     assert np.max(np.abs(v @ u - np.eye(4))) < 1e-9
     again = back.reversed().segments
     assert again[2] == closing
