@@ -46,7 +46,6 @@ from .invariants import (
 )
 from .dynamics import (
     ConstantPulse,
-    HamiltonianSchedule,
     RotatingPulse,
     SampledPulse,
     composed_tilted_gate,

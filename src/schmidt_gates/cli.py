@@ -29,6 +29,7 @@ import numpy as np
 
 from .dynamics import (
     RotatingPulse,
+    SampledPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -420,7 +421,7 @@ def _build_gate(spec: dict, tol: float):
 
 
 def _pulse_summary(pulse) -> dict:
-    if hasattr(pulse, "times"):
+    if isinstance(pulse, SampledPulse):
         t = pulse.times
         return {
             "kind": "sampled",
@@ -467,11 +468,11 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
                             "(endpoints differ on the sphere)")
     try:
         omega = solid_angle(path) if path.closed else None
-        schedule = reverse_engineer(path, sector=sector)
+        schedule = reverse_engineer(path)
         phi_plus, phi_minus = dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
-    u = propagate(schedule)
+    u = propagate(schedule, sector)
     phase_zero = abs(phi_plus) <= tol
     start = path.start_coords()
 
@@ -491,7 +492,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "loop": loop,
         "base_point": {"alpha": start.alpha, "beta": start.beta},
         "duration": path.duration,
-        "schedule": [_pulse_summary(p) for p in schedule.pulses],
+        "schedule": [_pulse_summary(p) for p in schedule],
         "solid_angle": omega,
         "dynamical_phase": {"plus": phi_plus, "minus": phi_minus},
         "dynamical_phase_zero": phase_zero,

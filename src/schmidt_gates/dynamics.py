@@ -1,4 +1,4 @@
-"""Hamiltonian schedules that drive loops on the Schmidt sphere.
+"""Pulse schedules that drive loops on the Schmidt sphere.
 
 A path (alpha(t), beta(t)) is generated by
 
@@ -9,7 +9,10 @@ equivalently by the effective field B = (2 c_xy, 2 c_dm, 2 c_z) about
 which the sphere point precesses (r' = B x r). The gamma-sector triple
 (h_xy, h_dm, h_z) acts as the Pauli triple on span{|01>, |10>} and
 annihilates |00>, |11>; the lambda-sector triple is its analog on
-span{|00>, |11>}.
+span{|00>, |11>}. The coefficients (c_xy, c_dm, c_z) are the same in both
+sectors, so a schedule is a plain tuple of pulses (first entry acts
+first) and the sector is chosen once, when propagate embeds the SU(2)
+block.
 
 A segment whose alpha or beta is constant has a constant field. The other
 analytic segments are exact in a turning frame (the rotating-frame
@@ -35,10 +38,10 @@ samples.
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse, its power in closed form. propagate is the one road from a schedule
-to a gate; a stack of theta gives pulses with stacked coefficients, which
-it propagates as one batch, so trotter-sweep computes a block of table
-rows per call.
+pulse, its power in closed form. propagate(pulses, sector) is the one road
+from a schedule to a gate; a stack of theta gives pulses with stacked
+coefficients, which it propagates as one batch, so trotter-sweep computes a
+block of table rows per call.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import u_general
-from .linalg import _PAIRS, embed, su2_block, su2_exp, su2_product
+from .linalg import embed, su2_block, su2_exp, su2_product
 from .sphere import (
     ArcSegment,
     LinearSegment,
@@ -101,25 +104,16 @@ class ConstantPulse:
 class RotatingPulse:
     """Pulse whose field starts at (c_xy, c_dm, c_z) and, seen from a frame
     turning as exp(-i t turn.sigma), keeps one direction, so that there it
-    acts as the field `frame` held for the whole pulse (its mean). The
-    default frame turns about z at the rate 2 c_z and holds the field
-    constant, H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i c_z t Z): the
-    field of a coordinate spiral, frame (c_xy, c_dm, 0), turn (0, 0, c_z)."""
+    acts as the field `frame` held for the whole pulse (its mean)."""
 
     duration: float
     c_xy: float
     c_dm: float
     c_z: float
-    frame: tuple = None
-    turn: tuple = None
+    frame: tuple
+    turn: tuple
 
-    def __post_init__(self):
-        ConstantPulse.__post_init__(self)
-        if (self.frame is None) != (self.turn is None):
-            raise ValueError("a pulse's frame field and turn go together")
-        if self.turn is None:
-            object.__setattr__(self, "frame", (self.c_xy, self.c_dm, 0.0))
-            object.__setattr__(self, "turn", (0.0, 0.0, self.c_z))
+    __post_init__ = ConstantPulse.__post_init__
 
     def steps(self) -> np.ndarray:
         """Two exact steps, (*frame, T) and then (*turn, T): the field in
@@ -158,23 +152,6 @@ class SampledPulse:
         return np.vstack([0.5 * (c[:, :-1] + c[:, 1:]), np.diff(self.times)])
 
 
-@dataclass(frozen=True)
-class HamiltonianSchedule:
-    """Time-ordered pulses (first entry acts first) within one sector."""
-
-    pulses: tuple
-    sector: str = "gamma"
-
-    def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.sector not in _PAIRS:
-            raise ValueError(f"unknown sector {self.sector!r}")
-
-    @property
-    def duration(self) -> float:
-        return float(sum(p.duration for p in self.pulses))
-
-
 def _field(da, db, beta):
     """(c_xy, c_dm, c_z) of H for chart rates (alpha', beta') at beta."""
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
@@ -193,7 +170,8 @@ def _segment_pulse(seg) -> ConstantPulse | RotatingPulse | SampledPulse:
             return ConstantPulse(seg.duration, 0.0, 0.0, c_z)
         if db == 0.0:
             return ConstantPulse(seg.duration, c_xy, c_dm, 0.0)
-        return RotatingPulse(seg.duration, c_xy, c_dm, c_z)
+        return RotatingPulse(seg.duration, c_xy, c_dm, c_z,
+                             frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
     if isinstance(seg, ArcSegment):
         # B = w k + lam(t) r: the frame turns with the arc, w k / 2, and
         # holds r at r0, where the field integrates to Lam r0 / 2 over T
@@ -210,10 +188,10 @@ def _segment_pulse(seg) -> ConstantPulse | RotatingPulse | SampledPulse:
     return SampledPulse(t, *_field(da, db, beta))
 
 
-def reverse_engineer(path: SchmidtPath,
-                     sector: str = "gamma") -> HamiltonianSchedule:
-    """Hamiltonian schedule whose evolution drags the Schmidt vectors along
-    the path with no extra phase.
+def reverse_engineer(path: SchmidtPath) -> tuple:
+    """Pulses, one per segment and in the path's order, whose evolution
+    drags the Schmidt vectors along the path with no extra phase, in either
+    sector.
 
     Coordinate-aligned segments (constant alpha or constant beta, rotation
     arcs about the z axis among them) have exact constant chart rates and
@@ -224,8 +202,7 @@ def reverse_engineer(path: SchmidtPath,
     np.gradient (one-sided second order at the endpoints); refining their
     samples should leave the propagator unchanged at the 1e-8 level.
     """
-    pulses = [_segment_pulse(seg) for seg in path.segments]
-    return HamiltonianSchedule(tuple(pulses), sector=sector)
+    return tuple(_segment_pulse(seg) for seg in path.segments)
 
 
 def _steps(pulses) -> np.ndarray:
@@ -238,15 +215,15 @@ def _steps(pulses) -> np.ndarray:
         (4, *batch, s.shape[-1])) for s in steps], axis=-1)
 
 
-def propagate(schedule: HamiltonianSchedule) -> np.ndarray:
-    """Time-ordered propagator of a schedule (latest pulse leftmost): the
-    steps of all its pulses, on the sector pair alone, are exponentiated as
-    one stack of Cayley-Klein pairs, composed by su2_product and embedded
-    once. Pulses with stacked coefficients give a (*batch, 4, 4) stack of
-    propagators, the pulses' batch shapes broadcast against each other. A
-    schedule without pulses gives the identity."""
-    pairs = su2_exp(*_steps(schedule.pulses))
-    return embed(su2_product(*pairs), schedule.sector)
+def propagate(pulses, sector: str = "gamma") -> np.ndarray:
+    """Time-ordered propagator of a sequence of pulses (first acts first,
+    so the latest is leftmost) in one sector: the steps of all the pulses
+    are exponentiated as one stack of Cayley-Klein pairs, composed by
+    su2_product and embedded once on the sector's pair. Pulses with stacked
+    coefficients give a (*batch, 4, 4) stack of propagators, the pulses'
+    batch shapes broadcast against each other. No pulses give the
+    identity."""
+    return embed(su2_product(*su2_exp(*_steps(pulses))), sector)
 
 
 def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
@@ -279,8 +256,8 @@ def orange_slice_path(t1: float, tau: float) -> SchmidtPath:
     ), closed=True)
 
 
-def tilted_schedule(theta, t1: float, tau: float) -> HamiltonianSchedule:
-    """Two-pulse schedule: -(pi/(2 t1)) h_z during [0, t1], then the
+def tilted_schedule(theta, t1: float, tau: float) -> tuple:
+    """Two constant pulses: -(pi/(2 t1)) h_z during [0, t1], then the
     second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
     the plain two-pulse schedule that generates the orange-slice loop. A
@@ -289,10 +266,10 @@ def tilted_schedule(theta, t1: float, tau: float) -> HamiltonianSchedule:
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
-    return HamiltonianSchedule((
+    return (
         ConstantPulse(t1, 0.0, 0.0, -np.pi / (2.0 * t1)),
         ConstantPulse(tau - t1, -k * np.cos(theta), 0.0, k * np.sin(theta)),
-    ))
+    )
 
 
 def tilted_segment_propagator(theta) -> np.ndarray:
@@ -300,8 +277,7 @@ def tilted_segment_propagator(theta) -> np.ndarray:
     exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)); a stack of theta
     gives a (..., 4, 4) stack.
     """
-    tilted = tilted_schedule(theta, 1.0, 2.0).pulses[1]
-    return propagate(HamiltonianSchedule((tilted,)))
+    return propagate(tilted_schedule(theta, 1.0, 2.0)[1:])
 
 
 def composed_tilted_gate(theta) -> np.ndarray:
@@ -330,10 +306,10 @@ def trotter_propagate(theta, n) -> np.ndarray:
     # pi / (2 n), without forming 2 n, which overflows for n near the
     # largest double
     k = 0.5 * np.pi / n
-    step = propagate(HamiltonianSchedule((
+    step = propagate((
         ConstantPulse(1.0, 0.0, 0.0, k * np.sin(theta)),
         ConstantPulse(1.0, -k * np.cos(theta), 0.0, 0.0),
-    )))
+    ))
     a, b = step[..., 1, 1], step[..., 2, 1]
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2

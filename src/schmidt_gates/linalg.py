@@ -24,6 +24,9 @@ import numpy as np
 
 ATOL_PIPELINE = 1e-10
 
+# smallest normal double: a sum of squares below it has lost precision
+_TINY = np.finfo(float).tiny
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -93,10 +96,23 @@ def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pair (a, b) of exp(-i t (c_xy X + c_dm Y + c_z Z)):
     a = cos(w t) - i s v_z, b = -i s (v_x + i v_y), w = |v|, s = sin(w t)/w,
     for scalars or arrays of one shape. The v -> 0 limit is handled through
-    sinc, so vanishing fields give the identity pair (1, 0) exactly.
+    sinc, so vanishing fields give the identity pair (1, 0) exactly. Where
+    the squares of a nonzero field underflow (below about 1e-154, as on a
+    very slow segment), w is the norm of the field scaled by its largest
+    component; elsewhere it is the plain root of the sum of squares.
     """
     vx, vy, vz, t = (np.asarray(a, dtype=float) for a in (c_xy, c_dm, c_z, t))
-    w = np.sqrt(vx * vx + vy * vy + vz * vz)
+    ss = vx * vx + vy * vy + vz * vz
+    w = np.sqrt(ss)
+    lost = ss < _TINY
+    if lost.any():
+        v = np.stack(np.broadcast_arrays(vx, vy, vz))[:, lost]
+        m = abs(v).max(axis=0)
+        # an all-zero field keeps its norm 0, and so the pair (1, 0)
+        m[m == 0.0] = 1.0
+        x, y, z = v / m
+        w = np.array(w)
+        w[lost] = m * np.sqrt(x * x + y * y + z * z)
     cos = np.cos(w * t)
     snc = t * np.sinc(w * t / np.pi)
     return cos - 1j * (snc * vz), snc * (vy - 1j * vx)

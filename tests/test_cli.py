@@ -873,6 +873,19 @@ def test_cli_import_does_not_load_jsonschema():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    # numpy is the one runtime dependency: importing the CLI in a fresh
+    # interpreter adds no other top-level third-party module
+    code = ("import sys; before = set(sys.modules); "
+            "import schmidt_gates.cli; "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=PACKAGE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "schmidt_gates"]
+
+
 def test_out_field_in_scenario(tmp_path, capsys):
     out = tmp_path / "from_field.json"
     scn = write_scenario(tmp_path, dict(ORANGE, out=str(out)))
@@ -963,6 +976,29 @@ def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("segment", [
+    {"kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
+     "alpha_end": 0.3, "beta_end": 1.0, "duration": 1e200},
+    _rotation([0.3, -0.5, 0.8], angle=1.3, duration=1e300),
+], ids=["equator-latitude-1e200", "tilted-rotation-1e300"])
+def test_very_slow_segment_is_its_geometry(tmp_path, capsys, segment):
+    # fields below ~1e-154, whose squares underflow: the propagator is the
+    # one the path's geometry fixes, the same path's at duration 1
+    props = []
+    for duration in (segment["duration"], 1.0):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": False,
+            "path": {"segments": [dict(segment, duration=duration)]}})
+        out = tmp_path / "out.json"
+        code, stdout, err, caught = run_quietly(
+            ["simulate", scn, "--out", str(out)], capsys)
+        assert (code, stdout, err, caught) == (0, "", "", [])
+        report = json.loads(out.read_text())
+        assert report["checks"]["propagator_unitary"]
+        props.append(np.array(report["propagator"]) @ [1, 1j])
+    assert np.max(np.abs(props[0] - props[1])) < 1e-14
+
+
 @pytest.mark.parametrize("command, fields", [
     ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 10**17},
                    "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
@@ -987,7 +1023,7 @@ def test_simulate_out_of_memory_gives_one_diagnostic(tmp_path, capsys,
     # no simulate input allocates by its size any more, so an allocation
     # that fails inside propagate stands in for one: main turns it into
     # the one diagnostic, exit 2, no output file
-    def no_memory(schedule):
+    def no_memory(schedule, sector):
         raise MemoryError
 
     monkeypatch.setattr(schmidt_gates.cli, "propagate", no_memory)

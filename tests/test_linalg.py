@@ -190,6 +190,39 @@ def test_herm_exp_degenerate_limits():
     assert np.max(np.abs(u - i2)) < TOL
 
 
+def test_su2_exp_of_a_field_whose_squares_underflow():
+    # a field scaled by s over a time scaled by 1/s is the same rotation;
+    # below ~1e-154 the squares underflow, and the norm is taken of the
+    # field scaled by its largest component
+    rng = np.random.default_rng(29)
+    c = rng.normal(size=(3, 50))
+    c[:, :3] = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 5e-9, 1.0]]).T
+    t = rng.uniform(-2, 2, size=50)
+    expect = su2_block(*su2_exp(*c, t))
+    for s in (1e-155, 1e-200, 1e-300):
+        u = su2_block(*su2_exp(*(c * s), t / s))
+        assert np.max(np.abs(u - expect)) < 1e-14
+    # the all-zero field stays exactly the identity pair, also in a stack
+    # whose other fields take the scaled road
+    a, b = su2_exp([0.0, 1e-300], 0.0, 0.0, [1e300, 1e300])
+    assert (a[0], b[0]) == (1.0, 0.0)
+    assert abs(a[1] - np.cos(1.0)) < 1e-15
+
+
+def test_su2_exp_of_a_normal_field_is_the_plain_formula():
+    # a field whose squares do not underflow gets w = sqrt(sum of squares)
+    # to the last bit, the formula the golden outputs were made with
+    rng = np.random.default_rng(30)
+    c = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-150, 150, 200)
+    t = rng.uniform(-2, 2, size=200) / np.abs(c).max(axis=0)
+    vx, vy, vz = c
+    w = np.sqrt(vx * vx + vy * vy + vz * vz)
+    snc = t * np.sinc(w * t / np.pi)
+    a, b = su2_exp(*c, t)
+    assert a.tobytes() == (np.cos(w * t) - 1j * (snc * vz)).tobytes()
+    assert b.tobytes() == (snc * (vy - 1j * vx)).tobytes()
+
+
 def test_su2_exp_stacked_matches_elementwise():
     rng = np.random.default_rng(27)
     c = rng.normal(size=(3, 200))
