@@ -47,7 +47,6 @@ from .invariants import (
 from .dynamics import (
     ConstantPulse,
     RotatingPulse,
-    SampledPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,

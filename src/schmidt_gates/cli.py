@@ -29,7 +29,6 @@ import numpy as np
 
 from .dynamics import (
     RotatingPulse,
-    SampledPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -50,6 +49,7 @@ from .sphere import (
     LinearSegment,
     SampledSegment,
     SchmidtPath,
+    _piece_integrals,
     rotation_arc,
     solid_angle,
 )
@@ -110,8 +110,8 @@ _SEGMENT = {"oneOf": [
     _object({"kind": {"const": "rotation"}, "alpha_start": _NUMBER,
              "beta_start": _NUMBER, "axis": _array(_NUMBER, 3, 3),
              "angle": _NUMBER, "duration": _POSITIVE}),
-    _object({"kind": {"const": "sampled"}, "alpha": _array(_NUMBER, 3),
-             "beta": _array(_NUMBER, 3), "duration": _POSITIVE}),
+    _object({"kind": {"const": "sampled"}, "alpha": _array(_NUMBER, 2),
+             "beta": _array(_NUMBER, 2), "duration": _POSITIVE}),
 ]}
 
 _PATH = {"oneOf": [
@@ -420,16 +420,20 @@ def _build_gate(spec: dict, tol: float):
 # --------------------------------------------------------------------------
 
 
-def _pulse_summary(pulse) -> dict:
-    if isinstance(pulse, SampledPulse):
-        t = pulse.times
+def _pulse_summary(seg, pulse) -> dict:
+    if isinstance(seg, SampledSegment):
+        # the exact time integrals of the field the polyline applies: per
+        # piece, -(1/2) integral of sin(beta) d alpha, (1/2) integral of
+        # cos(beta) d alpha and (1/2) d beta
+        _, sin_int = _piece_integrals(seg.beta, seg.alpha, np.sin)
+        _, cos_int = _piece_integrals(seg.beta, seg.alpha)
         return {
             "kind": "sampled",
-            "duration": pulse.duration,
-            "samples": int(t.size),
-            "area_xy": float(np.trapezoid(pulse.c_xy, x=t)),
-            "area_dm": float(np.trapezoid(pulse.c_dm, x=t)),
-            "area_z": float(np.trapezoid(pulse.c_z, x=t)),
+            "duration": float(seg.duration),
+            "samples": int(seg.alpha.size),
+            "area_xy": float(-0.5 * sin_int.sum()),
+            "area_dm": float(0.5 * cos_int.sum()),
+            "area_z": float(0.5 * (seg.beta[-1] - seg.beta[0])),
         }
     # a rotating pulse reports its field at the start (a spiral's turns
     # about z at the rate 2 c_z)
@@ -492,7 +496,8 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "loop": loop,
         "base_point": {"alpha": start.alpha, "beta": start.beta},
         "duration": path.duration,
-        "schedule": [_pulse_summary(p) for p in schedule],
+        "schedule": [_pulse_summary(seg, p)
+                     for seg, p in zip(path.segments, schedule)],
         "solid_angle": omega,
         "dynamical_phase": {"plus": phi_plus, "minus": phi_minus},
         "dynamical_phase_zero": phase_zero,

@@ -32,8 +32,10 @@ so their propagator is the product of two exponentials:
   exp(-i (angle / 2) k.sigma) exp(-i (Lam / 2) r0.sigma) with
   Lam = integral of cos(alpha) d beta - (k.r0) angle.
 
-Only sampled segments are stepped, by the midpoint rule on their own
-samples.
+A sampled segment is a polyline in the chart, alpha and beta linear in t
+between consecutive samples, so each piece is a coordinate spiral and the
+segment is one rotating pulse with a frame and a turn per piece: two exact
+steps per piece, and nothing is stepped by a quadrature rule.
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
@@ -61,25 +63,6 @@ from .sphere import (
     sphere_point,
 )
 
-H_XY = np.zeros((4, 4), dtype=np.complex128)
-H_XY[1, 2] = H_XY[2, 1] = 1.0
-
-H_DM = np.zeros((4, 4), dtype=np.complex128)
-H_DM[1, 2] = -1j
-H_DM[2, 1] = 1j
-
-H_Z = np.diag([0, 1, -1, 0]).astype(np.complex128)
-
-L_XY = np.zeros((4, 4), dtype=np.complex128)
-L_XY[0, 3] = L_XY[3, 0] = 1.0
-
-L_DM = np.zeros((4, 4), dtype=np.complex128)
-L_DM[0, 3] = -1j
-L_DM[3, 0] = 1j
-
-L_Z = np.diag([1, 0, 0, -1]).astype(np.complex128)
-
-
 @dataclass(frozen=True)
 class ConstantPulse:
     """Pulse with time-independent coefficients (c_xy, c_dm, c_z); arrays
@@ -104,7 +87,9 @@ class ConstantPulse:
 class RotatingPulse:
     """Pulse whose field starts at (c_xy, c_dm, c_z) and, seen from a frame
     turning as exp(-i t turn.sigma), keeps one direction, so that there it
-    acts as the field `frame` held for the whole pulse (its mean)."""
+    acts as the field `frame` held for the whole pulse (its mean). Arrays
+    in `frame` and `turn` make a pulse of as many pieces of equal length,
+    one column of each per piece, the pieces acting in turn."""
 
     duration: float
     c_xy: float
@@ -116,40 +101,15 @@ class RotatingPulse:
     __post_init__ = ConstantPulse.__post_init__
 
     def steps(self) -> np.ndarray:
-        """Two exact steps, (*frame, T) and then (*turn, T): the field in
-        the turning frame, then the frame's turn."""
-        return np.array([*zip(self.frame, self.turn),
-                         (self.duration, self.duration)])
-
-
-@dataclass(frozen=True)
-class SampledPulse:
-    """Pulse with coefficients sampled on a uniform time grid."""
-
-    times: np.ndarray
-    c_xy: np.ndarray
-    c_dm: np.ndarray
-    c_z: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("a sampled pulse needs at least two samples")
-        object.__setattr__(self, "times", times)
-        for name in ("c_xy", "c_dm", "c_z"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != times.shape:
-                raise ValueError(f"{name} must match the time grid")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    def steps(self) -> np.ndarray:
-        """Midpoint steps between samples, as columns (c_xy, c_dm, c_z, dt)."""
-        c = np.array([self.c_xy, self.c_dm, self.c_z])
-        return np.vstack([0.5 * (c[:, :-1] + c[:, 1:]), np.diff(self.times)])
+        """Two exact steps per piece, (*frame, dt) and then (*turn, dt), dt
+        the duration over the number of pieces: the field in the turning
+        frame, then the frame's turn."""
+        pieces = np.broadcast(*self.frame, *self.turn).size
+        steps = np.empty((4, 2 * pieces))
+        for row, (frame, turn) in enumerate(zip(self.frame, self.turn)):
+            steps[row, 0::2], steps[row, 1::2] = frame, turn
+        steps[3] = self.duration / pieces
+        return steps
 
 
 def _field(da, db, beta):
@@ -157,9 +117,8 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg) -> ConstantPulse | RotatingPulse | SampledPulse:
-    """The pulse that drives one segment, from its exact rates (a sampled
-    segment's from its own samples)."""
+def _segment_pulse(seg) -> ConstantPulse | RotatingPulse:
+    """The pulse that drives one segment, from its exact rates."""
     if isinstance(seg, LinearSegment):
         # The field read at the exact start beta: constant on a coordinate-
         # aligned arc, where the terms of the vanishing rate are exact
@@ -184,8 +143,12 @@ def _segment_pulse(seg) -> ConstantPulse | RotatingPulse | SampledPulse:
         return RotatingPulse(seg.duration, *start,
                              frame=tuple(half * lam * r0),
                              turn=tuple(half * seg.angle * k))
-    t, _, beta, da, db = seg.chart(seg.alpha.size)
-    return SampledPulse(t, *_field(da, db, beta))
+    # each piece of a sampled segment is a spiral: as for a linear segment,
+    # its frame is its field at its start without the z part, its turn that
+    # z part
+    c_xy, c_dm, c_z = _field(*seg._rates(), seg.beta[:-1])
+    return RotatingPulse(seg.duration, c_xy[0], c_dm[0], c_z[0],
+                         frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
 
 
 def reverse_engineer(path: SchmidtPath) -> tuple:
@@ -197,10 +160,11 @@ def reverse_engineer(path: SchmidtPath) -> tuple:
     arcs about the z axis among them) have exact constant chart rates and
     become constant pulses. Coordinate spirals and rotation arcs about a
     tilted axis become rotating pulses, exact in the frame that turns with
-    them; an arc's integral of cos(alpha) d beta is its closed form. Only
-    sampled segments are sampled, on their own samples, with rates by
-    np.gradient (one-sided second order at the endpoints); refining their
-    samples should leave the propagator unchanged at the 1e-8 level.
+    them; an arc's integral of cos(alpha) d beta is its closed form. A
+    sampled segment becomes one rotating pulse of a spiral piece between
+    each pair of consecutive samples. Every pulse is exact: its propagator
+    carries the sector's branch states from the segment's start to its end
+    to rounding, however the segment is sampled.
     """
     return tuple(_segment_pulse(seg) for seg in path.segments)
 
@@ -231,9 +195,8 @@ def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
     pair under the reverse-engineered schedule.
 
     phi_plus = -(1/2) * integral of cos(alpha) d(beta) along the path and
-    phi_minus = -phi_plus; both vanish on geodesic-pair loops. Linear
-    segments and rotation arcs contribute in closed form, sampled segments
-    by the trapezoid rule on their own samples.
+    phi_minus = -phi_plus; both vanish on geodesic-pair loops. Every
+    segment contributes in closed form, a sampled segment piece by piece.
     """
     phi_plus = -0.5 * sum(seg._beta_integrals()[1] for seg in path.segments)
     return float(phi_plus), float(-phi_plus)

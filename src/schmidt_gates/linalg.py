@@ -27,10 +27,6 @@ ATOL_PIPELINE = 1e-10
 # smallest normal double: a sum of squares below it has lost precision
 _TINY = np.finfo(float).tiny
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with qubit a as the slow (leftmost) index."""
@@ -98,13 +94,16 @@ def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
     for scalars or arrays of one shape. The v -> 0 limit is handled through
     sinc, so vanishing fields give the identity pair (1, 0) exactly. Where
     the squares of a nonzero field underflow (below about 1e-154, as on a
-    very slow segment), w is the norm of the field scaled by its largest
-    component; elsewhere it is the plain root of the sum of squares.
+    very slow segment) or overflow (above about 1e154, as on a very fast
+    one), w is the norm of the field scaled by its largest component;
+    elsewhere it is the plain root of the sum of squares.
     """
     vx, vy, vz, t = (np.asarray(a, dtype=float) for a in (c_xy, c_dm, c_z, t))
-    ss = vx * vx + vy * vy + vz * vz
+    # squares that overflow are inf, and are rescaled below
+    with np.errstate(over="ignore"):
+        ss = vx * vx + vy * vy + vz * vz
     w = np.sqrt(ss)
-    lost = ss < _TINY
+    lost = (ss < _TINY) | (ss == np.inf)
     if lost.any():
         v = np.stack(np.broadcast_arrays(vx, vy, vz))[:, lost]
         m = abs(v).max(axis=0)

@@ -22,6 +22,16 @@ from .linalg import ATOL_PIPELINE, tensor_product
 # Chart-level agreement required at segment junctions and loop closure.
 CHART_TOL = 1e-9
 
+# Largest span, in radians, of a segment's coordinates or of a sampled
+# segment's piece: the pulse that drives a segment turns by its rate times
+# its duration, which rounds by about 2.2e-16 of the span, so beyond 2**23
+# its propagator is off by more than CHART_TOL (a spiral to alpha = 1e16
+# would be 0.13 away from its end).
+MAX_SPAN = 2.0 ** 23
+
+_SPAN_ERROR = (f"segment spans more than {MAX_SPAN:.0f} rad, where its "
+               "rounded angles miss its end by more than the chart tolerance")
+
 # Singular values below this are treated as exactly zero (product state).
 _PRODUCT_CUT = 1e-12
 
@@ -211,6 +221,8 @@ class LinearSegment:
                  float(self.beta_end) - float(self.beta_start))
         if not all(np.isfinite(d / float(self.duration)) for d in spans):
             raise ValueError("segment rates overflow double precision")
+        if max(map(abs, spans)) > MAX_SPAN:
+            raise ValueError(_SPAN_ERROR)
 
     @property
     def alpha_rate(self) -> float:
@@ -226,30 +238,28 @@ class LinearSegment:
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(self.alpha_end, self.beta_end)
 
-    def sample(self, n: int):
-        t = np.linspace(0.0, self.duration, n)
-        alpha = self.alpha_start + self.alpha_rate * t
-        beta = self.beta_start + self.beta_rate * t
-        return t, alpha, beta
-
-    def chart(self, n: int):
-        """(t, alpha, beta, alpha', beta'); the rates are exact scalars."""
-        return *self.sample(n), self.alpha_rate, self.beta_rate
-
     def reversed(self) -> "LinearSegment":
         return LinearSegment(self.alpha_end, self.beta_end, self.alpha_start,
                              self.beta_start, self.duration)
 
     def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), closed form.
+        """(integral of d beta, integral of cos(alpha) d beta), closed form."""
+        dbeta, cos_int = _piece_integrals(
+            np.array([self.alpha_start, self.alpha_end], dtype=float),
+            np.array([self.beta_start, self.beta_end], dtype=float))
+        return float(dbeta[0]), float(cos_int[0])
 
-        d beta (sin(alpha_end) - sin(alpha_start)) / d alpha, written with
-        sinc so that a vanishing d alpha cancels nothing.
-        """
-        dbeta = self.beta_end - self.beta_start
-        da = self.alpha_end - self.alpha_start
-        mid = self.alpha_start + 0.5 * da
-        return dbeta, dbeta * np.cos(mid) * np.sinc(da / (2.0 * np.pi))
+
+def _piece_integrals(x: np.ndarray, y: np.ndarray, f=np.cos):
+    """(integral of d y, integral of f(x) d y) on each piece of the polyline
+    through the samples (x, y), x and y linear in one parameter between
+    consecutive samples. f is cos or sin, whose mean over a piece is f at
+    the piece's midpoint times sinc(d x / 2 pi): for cos the integral is
+    d y (sin(x1) - sin(x0)) / d x, written so that a vanishing d x cancels
+    nothing.
+    """
+    dx, dy = np.diff(x), np.diff(y)
+    return dy, dy * f(x[:-1] + 0.5 * dx) * np.sinc(dx / (2.0 * np.pi))
 
 
 def equator_arc(beta_start: float, beta_end: float, duration: float) -> LinearSegment:
@@ -263,7 +273,11 @@ def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
 
 @dataclass(frozen=True)
 class SampledSegment:
-    """Uniformly time-sampled chart coordinates (alpha(t), beta(t))."""
+    """Chart samples (alpha, beta) at uniform times over the duration, at
+    least two, joined as a polyline: alpha and beta are linear in time
+    between consecutive samples, so each piece is a coordinate spiral (or a
+    coordinate-aligned arc, or a hold) and the segment is exactly that
+    curve. Its end point and beta integrals are the pieces' closed forms."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -279,6 +293,17 @@ class SampledSegment:
             raise ValueError("segment duration must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        if not all(np.isfinite(rate).all() for rate in self._rates()):
+            raise ValueError("segment rates overflow double precision")
+        if max(abs(np.diff(x)).max() for x in (alpha, beta)) > MAX_SPAN:
+            raise ValueError(_SPAN_ERROR)
+
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha', beta') on each piece, the sample steps over the time
+        step; a step too short for double precision gives inf or nan."""
+        with np.errstate(all="ignore"):
+            dt = self.duration / (self.alpha.size - 1)
+            return np.diff(self.alpha) / dt, np.diff(self.beta) / dt
 
     def start_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(float(self.alpha[0]), float(self.beta[0]))
@@ -286,27 +311,14 @@ class SampledSegment:
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(float(self.alpha[-1]), float(self.beta[-1]))
 
-    def chart(self, n: int):
-        """(t, alpha, beta, alpha', beta') on the segment's own samples,
-        whatever n, with the rates by np.gradient."""
-        if self.alpha.size < 3:
-            raise ValueError("segment needs at least 3 samples for its rates")
-        t = np.linspace(0.0, self.duration, self.alpha.size)
-        # a step too short for double precision gives inf or nan rates
-        with np.errstate(all="ignore"):
-            da = np.gradient(self.alpha, t, edge_order=2)
-            db = np.gradient(self.beta, t, edge_order=2)
-        if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
-            raise ValueError("segment rates overflow double precision")
-        return t, self.alpha, self.beta, da, db
-
     def reversed(self) -> "SampledSegment":
         return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
 
     def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), trapezoid rule."""
+        """(integral of d beta, integral of cos(alpha) d beta), the sum of
+        the pieces' closed forms."""
         return (float(self.beta[-1] - self.beta[0]),
-                float(np.trapezoid(np.cos(self.alpha), x=self.beta)))
+                float(_piece_integrals(self.alpha, self.beta)[1].sum()))
 
 
 @dataclass(frozen=True)
@@ -356,6 +368,8 @@ class ArcSegment:
         # |alpha'| <= |rate| and |beta'| <= |rate| / rho bound the chart rates
         if not np.isfinite(self.angle / self.duration / self.clearance):
             raise ValueError("segment rates overflow double precision")
+        if abs(self.angle) > MAX_SPAN:
+            raise ValueError(_SPAN_ERROR)
         # With z = cos(alpha), P = -sin(e) sin(d), Q = cos(e) cos(d) and d, e =
         # (theta_k -+ gamma) / 2 (the angles from k to the z axis and to r0),
         # d beta / d phi = P / (1 - z) + Q / (1 + z) and cos(alpha) d beta /
@@ -392,18 +406,6 @@ class ArcSegment:
 
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(*self._closed[:2])
-
-    def chart(self, n: int):
-        """(t, alpha, beta, alpha', beta') at n points from one Rodrigues
-        pass, with the exact rates of r' = (angle / duration) k x r."""
-        # |d beta / d phi| <= 1 / sin(alpha): np.unwrap sees steps below pi
-        if abs(self.angle) / max(n - 1, 1) >= np.pi * self.clearance:
-            raise ValueError(f"rotation segment comes within "
-                             f"{self.clearance:.3e} of a pole, too close to "
-                             f"lift at {n} samples")
-        alpha, beta, rho, point = self._lift(np.linspace(0.0, self.angle, n))
-        return (np.linspace(0.0, self.duration, n), alpha, beta,
-                *self._rates(*point, rho))
 
     def _rates(self, x, y, z, rho):
         """(alpha', beta') at the arc's points (x, y, z), rho = hypot(x, y):
@@ -486,12 +488,13 @@ def solid_angle(path: SchmidtPath) -> float:
     """Signed solid angle enclosed by a closed path.
 
     Evaluates the loop integral of (1 - cos(alpha)) d(beta) over the
-    continuous extended-alpha chart: linear segments and rotation arcs in
-    closed form, sampled segments by the trapezoid rule. The chart form is
-    singular at the south pole (a crossing shifts it by 2*pi), so a segment
-    whose alpha range reaches an odd multiple of pi raises ValueError; pole
-    crossings must run through alpha = 0. Rotation arcs never meet a pole,
-    so only a sampled segment needs more than its ends checked.
+    continuous extended-alpha chart, in closed form for every segment (for
+    a sampled segment, piece by piece). The chart form is singular at the
+    south pole (a crossing shifts it by 2*pi), so a segment whose alpha
+    range reaches an odd multiple of pi raises ValueError; pole crossings
+    must run through alpha = 0. Rotation arcs never meet a pole, and alpha
+    is linear between a sampled segment's samples, so the ends of a linear
+    segment and the samples of a sampled one bound its alpha range.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")

@@ -1,0 +1,54 @@
+"""Reference objects the tests compare the package against: the sector and
+Pauli operators as literal matrices, chart samples of linear segments and
+rotation arcs with their exact rates, and the midpoint rule stepping the
+paper's field on such samples."""
+
+import numpy as np
+
+from schmidt_gates.linalg import embed, su2_exp, su2_product
+from schmidt_gates.sphere import LinearSegment
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# the gamma-sector triple on span{|01>, |10>}, the lambda one on
+# span{|00>, |11>}
+H_XY = np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+                dtype=complex)
+H_DM = np.array([[0, 0, 0, 0], [0, 0, -1j, 0], [0, 1j, 0, 0], [0, 0, 0, 0]],
+                dtype=complex)
+H_Z = np.diag([0, 1, -1, 0]).astype(complex)
+L_XY = np.array([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+                dtype=complex)
+L_DM = np.array([[0, 0, 0, -1j], [0, 0, 0, 0], [0, 0, 0, 0], [1j, 0, 0, 0]],
+                dtype=complex)
+L_Z = np.diag([1, 0, 0, -1]).astype(complex)
+
+
+def chart(seg, n):
+    """(t, alpha, beta, alpha', beta') of a linear segment or a rotation arc
+    at n uniform times, with exact rates: a linear segment's are scalars,
+    an arc's come from one Rodrigues pass of the arc's own lift. An arc
+    refuses a step of |angle| / (n - 1) not below pi times its clearance,
+    which np.unwrap could not follow, since |d beta / d phi| <= 1 / rho."""
+    t = np.linspace(0.0, seg.duration, n)
+    if isinstance(seg, LinearSegment):
+        return (t, seg.alpha_start + seg.alpha_rate * t,
+                seg.beta_start + seg.beta_rate * t, seg.alpha_rate,
+                seg.beta_rate)
+    if abs(seg.angle) / max(n - 1, 1) >= np.pi * seg.clearance:
+        raise ValueError(f"rotation segment comes within {seg.clearance:.3e} "
+                         f"of a pole, too close to lift at {n} samples")
+    alpha, beta, rho, point = seg._lift(np.linspace(0.0, seg.angle, n))
+    return (t, alpha, beta, *seg._rates(*point, rho))
+
+
+def midpoint_propagator(seg, n, sector):
+    """The paper's field sampled from the segment's chart at n points and
+    stepped by the midpoint rule between consecutive samples."""
+    t, _, beta, da, db = chart(seg, n)
+    c = np.array(np.broadcast_arrays(-0.5 * da * np.sin(beta),
+                                     0.5 * da * np.cos(beta), 0.5 * db))
+    mid = 0.5 * (c[:, :-1] + c[:, 1:])
+    return embed(su2_product(*su2_exp(*mid, np.diff(t))), sector)

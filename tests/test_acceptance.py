@@ -11,9 +11,6 @@ from functools import lru_cache
 import numpy as np
 
 from schmidt_gates.dynamics import (
-    H_DM,
-    H_XY,
-    H_Z,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -40,6 +37,8 @@ from schmidt_gates.sphere import (
     schmidt_decompose,
     solid_angle,
 )
+
+from reference import H_DM, H_XY, H_Z
 
 ISWAP_LIKE = np.array([
     [1, 0, 0, 0],

@@ -772,15 +772,56 @@ def test_ten_turn_arc_near_pole_runs(tmp_path, capsys, axis, alpha_start,
     assert abs(json.loads(out.read_text())["solid_angle"] - cap) <= tol
 
 
-def test_sampled_segment_needs_three_samples(tmp_path, capsys):
+def test_sampled_segment_needs_two_samples(tmp_path, capsys):
+    # one sample is refused by the schema, which names the field; two are
+    # the linear segment between them, driven exactly
+    segment = {"kind": "sampled", "alpha": [0.5], "beta": [0.0],
+               "duration": 1.0}
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
-        "path": {"segments": [{"kind": "sampled", "alpha": [0.5, 0.6],
-                               "beta": [0.0, 0.1], "duration": 1.0}]},
-    })
+        "path": {"segments": [segment]}})
     code, out, err = run_main(["simulate", scn], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: scenario field 'path/segments/0/alpha': ")
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [dict(segment, alpha=[0.5, 0.6],
+                                   beta=[0.0, 0.1])]}})
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    assert report["schedule"][0]["samples"] == 2
+    u = _report_propagator(report)
+    assert np.max(np.abs(u - _transport(0.5, 0.0, 0.6, 0.1))) < 1e-15
+
+
+def test_sampled_schedule_areas_are_exact(tmp_path, capsys):
+    # the areas of a sampled pulse are the time integrals of the field the
+    # polyline applies, piece by piece from the antiderivatives:
+    # -(1/2) d alpha (cos b0 - cos b1) / d beta and
+    # (1/2) d alpha (sin b1 - sin b0) / d beta (d beta bounded away from 0)
+    rng = np.random.default_rng(17)
+    alpha = np.cumsum(rng.uniform(-0.5, 0.5, 200))
+    beta = np.cumsum(rng.choice([-1, 1], 200) * rng.uniform(0.1, 0.5, 200))
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [{"kind": "sampled", "alpha": alpha.tolist(),
+                               "beta": beta.tolist(), "duration": 2.5}]}})
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    (pulse,) = json.loads(out.read_text())["schedule"]
+    assert list(pulse) == ["kind", "duration", "samples", "area_xy",
+                           "area_dm", "area_z"]
+    assert (pulse["kind"], pulse["duration"], pulse["samples"]) == (
+        "sampled", 2.5, 200)
+    ratio = np.diff(alpha) / np.diff(beta)
+    area_xy = -0.5 * np.sum(ratio * (np.cos(beta[:-1]) - np.cos(beta[1:])))
+    area_dm = 0.5 * np.sum(ratio * (np.sin(beta[1:]) - np.sin(beta[:-1])))
+    assert pulse["area_xy"] == pytest.approx(area_xy, abs=1e-13)
+    assert pulse["area_dm"] == pytest.approx(area_dm, abs=1e-13)
+    assert pulse["area_z"] == 0.5 * (beta[-1] - beta[0])
 
 
 def test_two_sample_tilted_arc_runs(tmp_path, capsys):
@@ -948,23 +989,25 @@ NOT_FINITE = ("a result is not finite (an input is too large, or a duration "
 
 RATES_OVERFLOW = "invalid path: segment rates overflow double precision"
 
+SPAN = ("invalid path: segment spans more than 8388608 rad, where its "
+        "rounded angles miss its end by more than the chart tolerance")
+
 
 @pytest.mark.parametrize("segment, reason", [
     (_rotation([0.3, -0.5, 0.8], angle=1.3, duration=1e-320),
      RATES_OVERFLOW),
-    (_rotation([0.0, 0.0, 1.0], angle=1.3, duration=1e-300), NOT_FINITE),
     ({"kind": "sampled", "alpha": [0.5, 0.6, 0.7], "beta": [0.1, 0.2, 0.3],
       "duration": 1e-320}, RATES_OVERFLOW),
     ({"kind": "sampled", "alpha": [0.1, 1e300, 0.2], "beta": [0.1, 0.2, 0.3],
       "duration": 1e-300}, RATES_OVERFLOW),
-    (_linear(0.3, 1e200, 1.0), NOT_FINITE),
-], ids=["rotation-duration-1e-320", "z-rotation-duration-1e-300",
-        "sampled-duration-1e-320", "sampled-rate-overflow", "spiral-to-1e200"])
+    (_linear(0.3, 1e200, 1.0), SPAN),
+], ids=["rotation-duration-1e-320", "sampled-duration-1e-320",
+        "sampled-rate-overflow", "spiral-to-1e200"])
 def test_overflowing_numerics_give_one_diagnostic(tmp_path, capsys, segment,
                                                   reason):
-    # finite inputs whose rates or fields overflow: one diagnostic line (the
-    # rates of a sampled or tilted-arc segment are named), no numpy warnings
-    # before it, and no output file
+    # finite inputs whose rates overflow, or whose span is too large for
+    # its angles to be rounded within the chart tolerance: one diagnostic
+    # line, no numpy warnings before it, and no output file
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "path": {"segments": [segment]}})
@@ -997,6 +1040,32 @@ def test_very_slow_segment_is_its_geometry(tmp_path, capsys, segment):
         assert report["checks"]["propagator_unitary"]
         props.append(np.array(report["propagator"]) @ [1, 1j])
     assert np.max(np.abs(props[0] - props[1])) < 1e-14
+
+
+@pytest.mark.parametrize("segment", [
+    _rotation([0.0, 0.0, 1.0], angle=1.3, duration=1e-300),
+    {"kind": "linear", "alpha_start": 0.3, "beta_start": 0.2,
+     "alpha_end": 1.4, "beta_end": 1.5, "duration": 1e-300},
+], ids=["z-rotation-duration-1e-300", "spiral-duration-1e-300"])
+def test_very_fast_segment_is_its_transport(tmp_path, capsys, segment):
+    # fields above ~1e154, whose squares overflow: the propagator is the
+    # transport one of the path's ends, and the same path's at duration 1
+    props = []
+    for duration in (segment["duration"], 1.0):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": False,
+            "path": {"segments": [dict(segment, duration=duration)]}})
+        out = tmp_path / "out.json"
+        code, stdout, err, caught = run_quietly(
+            ["simulate", scn, "--out", str(out)], capsys)
+        assert (code, stdout, err, caught) == (0, "", "", [])
+        props.append(_report_propagator(json.loads(out.read_text())))
+    if segment["kind"] == "rotation":
+        ends = (1.0, 0.2, 1.0, 1.5)
+    else:
+        ends = (0.3, 0.2, 1.4, 1.5)
+    assert np.max(np.abs(props[0] - _transport(*ends))) < 1e-15
+    assert np.max(np.abs(props[0] - props[1])) < 1e-15
 
 
 @pytest.mark.parametrize("command, fields", [

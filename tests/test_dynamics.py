@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from schmidt_gates.dynamics import (
-    H_DM,
-    H_XY,
-    H_Z,
-    L_DM,
-    L_XY,
-    L_Z,
     ConstantPulse,
     RotatingPulse,
-    SampledPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -36,8 +29,18 @@ from schmidt_gates.sphere import (
     sphere_point,
 )
 
+from reference import (
+    H_DM,
+    H_XY,
+    H_Z,
+    L_DM,
+    L_XY,
+    L_Z,
+    chart,
+    midpoint_propagator,
+)
+
 TOL = 1e-12
-TOL_SAMPLED = 1e-6
 
 
 # -------------------------------------------------------------- operators
@@ -64,12 +67,6 @@ def test_pulse_and_schedule_validation():
     with pytest.raises(ValueError):
         RotatingPulse(-1.0, 1.0, 0.0, 0.5, frame=(1.0, 0.0, 0.0),
                       turn=(0.0, 0.0, 0.5))
-    with pytest.raises(ValueError):
-        SampledPulse(np.array([0.0]), np.array([1.0]), np.array([1.0]),
-                     np.array([1.0]))
-    with pytest.raises(ValueError):
-        SampledPulse(np.linspace(0, 1, 4), np.zeros(3), np.zeros(4),
-                     np.zeros(4))
     with pytest.raises(ValueError, match="unknown sector 'nu'"):
         propagate((ConstantPulse(1.0, 0, 0, 0),), "nu")
     sched = tilted_schedule(0.3, 1.0, 1.5)
@@ -149,7 +146,7 @@ def test_reverse_engineer_sampled_coefficients():
     (p,) = sched
     assert isinstance(p, RotatingPulse)
     assert p.duration == seg.duration
-    t, _, beta = seg.sample(501)
+    t, _, beta, *_ = chart(seg, 501)
     c_xy, c_dm, c_z = _rotating_field(p, t)
     assert np.allclose(c_xy, -0.5 * seg.alpha_rate * np.sin(beta), atol=TOL)
     assert np.allclose(c_dm, +0.5 * seg.alpha_rate * np.cos(beta), atol=TOL)
@@ -165,7 +162,7 @@ def test_effective_field_precesses_sphere_point():
                             rng.uniform(0.5, 2.0))
         sched = reverse_engineer(SchmidtPath((seg,)))
         (p,) = sched
-        t, alpha, beta = seg.sample(2001)
+        t, alpha, beta, *_ = chart(seg, 2001)
         r = np.stack([sphere_point(a, b) for a, b in zip(alpha, beta)])
         dr = np.gradient(r, t, axis=0, edge_order=2)
         if isinstance(p, ConstantPulse):
@@ -180,7 +177,7 @@ def test_effective_field_precesses_sphere_point():
 def test_omega22_identity():
     # i (f' conj(f) + g conj(g')) equals beta'/2 along any chart path
     seg = LinearSegment(0.2, -1.0, 1.4, 2.0, 1.0)
-    t, alpha, beta = seg.sample(100001)
+    t, alpha, beta, *_ = chart(seg, 100001)
     f = np.exp(-0.5j * beta) * np.cos(0.5 * alpha)
     g = np.exp(+0.5j * beta) * np.sin(0.5 * alpha)
     df = np.gradient(f, t, edge_order=2)
@@ -224,13 +221,16 @@ def test_propagate_stacked_pulses_equal_per_element_calls(sector):
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
 def test_propagate_broadcasts_stacked_against_scalar_and_sampled_pulses(
         sector):
-    # a stacked constant pulse next to a scalar one and a sampled one: the
-    # batch shapes broadcast, and each element of the stack is the
-    # propagator of its own schedule
+    # a stacked constant pulse next to a scalar one and the pulse of a
+    # sampled segment, a rotating pulse of six pieces: the batch shapes
+    # broadcast, and each element of the stack is the propagator of its own
+    # schedule
     rng = np.random.default_rng(44)
     c_xy = rng.normal(size=(2, 3))
     t = np.linspace(0.0, 0.8, 7)
-    sampled = SampledPulse(t, np.sin(t), np.cos(t), t ** 2)
+    (sampled,) = reverse_engineer(SchmidtPath((
+        SampledSegment(0.5 + np.sin(t), np.cos(t) + t ** 2, 0.8),)))
+    assert sampled.steps().shape == (4, 12)
     scalar = ConstantPulse(0.4, 0.3, -0.2, 0.5)
     u = propagate((scalar, ConstantPulse(1.1, c_xy, 0.7, -0.1), sampled),
                   sector)
@@ -277,23 +277,100 @@ def test_propagate_drags_tilted_rotation_arc():
 
 
 def test_propagate_drags_sampled_segment():
-    seg = LinearSegment(0.3, 0.0, 1.2, 3.0, 1.0)
+    # a curved sampled segment, through the north pole: each piece is a
+    # spiral, driven exactly, so the branch states land on the last sample
+    s = np.linspace(0.0, 1.0, 41)
+    seg = SampledSegment(1.2 - 2.0 * s ** 2, 3.0 * np.sin(2.0 * s), 1.0)
     path = SchmidtPath((seg,))
     u = propagate(reverse_engineer(path))
     start, end = path.start_coords(), path.end_coords()
     for br in ("gamma+", "gamma-"):
         psi0 = assemble_state(start.alpha, start.beta, br)
         psi1 = assemble_state(end.alpha, end.beta, br)
-        assert np.max(np.abs(u @ psi0 - psi1)) < TOL_SAMPLED
+        assert np.max(np.abs(u @ psi0 - psi1)) < TOL
 
 
 def test_propagate_sampled_convergence_under_doubling():
-    # a sampled segment, the one segment kind that is stepped, here the
-    # samples of a tilted arc at n and 2n points
+    # the samples of a tilted arc at n and 2n points: two polylines through
+    # the arc's points, each driven exactly from the same start to the same
+    # end, so their propagators agree to rounding
     seg = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
     u1, u2 = (propagate(reverse_engineer(SchmidtPath((SampledSegment(
-        *seg.chart(n)[1:3], seg.duration),)))) for n in (10000, 20000))
-    assert np.max(np.abs(u1 - u2)) < 1e-8
+        *chart(seg, n)[1:3], seg.duration),)))) for n in (10000, 20000))
+    assert np.max(np.abs(u1 - u2)) < 1e-12
+
+
+def _phase_aligned(u, v):
+    """min over phi of ||u - exp(i phi) v||_F / 2, formed directly rather
+    than through the fidelity."""
+    overlap = np.trace(v.conj().T @ u)
+    return np.linalg.norm(u - overlap / abs(overlap) * v) / 2
+
+
+def test_sampled_meridian_closes_the_orange_slice_exactly():
+    # the orange slice with its meridian given as 100 samples timed by a
+    # smoothstep, alpha = pi/2 - pi (3 s^2 - 2 s^3): the polyline's
+    # propagator, solid angle and dynamical phase describe one curve, so
+    # the loop is the Omega = -pi gate to rounding, not just to a fidelity
+    # that passes at tolerance 1e-9
+    s = np.linspace(0.0, 1.0, 100)
+    meridian = SampledSegment(np.pi / 2 - np.pi * (3 * s ** 2 - 2 * s ** 3),
+                              np.full(100, -np.pi / 2), 1.0)
+    path = SchmidtPath((equator_arc(np.pi / 2, -np.pi / 2, 1.0), meridian),
+                       closed=True)
+    omega = solid_angle(path)
+    assert omega == pytest.approx(-np.pi, abs=1e-15)
+    assert np.max(np.abs(dynamical_phase(path))) < 1e-15
+    for sector in ("gamma", "lambda"):
+        u = propagate(reverse_engineer(path), sector)
+        v = schmidt_gate(np.pi / 2, np.pi / 2, omega, sector=sector)
+        assert _phase_aligned(u, v) <= 1e-14
+
+
+def _random_polyline(rng, n):
+    """n samples of a random walk in the chart, through the north pole
+    about half the time, of steps up to 0.5 rad."""
+    alpha = rng.uniform(-1.5, 1.5) + np.cumsum(rng.uniform(-0.5, 0.5, n))
+    beta = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(-0.5, 0.5, n))
+    return SampledSegment(alpha, beta, rng.uniform(0.3, 3.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 1000, 8000])
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_sampled_propagator_is_transport(sector, n):
+    # a sampled segment is its polyline, every piece driven exactly: on the
+    # samples of a tilted arc and on random walks its propagator is the
+    # transport one, which shares no code with it
+    rng = np.random.default_rng(90 + n)
+    arc = rotation_arc(1.1, 0.4, (0.3, -0.5, 0.8), 1.3, 1.0)
+    segments = [SampledSegment(*chart(arc, n)[1:3], 1.0)]
+    segments += [_random_polyline(rng, n) for _ in range(3)]
+    for seg in segments:
+        (p,) = reverse_engineer(SchmidtPath((seg,)))
+        assert isinstance(p, RotatingPulse)
+        assert p.steps().shape == (4, 2 * (n - 1))
+        u = propagate((p,), sector)
+        assert np.max(np.abs(u - _transport(seg, sector))) < 1e-13
+
+
+def test_two_sample_segment_is_its_linear_segment():
+    # the polyline of two samples is the linear segment between them: the
+    # same propagator, to rounding, and the same integrals, to the bit
+    rng = np.random.default_rng(91)
+    for k in range(60):
+        a0, b0, a1, b1 = rng.uniform(-3.0, 3.0, 4)
+        if k % 3 == 1:
+            a1 = a0
+        elif k % 3 == 2:
+            b1 = b0
+        duration = rng.uniform(0.3, 3.0)
+        linear = LinearSegment(a0, b0, a1, b1, duration)
+        sampled = SampledSegment([a0, a1], [b0, b1], duration)
+        assert sampled._beta_integrals() == linear._beta_integrals()
+        for sector in ("gamma", "lambda"):
+            u, v = (propagate(reverse_engineer(SchmidtPath((seg,))), sector)
+                    for seg in (sampled, linear))
+            assert np.max(np.abs(u - v)) <= 1e-15
 
 
 def _transport(seg, sector):
@@ -356,11 +433,7 @@ def test_spiral_propagator_is_limit_of_time_stepping(sector):
         exact = propagate(reverse_engineer(SchmidtPath((seg,))), sector)
         errors = []
         for n in (200, 400):
-            t, _, beta, da, db = seg.chart(n)
-            sampled = SampledPulse(t, -0.5 * da * np.sin(beta),
-                                   0.5 * da * np.cos(beta),
-                                   np.full(n, 0.5 * db))
-            u = propagate((sampled,), sector)
+            u = midpoint_propagator(seg, n, sector)
             errors.append(np.max(np.abs(u - exact)))
         assert errors[1] > 1e-11
         assert 3.5 < errors[0] / errors[1] < 4.5
@@ -447,10 +520,7 @@ def test_arc_propagator_is_limit_of_time_stepping(sector):
         exact = propagate(reverse_engineer(SchmidtPath((arc,))), sector)
         errors = []
         for n in (400, 800):
-            t, _, beta, da, db = arc.chart(n)
-            sampled = SampledPulse(t, -0.5 * da * np.sin(beta),
-                                   0.5 * da * np.cos(beta), 0.5 * db)
-            u = propagate((sampled,), sector)
+            u = midpoint_propagator(arc, n, sector)
             errors.append(np.max(np.abs(u - exact)))
         assert errors[1] > 1e-11
         assert 3.5 < errors[0] / errors[1] < 4.5

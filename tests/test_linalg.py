@@ -1,11 +1,8 @@
 import numpy as np
 
 from schmidt_gates import linalg
-from schmidt_gates.dynamics import H_DM, H_XY, H_Z, L_DM, L_XY, L_Z, embed
 from schmidt_gates.linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    embed,
     gate_fidelity,
     phase_aligned_distance,
     require_unitary,
@@ -16,6 +13,18 @@ from schmidt_gates.linalg import (
 )
 
 import pytest
+
+from reference import (
+    H_DM,
+    H_XY,
+    H_Z,
+    L_DM,
+    L_XY,
+    L_Z,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+)
 
 TOL = 1e-12
 
@@ -207,6 +216,26 @@ def test_su2_exp_of_a_field_whose_squares_underflow():
     a, b = su2_exp([0.0, 1e-300], 0.0, 0.0, [1e300, 1e300])
     assert (a[0], b[0]) == (1.0, 0.0)
     assert abs(a[1] - np.cos(1.0)) < 1e-15
+
+
+def test_su2_exp_of_a_field_whose_squares_overflow():
+    # the same rotations as fields scaled by s >= 1e155 over times scaled
+    # by 1/s: above ~1e154 the squares overflow, and the norm is taken of
+    # the field scaled by its largest component, with no floating-point
+    # exception even where overflow raises
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=(3, 50))
+    c[:, :3] = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 5e-9, 1.0]]).T
+    t = rng.uniform(-2, 2, size=50)
+    expect = su2_block(*su2_exp(*c, t))
+    for s in (1e155, 1e200, 1e300):
+        with np.errstate(all="raise"):
+            u = su2_block(*su2_exp(*(c * s), t / s))
+        assert np.max(np.abs(u - expect)) < 1e-14
+    # a stack that mixes both roads with plain fields
+    a, b = su2_exp([1e300, 1e-300, 2.0], 0.0, 0.0, [1e-300, 1e300, 0.5])
+    assert np.max(np.abs(a - np.cos(1.0))) < 1e-15
+    assert np.max(np.abs(b + 1j * np.sin(1.0))) < 1e-15
 
 
 def test_su2_exp_of_a_normal_field_is_the_plain_formula():

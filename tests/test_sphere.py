@@ -7,7 +7,9 @@ from schmidt_gates.sphere import (
     BRANCHES,
     ArcSegment,
     LinearSegment,
+    MAX_SPAN,
     SampledSegment,
+    SchmidtCoordinates,
     SchmidtPath,
     assemble_state,
     concurrence,
@@ -18,6 +20,8 @@ from schmidt_gates.sphere import (
     solid_angle,
     sphere_point,
 )
+
+from reference import chart
 
 TOL = 1e-12
 TOL_PIPE = 1e-10
@@ -170,12 +174,43 @@ def test_linear_segment_basics():
     seg = LinearSegment(0.2, -0.3, 1.4, 0.9, 2.0)
     assert seg.alpha_rate == pytest.approx(0.6)
     assert seg.beta_rate == pytest.approx(0.6)
-    t, alpha, beta = seg.sample(5)
-    assert t[0] == 0.0 and t[-1] == 2.0
-    assert alpha[0] == pytest.approx(0.2) and alpha[-1] == pytest.approx(1.4)
-    assert beta[0] == pytest.approx(-0.3) and beta[-1] == pytest.approx(0.9)
+    assert seg.start_coords() == SchmidtCoordinates(0.2, -0.3)
+    assert seg.end_coords() == SchmidtCoordinates(1.4, 0.9)
     with pytest.raises(ValueError):
         LinearSegment(0, 0, 1, 1, 0.0)
+
+
+def test_segment_span_beyond_double_precision_refused():
+    # a span above 2**23 rad rounds by more than the chart tolerance, so
+    # the pulse would end elsewhere than the segment; up to it, accepted
+    assert MAX_SPAN == 2.0 ** 23
+    LinearSegment(0.3, 0.0, 0.3 + MAX_SPAN, 1.0, 1.0)
+    ArcSegment(1.0, 0.2, (0.3, -0.5, 0.8), -MAX_SPAN, 1.0)
+    SampledSegment([0.3, 0.3 + MAX_SPAN, 0.3], [0.0, 0.0, 0.0], 2.0)
+    refused = [
+        lambda: LinearSegment(0.3, 0.0, 1e16, 1.0, 1.0),
+        lambda: LinearSegment(0.3, 0.0, 0.3, -2.0 * MAX_SPAN, 1e-6),
+        lambda: rotation_arc(1.0, 0.2, (0.0, 0.0, 1.0), 1e10, 1.0),
+        lambda: rotation_arc(1.0, 0.2, (0.3, -0.5, 0.8), 1e10, 1.0),
+        lambda: SampledSegment([0.3, 0.4, 0.5], [0.0, 1e10, 0.0], 1.0),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="segment spans more than"):
+            build()
+
+
+def test_sampled_integrals_are_the_sum_of_their_pieces():
+    # the polyline's integrals piece by piece, each the linear segment
+    # between two consecutive samples
+    rng = np.random.default_rng(36)
+    alpha, beta = rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50)
+    seg = SampledSegment(alpha, beta, 1.0)
+    pieces = [LinearSegment(a0, b0, a1, b1, 1.0) for a0, a1, b0, b1
+              in zip(alpha[:-1], alpha[1:], beta[:-1], beta[1:])]
+    dbeta, cos_int = seg._beta_integrals()
+    assert dbeta == beta[-1] - beta[0]
+    assert cos_int == pytest.approx(
+        sum(p._beta_integrals()[1] for p in pieces), abs=1e-13)
 
 
 def test_linear_segment_integrals_match_trapezoid():
@@ -187,7 +222,7 @@ def test_linear_segment_integrals_match_trapezoid():
     segments += [LinearSegment(a, -1.0, a + da, 2 * np.pi, 1.0)
                  for a in (0.3, 1.2, -2.5) for da in (1e-14, -3e-13, 1e-10)]
     for seg in segments:
-        _, alpha, beta = seg.sample(200001)
+        _, alpha, beta, *_ = chart(seg, 200001)
         dbeta, cos_int = seg._beta_integrals()
         assert abs(dbeta - (beta[-1] - beta[0])) < TOL
         assert abs(cos_int - np.trapezoid(np.cos(alpha), x=beta)) < 1e-9
@@ -220,7 +255,7 @@ def test_rotation_segment_matches_rodrigues_pointwise():
         angle = rng.uniform(-1.0, 1.0)
         try:
             seg = rotation_arc(a0, b0, tuple(axis), angle, 1.0)
-            _, alpha, beta, *_ = seg.chart(64)
+            _, alpha, beta, *_ = chart(seg, 64)
         except ValueError:
             continue  # arc wandered over a pole; rejection is the contract
         r0 = sphere_point(a0, b0)
@@ -273,10 +308,10 @@ def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
     # lifted by its chart at any n its clearance allows
     try:
         seg = rotation_arc(alpha0, beta0, axis, angle, 1.0)
-        _, alpha, beta, *_ = seg.chart(n)
+        _, alpha, beta, *_ = chart(seg, n)
     except ValueError:
         return  # refused: too close to a pole for this step
-    _, fine_alpha, fine_beta, *_ = seg.chart(64 * (n - 1) + 1)
+    _, fine_alpha, fine_beta, *_ = chart(seg, 64 * (n - 1) + 1)
     assert np.max(np.abs(alpha - fine_alpha[::64])) <= 1e-9
     assert np.max(np.abs(beta - fine_beta[::64])) <= 1e-9
     k = np.asarray(axis) / np.linalg.norm(axis)
@@ -364,9 +399,6 @@ def test_arc_passing_a_pole_at_1e6_ends_where_a_fine_lift_ends(pole):
     end = arc.end_coords()
     assert abs(end.beta - beta[-1]) <= 1e-11
     assert abs(end.alpha - alpha[-1]) <= 1e-12
-    # the chart refuses a step that np.unwrap could not follow
-    with pytest.raises(ValueError, match="too close to lift at 1000 samples"):
-        arc.chart(1000)
 
 
 def test_arc_on_the_negative_alpha_copy():
@@ -376,8 +408,8 @@ def test_arc_on_the_negative_alpha_copy():
         start = arc.start_coords()
         copy = rotation_arc(-start.alpha, start.beta + np.pi, arc.axis,
                             arc.angle, arc.duration)
-        t, alpha, beta, da, db = arc.chart(501)
-        t2, alpha2, beta2, da2, db2 = copy.chart(501)
+        t, alpha, beta, da, db = chart(arc, 501)
+        t2, alpha2, beta2, da2, db2 = chart(copy, 501)
         assert np.array_equal(t, t2)
         assert np.max(np.abs(alpha2 + alpha)) <= 1e-12
         assert np.max(np.abs(beta2 - beta - np.pi)) <= 1e-12
@@ -408,8 +440,8 @@ def test_multi_turn_arc_and_its_reverse():
         assert np.array(back._beta_integrals()) == pytest.approx(
             -np.array(arc._beta_integrals()), abs=1e-11)
         # the reverse runs through the same points backwards
-        _, alpha_b, beta_b, *_ = back.chart(2001)
-        _, alpha_f, beta_f, *_ = arc.chart(2001)
+        _, alpha_b, beta_b, *_ = chart(back, 2001)
+        _, alpha_f, beta_f, *_ = chart(arc, 2001)
         assert np.max(np.abs(alpha_b[::-1] - alpha_f)) <= 1e-12
         assert np.max(np.abs(beta_b[::-1] - beta_f)) <= 1e-11
 
@@ -417,7 +449,7 @@ def test_multi_turn_arc_and_its_reverse():
 @pytest.mark.parametrize("n", [300, 1000, 8000])
 def test_arc_end_coords_are_the_last_chart_sample(n):
     for arc in _random_arcs(43, 20, turns=0.2):
-        _, alpha, beta, *_ = arc.chart(n)
+        _, alpha, beta, *_ = chart(arc, n)
         end = arc.end_coords()
         assert abs(end.alpha - alpha[-1]) <= 1e-12
         assert abs(end.beta - beta[-1]) <= 1e-12
@@ -430,7 +462,7 @@ def test_arc_rates_are_exact():
     h = 1e-5
     for arc in _random_arcs(44, 10):
         start = arc.start_coords()
-        t, _, _, da, db = arc.chart(101)
+        t, _, _, da, db = chart(arc, 101)
         for i in range(10, 100, 10):
             phi = arc.angle * np.array([t[i] - h, t[i] + h]) / arc.duration
             a_lo, b_lo = _lift(start.alpha, start.beta, arc.axis, phi[0], 2)
@@ -446,12 +478,19 @@ def test_sampled_segment_validation():
         SampledSegment(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         SampledSegment(np.zeros(3), np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="at least two samples"):
+        SampledSegment(np.zeros(1), np.zeros(1), 1.0)
     seg = SampledSegment(np.array([0.1, 0.2]), np.array([0.0, 0.5]), 1.0)
     assert seg.start_coords().alpha == pytest.approx(0.1)
     assert seg.end_coords().beta == pytest.approx(0.5)
-    # two samples make a segment, but np.gradient rates need three
-    with pytest.raises(ValueError, match="at least 3 samples"):
-        seg.chart(2)
+    # a step too short for double precision, or one whose span rounds
+    # coarser than the chart tolerance
+    with pytest.raises(ValueError, match="rates overflow"):
+        SampledSegment(np.array([0.1, 0.2, 0.3]), np.zeros(3), 1e-320)
+    with pytest.raises(ValueError, match="rates overflow"):
+        SampledSegment(np.array([-1e308, 1e308]), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="segment spans more than"):
+        SampledSegment(np.array([0.1, 0.2, 1e9]), np.zeros(3), 1.0)
 
 
 def test_path_junction_and_closure_validation():
@@ -517,7 +556,7 @@ def test_solid_angle_sampled_segment_loop():
     loop = SchmidtPath(
         (SampledSegment(np.full_like(beta, a0), beta, 1.0),), closed=True)
     assert solid_angle(loop) == pytest.approx(2 * np.pi * (1 - np.cos(a0)),
-                                              abs=1e-9)
+                                              abs=1e-12)
 
 
 def test_solid_angle_requires_closed_path():
