@@ -19,12 +19,12 @@ from .sphere import (
     SchmidtCoordinates,
     SchmidtDecomposition,
     SchmidtPath,
-    LinearSegment,
     SampledSegment,
     ArcSegment,
     assemble_state,
     concurrence,
     equator_arc,
+    linear_segment,
     meridian_arc,
     rotation_arc,
     schmidt_decompose,

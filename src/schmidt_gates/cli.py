@@ -28,7 +28,6 @@ import sys
 import numpy as np
 
 from .dynamics import (
-    RotatingPulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -46,10 +45,10 @@ from .invariants import (
 )
 from .linalg import ATOL_PIPELINE, gate_fidelity, unitarity_defect
 from .sphere import (
-    LinearSegment,
     SampledSegment,
     SchmidtPath,
     _piece_integrals,
+    linear_segment,
     rotation_arc,
     solid_angle,
 )
@@ -377,7 +376,7 @@ def _table_result(command: str, header: list[str], blocks: list[str],
 
 
 # Segment kind -> constructor of the schema's other fields.
-_SEGMENTS = {"linear": LinearSegment, "rotation": rotation_arc,
+_SEGMENTS = {"linear": linear_segment, "rotation": rotation_arc,
              "sampled": SampledSegment}
 
 
@@ -421,7 +420,7 @@ def _build_gate(spec: dict, tol: float):
 
 
 def _pulse_summary(seg, pulse) -> dict:
-    if isinstance(seg, SampledSegment):
+    if isinstance(seg, SampledSegment) and seg.alpha.size > 2:
         # the exact time integrals of the field the polyline applies: per
         # piece, -(1/2) integral of sin(beta) d alpha, (1/2) integral of
         # cos(beta) d alpha and (1/2) d beta
@@ -435,11 +434,19 @@ def _pulse_summary(seg, pulse) -> dict:
             "area_dm": float(0.5 * cos_int.sum()),
             "area_z": float(0.5 * (seg.beta[-1] - seg.beta[0])),
         }
-    # a rotating pulse reports its field at the start (a spiral's turns
-    # about z at the rate 2 c_z)
-    kind = "rotating" if isinstance(pulse, RotatingPulse) else "constant"
+    # a pulse reports its field at the start (a spiral's turns about z at
+    # the rate 2 c_z, an arc's about its axis); a polyline of two samples
+    # with a zero rate holds its field, and the terms of that rate report
+    # +0, whatever the sign of their product with sin or cos of beta
+    kind, c_xy, c_dm, c_z = "rotating", pulse.c_xy, pulse.c_dm, pulse.c_z
+    if isinstance(seg, SampledSegment):
+        da, db = seg._rates[:, 0]
+        if da == 0.0:
+            kind, c_xy, c_dm = "constant", 0.0, 0.0
+        elif db == 0.0:
+            kind, c_z = "constant", 0.0
     return {"kind": kind, "duration": pulse.duration,
-            "c_xy": pulse.c_xy, "c_dm": pulse.c_dm, "c_z": pulse.c_z}
+            "c_xy": c_xy, "c_dm": c_dm, "c_z": c_z}
 
 
 def _invariants_entry(inv) -> dict:

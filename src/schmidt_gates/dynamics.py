@@ -14,17 +14,19 @@ sectors, so a schedule is a plain tuple of pulses (first entry acts
 first) and the sector is chosen once, when propagate embeds the SU(2)
 block.
 
-A segment whose alpha or beta is constant has a constant field. The other
-analytic segments are exact in a turning frame (the rotating-frame
+A segment is a polyline in the chart, alpha and beta linear in t between
+consecutive samples (a linear segment is the polyline of two), or a
+rotation arc. Both are exact in a turning frame (the rotating-frame
 reduction of Rabi, Ramsey and Schwinger, Rev. Mod. Phys. 26, 167 (1954)),
-so their propagator is the product of two exponentials:
+so the propagator of a piece or an arc is the product of two exponentials:
 
-* on a coordinate spiral (alpha and beta both linear in t, both rates
-  nonzero) the field turns about z with beta, H(t) = R(beta' t) H(0)
-  R(beta' t)^dag for R(phi) = exp(-i phi Z / 2); in the frame that turns
-  with it the field is constant, and the propagator is
+* on a coordinate spiral (alpha and beta both linear in t) the field turns
+  about z with beta, H(t) = R(beta' t) H(0) R(beta' t)^dag for
+  R(phi) = exp(-i phi Z / 2); in the frame that turns with it the field is
+  constant, and the propagator is
   exp(-i T c_z Z) exp(-i T (c_xy X + c_dm Y)) with (c_xy, c_dm) the field
-  at the start;
+  at the start; where alpha or beta is constant the field is constant and
+  one of the two factors is the identity;
 * on a rotation arc about a tilted unit axis k, r' = w k x r with
   w = angle / T, so B = w k + lam(t) r with lam = beta' cos(alpha) - w k.r0;
   in the frame turning about k with the arc, r stays at r0 and the field
@@ -32,10 +34,8 @@ so their propagator is the product of two exponentials:
   exp(-i (angle / 2) k.sigma) exp(-i (Lam / 2) r0.sigma) with
   Lam = integral of cos(alpha) d beta - (k.r0) angle.
 
-A sampled segment is a polyline in the chart, alpha and beta linear in t
-between consecutive samples, so each piece is a coordinate spiral and the
-segment is one rotating pulse with a frame and a turn per piece: two exact
-steps per piece, and nothing is stepped by a quadrature rule.
+So every segment is one rotating pulse, two exact steps per piece, and
+nothing is stepped by a quadrature rule.
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
@@ -56,7 +56,6 @@ from .gates import u_general
 from .linalg import embed, su2_block, su2_exp, su2_product
 from .sphere import (
     ArcSegment,
-    LinearSegment,
     SchmidtPath,
     equator_arc,
     meridian_arc,
@@ -66,7 +65,8 @@ from .sphere import (
 @dataclass(frozen=True)
 class ConstantPulse:
     """Pulse with time-independent coefficients (c_xy, c_dm, c_z); arrays
-    of coefficients broadcast to a batch of pulses of one duration."""
+    of coefficients broadcast to a batch of pulses of one duration. The
+    tilted schedule and the Trotter step are made of these."""
 
     duration: float
     c_xy: float
@@ -117,20 +117,8 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg) -> ConstantPulse | RotatingPulse:
+def _segment_pulse(seg) -> RotatingPulse:
     """The pulse that drives one segment, from its exact rates."""
-    if isinstance(seg, LinearSegment):
-        # The field read at the exact start beta: constant on a coordinate-
-        # aligned arc, where the terms of the vanishing rate are exact
-        # zeros, and turning with beta on a spiral.
-        da, db = seg.alpha_rate, seg.beta_rate
-        c_xy, c_dm, c_z = _field(da, db, seg.beta_start)
-        if da == 0.0:
-            return ConstantPulse(seg.duration, 0.0, 0.0, c_z)
-        if db == 0.0:
-            return ConstantPulse(seg.duration, c_xy, c_dm, 0.0)
-        return RotatingPulse(seg.duration, c_xy, c_dm, c_z,
-                             frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
     if isinstance(seg, ArcSegment):
         # B = w k + lam(t) r: the frame turns with the arc, w k / 2, and
         # holds r at r0, where the field integrates to Lam r0 / 2 over T
@@ -143,10 +131,11 @@ def _segment_pulse(seg) -> ConstantPulse | RotatingPulse:
         return RotatingPulse(seg.duration, *start,
                              frame=tuple(half * lam * r0),
                              turn=tuple(half * seg.angle * k))
-    # each piece of a sampled segment is a spiral: as for a linear segment,
-    # its frame is its field at its start without the z part, its turn that
-    # z part
-    c_xy, c_dm, c_z = _field(*seg._rates(), seg.beta[:-1])
+    # each piece of a polyline is a coordinate spiral: its field at its
+    # start beta without the z part is its frame, the z part its turn; on a
+    # coordinate-aligned piece the terms of the zero rate are exact zeros,
+    # so one of the two steps is the identity
+    c_xy, c_dm, c_z = _field(*seg._rates, seg.beta[:-1])
     return RotatingPulse(seg.duration, c_xy[0], c_dm[0], c_z[0],
                          frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
 
@@ -156,15 +145,14 @@ def reverse_engineer(path: SchmidtPath) -> tuple:
     drags the Schmidt vectors along the path with no extra phase, in either
     sector.
 
-    Coordinate-aligned segments (constant alpha or constant beta, rotation
-    arcs about the z axis among them) have exact constant chart rates and
-    become constant pulses. Coordinate spirals and rotation arcs about a
-    tilted axis become rotating pulses, exact in the frame that turns with
-    them; an arc's integral of cos(alpha) d beta is its closed form. A
-    sampled segment becomes one rotating pulse of a spiral piece between
-    each pair of consecutive samples. Every pulse is exact: its propagator
-    carries the sector's branch states from the segment's start to its end
-    to rounding, however the segment is sampled.
+    A polyline, a linear segment among them, becomes one rotating pulse
+    of a spiral piece between each pair of consecutive samples; a piece
+    with constant alpha or constant beta has a constant field. A rotation
+    arc becomes a rotating pulse exact in the frame that turns with it
+    about its axis, its integral of cos(alpha) d beta in closed form. Every
+    pulse is exact: its propagator carries the sector's branch states from
+    the segment's start to its end to rounding, however the segment is
+    sampled.
     """
     return tuple(_segment_pulse(seg) for seg in path.segments)
 

@@ -199,57 +199,6 @@ def concurrence(state: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSegment:
-    """Arc with alpha and beta linear in time (extended chart).
-
-    Covers equator and latitude arcs (alpha constant), meridian arcs through
-    a pole (beta constant, alpha running beyond [0, pi]), and coordinate
-    spirals. Zero rates give a static hold.
-    """
-
-    alpha_start: float
-    beta_start: float
-    alpha_end: float
-    beta_end: float
-    duration: float
-
-    def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("segment duration must be positive")
-        spans = (float(self.alpha_end) - float(self.alpha_start),
-                 float(self.beta_end) - float(self.beta_start))
-        if not all(np.isfinite(d / float(self.duration)) for d in spans):
-            raise ValueError("segment rates overflow double precision")
-        if max(map(abs, spans)) > MAX_SPAN:
-            raise ValueError(_SPAN_ERROR)
-
-    @property
-    def alpha_rate(self) -> float:
-        return (self.alpha_end - self.alpha_start) / self.duration
-
-    @property
-    def beta_rate(self) -> float:
-        return (self.beta_end - self.beta_start) / self.duration
-
-    def start_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(self.alpha_start, self.beta_start)
-
-    def end_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(self.alpha_end, self.beta_end)
-
-    def reversed(self) -> "LinearSegment":
-        return LinearSegment(self.alpha_end, self.beta_end, self.alpha_start,
-                             self.beta_start, self.duration)
-
-    def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), closed form."""
-        dbeta, cos_int = _piece_integrals(
-            np.array([self.alpha_start, self.alpha_end], dtype=float),
-            np.array([self.beta_start, self.beta_end], dtype=float))
-        return float(dbeta[0]), float(cos_int[0])
-
-
 def _piece_integrals(x: np.ndarray, y: np.ndarray, f=np.cos):
     """(integral of d y, integral of f(x) d y) on each piece of the polyline
     through the samples (x, y), x and y linear in one parameter between
@@ -260,15 +209,6 @@ def _piece_integrals(x: np.ndarray, y: np.ndarray, f=np.cos):
     """
     dx, dy = np.diff(x), np.diff(y)
     return dy, dy * f(x[:-1] + 0.5 * dx) * np.sinc(dx / (2.0 * np.pi))
-
-
-def equator_arc(beta_start: float, beta_end: float, duration: float) -> LinearSegment:
-    return LinearSegment(np.pi / 2, beta_start, np.pi / 2, beta_end, duration)
-
-
-def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
-                 duration: float) -> LinearSegment:
-    return LinearSegment(alpha_start, beta, alpha_end, beta, duration)
 
 
 @dataclass(frozen=True)
@@ -282,6 +222,9 @@ class SampledSegment:
     alpha: np.ndarray
     beta: np.ndarray
     duration: float
+    # rows alpha' and beta' on each piece, the sample steps over the time
+    # step
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -293,17 +236,16 @@ class SampledSegment:
             raise ValueError("segment duration must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if not all(np.isfinite(rate).all() for rate in self._rates()):
-            raise ValueError("segment rates overflow double precision")
-        if max(abs(np.diff(x)).max() for x in (alpha, beta)) > MAX_SPAN:
-            raise ValueError(_SPAN_ERROR)
-
-    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha', beta') on each piece, the sample steps over the time
-        step; a step too short for double precision gives inf or nan."""
+        # a step too short for double precision gives an inf or nan rate
+        dt = self.duration / (alpha.size - 1)
         with np.errstate(all="ignore"):
-            dt = self.duration / (self.alpha.size - 1)
-            return np.diff(self.alpha) / dt, np.diff(self.beta) / dt
+            steps = np.diff((alpha, beta))
+            rates = steps / dt
+        if not np.isfinite(rates).all():
+            raise ValueError("segment rates overflow double precision")
+        if abs(steps).max() > MAX_SPAN:
+            raise ValueError(_SPAN_ERROR)
+        object.__setattr__(self, "_rates", rates)
 
     def start_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(float(self.alpha[0]), float(self.beta[0]))
@@ -319,6 +261,26 @@ class SampledSegment:
         the pieces' closed forms."""
         return (float(self.beta[-1] - self.beta[0]),
                 float(_piece_integrals(self.alpha, self.beta)[1].sum()))
+
+
+def linear_segment(alpha_start: float, beta_start: float, alpha_end: float,
+                   beta_end: float, duration: float) -> SampledSegment:
+    """Alpha and beta linear in time (extended chart): the polyline of two
+    samples. Covers equator and latitude arcs (alpha constant), meridian
+    arcs through a pole (beta constant, alpha running beyond [0, pi]), and
+    coordinate spirals; zero rates give a static hold."""
+    return SampledSegment((alpha_start, alpha_end), (beta_start, beta_end),
+                          duration)
+
+
+def equator_arc(beta_start: float, beta_end: float,
+                duration: float) -> SampledSegment:
+    return linear_segment(np.pi / 2, beta_start, np.pi / 2, beta_end, duration)
+
+
+def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
+                 duration: float) -> SampledSegment:
+    return linear_segment(alpha_start, beta, alpha_end, beta, duration)
 
 
 @dataclass(frozen=True)
@@ -360,8 +322,8 @@ class ArcSegment:
         object.__setattr__(self, "clearance", float(np.min(rho)))
         if self.clearance < 1e-9:
             raise ValueError("rotation segment passes through or too close "
-                             "to a pole; represent pole crossings with "
-                             "LinearSegment")
+                             "to a pole; use a linear or sampled segment "
+                             "for a pole crossing")
         if max(abs(self.alpha_start - alpha[0]),
                abs(self.beta_start - beta[0])) > 1e-6:
             raise ValueError("start coordinates do not lie on the declared arc")
@@ -429,11 +391,11 @@ class ArcSegment:
 def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
                  duration: float):
     """ArcSegment of the start rotated by `angle` about `axis`; about the z
-    axis, the latitude LinearSegment. Both stay 1e-9 clear of the poles."""
+    axis, the latitude linear_segment. Both stay 1e-9 clear of the poles."""
     arc = ArcSegment(alpha_start, beta_start, axis, angle, duration)
     if arc.axis[:2] == (0.0, 0.0):
-        return LinearSegment(alpha_start, beta_start, alpha_start,
-                             beta_start + arc.axis[2] * angle, duration)
+        return linear_segment(alpha_start, beta_start, alpha_start,
+                              beta_start + arc.axis[2] * angle, duration)
     return arc
 
 
@@ -489,27 +451,26 @@ def solid_angle(path: SchmidtPath) -> float:
 
     Evaluates the loop integral of (1 - cos(alpha)) d(beta) over the
     continuous extended-alpha chart, in closed form for every segment (for
-    a sampled segment, piece by piece). The chart form is singular at the
-    south pole (a crossing shifts it by 2*pi), so a segment whose alpha
-    range reaches an odd multiple of pi raises ValueError; pole crossings
-    must run through alpha = 0. Rotation arcs never meet a pole, and alpha
-    is linear between a sampled segment's samples, so the ends of a linear
-    segment and the samples of a sampled one bound its alpha range.
+    a polyline, piece by piece). The chart form is singular at the south
+    pole (a crossing shifts it by 2*pi), so a segment whose alpha range
+    reaches an odd multiple of pi raises ValueError; pole crossings must
+    run through alpha = 0. Rotation arcs never meet a pole, and alpha is
+    linear between a polyline's samples, so its samples bound its alpha
+    range.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")
     total = 0.0
     for i, seg in enumerate(path.segments):
-        alpha = (seg.alpha if isinstance(seg, SampledSegment) else
-                 (seg.start_coords().alpha, seg.end_coords().alpha))
-        lo, hi = np.min(alpha), np.max(alpha)
-        # smallest odd multiple of pi at or above lo
-        pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
-        if pole <= hi:
-            raise ValueError(
-                f"segment {i} reaches the south pole (alpha = "
-                f"{pole:.6g}), where the chart solid angle is singular; "
-                "route pole crossings through alpha = 0")
+        if isinstance(seg, SampledSegment):
+            lo, hi = seg.alpha.min(), seg.alpha.max()
+            # smallest odd multiple of pi at or above lo
+            pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
+            if pole <= hi:
+                raise ValueError(
+                    f"segment {i} reaches the south pole (alpha = "
+                    f"{pole:.6g}), where the chart solid angle is singular; "
+                    "route pole crossings through alpha = 0")
         dbeta, cos_int = seg._beta_integrals()
         total += dbeta - cos_int
     return float(total)

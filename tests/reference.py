@@ -1,12 +1,12 @@
 """Reference objects the tests compare the package against: the sector and
-Pauli operators as literal matrices, chart samples of linear segments and
-rotation arcs with their exact rates, and the midpoint rule stepping the
-paper's field on such samples."""
+Pauli operators as literal matrices, chart samples of linear segments (the
+polylines of two samples) and rotation arcs with their exact rates, and the
+midpoint rule stepping the paper's field on such samples."""
 
 import numpy as np
 
 from schmidt_gates.linalg import embed, su2_exp, su2_product
-from schmidt_gates.sphere import LinearSegment
+from schmidt_gates.sphere import SampledSegment
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,14 +29,15 @@ L_Z = np.diag([1, 0, 0, -1]).astype(complex)
 def chart(seg, n):
     """(t, alpha, beta, alpha', beta') of a linear segment or a rotation arc
     at n uniform times, with exact rates: a linear segment's are scalars,
-    an arc's come from one Rodrigues pass of the arc's own lift. An arc
-    refuses a step of |angle| / (n - 1) not below pi times its clearance,
-    which np.unwrap could not follow, since |d beta / d phi| <= 1 / rho."""
+    its ends' differences over its duration, an arc's come from one
+    Rodrigues pass of the arc's own lift. An arc refuses a step of
+    |angle| / (n - 1) not below pi times its clearance, which np.unwrap
+    could not follow, since |d beta / d phi| <= 1 / rho."""
     t = np.linspace(0.0, seg.duration, n)
-    if isinstance(seg, LinearSegment):
-        return (t, seg.alpha_start + seg.alpha_rate * t,
-                seg.beta_start + seg.beta_rate * t, seg.alpha_rate,
-                seg.beta_rate)
+    if isinstance(seg, SampledSegment):
+        (a0, a1), (b0, b1) = seg.alpha, seg.beta
+        da, db = (a1 - a0) / seg.duration, (b1 - b0) / seg.duration
+        return t, a0 + da * t, b0 + db * t, da, db
     if abs(seg.angle) / max(n - 1, 1) >= np.pi * seg.clearance:
         raise ValueError(f"rotation segment comes within {seg.clearance:.3e} "
                          f"of a pole, too close to lift at {n} samples")

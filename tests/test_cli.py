@@ -774,7 +774,8 @@ def test_ten_turn_arc_near_pole_runs(tmp_path, capsys, axis, alpha_start,
 
 def test_sampled_segment_needs_two_samples(tmp_path, capsys):
     # one sample is refused by the schema, which names the field; two are
-    # the linear segment between them, driven exactly
+    # the linear segment between them, driven exactly and reported by its
+    # field, as a linear segment is
     segment = {"kind": "sampled", "alpha": [0.5], "beta": [0.0],
                "duration": 1.0}
     scn = write_scenario(tmp_path, {
@@ -791,9 +792,64 @@ def test_sampled_segment_needs_two_samples(tmp_path, capsys):
     code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
     assert code == 0, err
     report = json.loads(out.read_text())
-    assert report["schedule"][0]["samples"] == 2
+    (pulse,) = report["schedule"]
+    assert list(pulse) == ["kind", "duration", "c_xy", "c_dm", "c_z"]
+    assert pulse["kind"] == "rotating"
+    assert [pulse["c_xy"], pulse["c_dm"], pulse["c_z"]] == pytest.approx(
+        [0.0, 0.05, 0.05], abs=1e-15)
     u = _report_propagator(report)
     assert np.max(np.abs(u - _transport(0.5, 0.0, 0.6, 0.1))) < 1e-15
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_linear_segment_reports_as_its_two_sample_polyline(tmp_path, capsys,
+                                                           sector):
+    # a linear segment is the polyline of its two ends: the same report, to
+    # the byte, as a sampled segment of those two samples; at a start beta
+    # in each quadrant, so that the terms of a zero rate, whose products
+    # with sin(beta) and cos(beta) carry either sign, report +0
+    reports = []
+    for beta0 in (0.7, 2.3, -2.3, -0.7):
+        for a0, b0, a1, b1 in ((0.4, beta0, 0.4, beta0 + 1.1),
+                               (0.4, beta0, 1.3, beta0),
+                               (0.4, beta0, 1.3, beta0 - 2.6)):
+            segments = [
+                {"kind": "linear", "alpha_start": a0, "beta_start": b0,
+                 "alpha_end": a1, "beta_end": b1, "duration": 1.5},
+                {"kind": "sampled", "alpha": [a0, a1], "beta": [b0, b1],
+                 "duration": 1.5}]
+            texts = []
+            for segment in segments:
+                scn = write_scenario(tmp_path, {
+                    "schema_version": 1, "command": "simulate",
+                    "sector": sector, "loop": False,
+                    "path": {"segments": [segment]}})
+                code, out, err = run_main(["simulate", scn], capsys)
+                assert (code, err) == (0, "")
+                texts.append(out)
+            assert texts[0] == texts[1]
+            reports.append(texts[0])
+    kinds = [json.loads(r)["schedule"][0]["kind"] for r in reports]
+    assert kinds == ["constant", "constant", "rotating"] * 4
+    for text, zeros in zip(reports, [("c_xy", "c_dm"), ("c_z",), ()] * 4):
+        for name in zeros:
+            assert f'"{name}": 0,' in text or f'"{name}": 0\n' in text
+
+
+def test_rotation_through_pole_diagnostic(tmp_path, capsys):
+    # half a turn about the x axis from (0, 1, 0) crosses the north pole:
+    # a rotation arc refuses it and names the segment kinds that take a
+    # pole crossing
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate", "loop": False,
+        "path": {"segments": [_rotation([1.0, 0.0, 0.0], angle=np.pi)
+                              | {"alpha_start": np.pi / 2,
+                                 "beta_start": np.pi / 2}]}})
+    code, out, err = run_main(["simulate", scn], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid path: rotation segment passes through or "
+                   "too close to a pole; use a linear or sampled segment for "
+                   "a pole crossing\n")
 
 
 def test_sampled_schedule_areas_are_exact(tmp_path, capsys):

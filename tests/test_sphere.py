@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from schmidt_gates.sphere import (
     BRANCHES,
     ArcSegment,
-    LinearSegment,
     MAX_SPAN,
     SampledSegment,
     SchmidtCoordinates,
@@ -14,6 +13,7 @@ from schmidt_gates.sphere import (
     assemble_state,
     concurrence,
     equator_arc,
+    linear_segment,
     meridian_arc,
     rotation_arc,
     schmidt_decompose,
@@ -171,25 +171,28 @@ def test_schmidt_decompose_rejects_unnormalized():
 
 
 def test_linear_segment_basics():
-    seg = LinearSegment(0.2, -0.3, 1.4, 0.9, 2.0)
-    assert seg.alpha_rate == pytest.approx(0.6)
-    assert seg.beta_rate == pytest.approx(0.6)
+    # the polyline of its two ends
+    seg = linear_segment(0.2, -0.3, 1.4, 0.9, 2.0)
+    assert isinstance(seg, SampledSegment)
+    assert seg.alpha.tolist() == [0.2, 1.4]
+    assert seg.beta.tolist() == [-0.3, 0.9]
+    assert seg.duration == 2.0
     assert seg.start_coords() == SchmidtCoordinates(0.2, -0.3)
     assert seg.end_coords() == SchmidtCoordinates(1.4, 0.9)
-    with pytest.raises(ValueError):
-        LinearSegment(0, 0, 1, 1, 0.0)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        linear_segment(0, 0, 1, 1, 0.0)
 
 
 def test_segment_span_beyond_double_precision_refused():
     # a span above 2**23 rad rounds by more than the chart tolerance, so
     # the pulse would end elsewhere than the segment; up to it, accepted
     assert MAX_SPAN == 2.0 ** 23
-    LinearSegment(0.3, 0.0, 0.3 + MAX_SPAN, 1.0, 1.0)
+    linear_segment(0.3, 0.0, 0.3 + MAX_SPAN, 1.0, 1.0)
     ArcSegment(1.0, 0.2, (0.3, -0.5, 0.8), -MAX_SPAN, 1.0)
     SampledSegment([0.3, 0.3 + MAX_SPAN, 0.3], [0.0, 0.0, 0.0], 2.0)
     refused = [
-        lambda: LinearSegment(0.3, 0.0, 1e16, 1.0, 1.0),
-        lambda: LinearSegment(0.3, 0.0, 0.3, -2.0 * MAX_SPAN, 1e-6),
+        lambda: linear_segment(0.3, 0.0, 1e16, 1.0, 1.0),
+        lambda: linear_segment(0.3, 0.0, 0.3, -2.0 * MAX_SPAN, 1e-6),
         lambda: rotation_arc(1.0, 0.2, (0.0, 0.0, 1.0), 1e10, 1.0),
         lambda: rotation_arc(1.0, 0.2, (0.3, -0.5, 0.8), 1e10, 1.0),
         lambda: SampledSegment([0.3, 0.4, 0.5], [0.0, 1e10, 0.0], 1.0),
@@ -200,26 +203,26 @@ def test_segment_span_beyond_double_precision_refused():
 
 
 def test_sampled_integrals_are_the_sum_of_their_pieces():
-    # the polyline's integrals piece by piece, each the linear segment
-    # between two consecutive samples
+    # the polyline's integrals piece by piece, each from the antiderivative
+    # of cos(alpha) d beta on a piece where both are linear in time:
+    # d beta (sin(a1) - sin(a0)) / d alpha (d alpha bounded away from 0)
     rng = np.random.default_rng(36)
-    alpha, beta = rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50)
+    alpha = np.cumsum(rng.choice([-1, 1], 50) * rng.uniform(0.1, 0.5, 50))
+    beta = rng.uniform(-3, 3, 50)
     seg = SampledSegment(alpha, beta, 1.0)
-    pieces = [LinearSegment(a0, b0, a1, b1, 1.0) for a0, a1, b0, b1
-              in zip(alpha[:-1], alpha[1:], beta[:-1], beta[1:])]
     dbeta, cos_int = seg._beta_integrals()
     assert dbeta == beta[-1] - beta[0]
-    assert cos_int == pytest.approx(
-        sum(p._beta_integrals()[1] for p in pieces), abs=1e-13)
+    assert cos_int == pytest.approx(np.sum(
+        np.diff(beta) * np.diff(np.sin(alpha)) / np.diff(alpha)), abs=1e-13)
 
 
 def test_linear_segment_integrals_match_trapezoid():
     rng = np.random.default_rng(37)
-    segments = [LinearSegment(rng.uniform(-3, 3), rng.uniform(-3, 3),
+    segments = [linear_segment(rng.uniform(-3, 3), rng.uniform(-3, 3),
                               rng.uniform(-3, 3), rng.uniform(-3, 3),
                               rng.uniform(0.5, 2.0)) for _ in range(30)]
     # alpha steps far below the spacing of sin(alpha) near its value
-    segments += [LinearSegment(a, -1.0, a + da, 2 * np.pi, 1.0)
+    segments += [linear_segment(a, -1.0, a + da, 2 * np.pi, 1.0)
                  for a in (0.3, 1.2, -2.5) for da in (1e-14, -3e-13, 1e-10)]
     for seg in segments:
         _, alpha, beta, *_ = chart(seg, 200001)
@@ -230,16 +233,17 @@ def test_linear_segment_integrals_match_trapezoid():
 
 def test_equator_and_meridian_constructors():
     eq = equator_arc(0.3, 1.7, 2.5)
-    assert eq.alpha_start == eq.alpha_end == np.pi / 2
-    assert eq.beta_start == 0.3 and eq.beta_end == 1.7
+    assert eq.alpha.tolist() == [np.pi / 2, np.pi / 2]
+    assert eq.beta.tolist() == [0.3, 1.7]
+    assert eq.duration == 2.5
     mer = meridian_arc(-0.5, 0.1, 2.9, 1.0)
-    assert mer.beta_start == mer.beta_end == -0.5
-    assert mer.alpha_start == 0.1 and mer.alpha_end == 2.9
+    assert mer.beta.tolist() == [-0.5, -0.5]
+    assert mer.alpha.tolist() == [0.1, 2.9]
 
 
 def test_rotation_segment_about_z_is_latitude():
     seg = rotation_arc(np.pi / 3, 0.2, (0, 0, 1), 1.1, 1.0)
-    assert isinstance(seg, LinearSegment)
+    assert isinstance(seg, SampledSegment) and seg.alpha.size == 2
     end = seg.end_coords()
     assert end.alpha == pytest.approx(np.pi / 3, abs=1e-9)
     assert end.beta == pytest.approx(0.2 + 1.1, abs=1e-9)
@@ -304,7 +308,7 @@ _AXES = st.one_of(
 @given(alpha0=st.floats(-3.1, 3.1), beta0=st.floats(-7.0, 7.0), axis=_AXES,
        angle=st.floats(-15.0, 15.0), n=st.integers(2, 2000))
 def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
-    # a z axis gives a latitude LinearSegment, any other an ArcSegment
+    # a z axis gives a latitude linear segment, any other an ArcSegment
     # lifted by its chart at any n its clearance allows
     try:
         seg = rotation_arc(alpha0, beta0, axis, angle, 1.0)
@@ -494,15 +498,15 @@ def test_sampled_segment_validation():
 
 
 def test_path_junction_and_closure_validation():
-    s1 = LinearSegment(0.5, 0.0, 0.5, 1.0, 1.0)
-    s2 = LinearSegment(0.5, 1.0 + 1e-6, 0.5, 2.0, 1.0)
+    s1 = linear_segment(0.5, 0.0, 0.5, 1.0, 1.0)
+    s2 = linear_segment(0.5, 1.0 + 1e-6, 0.5, 2.0, 1.0)
     with pytest.raises(ValueError):
         SchmidtPath((s1, s2))
     with pytest.raises(ValueError):
         SchmidtPath((s1,), closed=True)
     with pytest.raises(ValueError):
         SchmidtPath(())
-    SchmidtPath((s1, LinearSegment(0.5, 1.0, 0.5, 2.0, 1.0)))
+    SchmidtPath((s1, linear_segment(0.5, 1.0, 0.5, 2.0, 1.0)))
 
 
 def test_path_closes_through_pole_identification():
@@ -519,7 +523,7 @@ def test_path_closes_through_pole_identification():
 def test_solid_angle_latitude_loops():
     for a0 in (0.3, np.pi / 3, 1.2):
         loop = SchmidtPath(
-            (LinearSegment(a0, 0.0, a0, 2 * np.pi, 1.0),), closed=True)
+            (linear_segment(a0, 0.0, a0, 2 * np.pi, 1.0),), closed=True)
         assert solid_angle(loop) == pytest.approx(
             2 * np.pi * (1 - np.cos(a0)), abs=TOL)
         assert solid_angle(loop.reversed()) == pytest.approx(
