@@ -45,8 +45,7 @@ from .invariants import (
     makhlin_invariants,
 )
 from .dynamics import (
-    ConstantPulse,
-    RotatingPulse,
+    Pulse,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,

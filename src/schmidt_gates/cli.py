@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    _field,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -419,7 +420,7 @@ def _build_gate(spec: dict, tol: float):
 # --------------------------------------------------------------------------
 
 
-def _pulse_summary(seg, pulse) -> dict:
+def _pulse_summary(seg) -> dict:
     if isinstance(seg, SampledSegment) and seg.alpha.size > 2:
         # the exact time integrals of the field the polyline applies: per
         # piece, -(1/2) integral of sin(beta) d alpha, (1/2) integral of
@@ -434,18 +435,18 @@ def _pulse_summary(seg, pulse) -> dict:
             "area_dm": float(0.5 * cos_int.sum()),
             "area_z": float(0.5 * (seg.beta[-1] - seg.beta[0])),
         }
-    # a pulse reports its field at the start (a spiral's turns about z at
+    # the paper's field at the segment's start (a spiral's turns about z at
     # the rate 2 c_z, an arc's about its axis); a polyline of two samples
     # with a zero rate holds its field, and the terms of that rate report
     # +0, whatever the sign of their product with sin or cos of beta
-    kind, c_xy, c_dm, c_z = "rotating", pulse.c_xy, pulse.c_dm, pulse.c_z
+    kind, (da, db) = "rotating", seg.start_rates()
+    c_xy, c_dm, c_z = _field(da, db, seg.start_coords().beta)
     if isinstance(seg, SampledSegment):
-        da, db = seg._rates[:, 0]
         if da == 0.0:
             kind, c_xy, c_dm = "constant", 0.0, 0.0
         elif db == 0.0:
             kind, c_z = "constant", 0.0
-    return {"kind": kind, "duration": pulse.duration,
+    return {"kind": kind, "duration": seg.duration,
             "c_xy": c_xy, "c_dm": c_dm, "c_z": c_z}
 
 
@@ -503,8 +504,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "loop": loop,
         "base_point": {"alpha": start.alpha, "beta": start.beta},
         "duration": path.duration,
-        "schedule": [_pulse_summary(seg, p)
-                     for seg, p in zip(path.segments, schedule)],
+        "schedule": [_pulse_summary(seg) for seg in path.segments],
         "solid_angle": omega,
         "dynamical_phase": {"plus": phi_plus, "minus": phi_minus},
         "dynamical_phase_zero": phase_zero,
@@ -540,6 +540,10 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
         return np.asarray(spec, dtype=float)
     if not math.isfinite(float(spec["stop"]) - float(spec["start"])):
         raise _invalid((field,), "grid span overflows double precision")
+    # no memory holds 2**53 points (64 PiB); from about 2**60 on, linspace
+    # raises a ValueError or an IndexError where it would run out of memory
+    if int(spec["count"]) > 2 ** 53:
+        raise ScenarioError(_NO_MEMORY)
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 

@@ -34,15 +34,16 @@ so the propagator of a piece or an arc is the product of two exponentials:
   exp(-i (angle / 2) k.sigma) exp(-i (Lam / 2) r0.sigma) with
   Lam = integral of cos(alpha) d beta - (k.r0) angle.
 
-So every segment is one rotating pulse, two exact steps per piece, and
-nothing is stepped by a quadrature rule.
+So every segment is one Pulse(duration, frame, turn), two exact steps per
+piece, and nothing is stepped by a quadrature rule; a pulse that does not
+turn, such as the tilted and Trotter pulses below, states turn = (0, 0, 0).
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
 pulse, its power in closed form. propagate(pulses, sector) is the one road
-from a schedule to a gate; a stack of theta gives pulses with stacked
-coefficients, which it propagates as one batch, so trotter-sweep computes a
+from a schedule to a gate; a stack of theta gives pulses with a batch of
+fields, which it propagates as one batch, so trotter-sweep computes a
 block of table rows per call.
 """
 
@@ -63,51 +64,29 @@ from .sphere import (
 )
 
 @dataclass(frozen=True)
-class ConstantPulse:
-    """Pulse with time-independent coefficients (c_xy, c_dm, c_z); arrays
-    of coefficients broadcast to a batch of pulses of one duration. The
-    tilted schedule and the Trotter step are made of these."""
+class Pulse:
+    """Pulse that holds the field `frame` in the frame turning as
+    exp(-i t turn.sigma), each piece of length T propagating as
+    exp(-i T turn.sigma) exp(-i T frame.sigma). The entries of `frame` and
+    `turn` broadcast: the last axis counts the pieces, of equal length and
+    acting in turn, and leading axes are a batch of one duration."""
 
     duration: float
-    c_xy: float
-    c_dm: float
-    c_z: float
+    frame: tuple
+    turn: tuple
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("pulse duration must be positive")
 
     def steps(self) -> np.ndarray:
-        """One exact step (c_xy, c_dm, c_z, dt), of shape (4, *batch, 1)."""
-        return np.stack(np.broadcast_arrays(self.c_xy, self.c_dm, self.c_z,
-                                            self.duration))[..., None]
-
-
-@dataclass(frozen=True)
-class RotatingPulse:
-    """Pulse whose field starts at (c_xy, c_dm, c_z) and, seen from a frame
-    turning as exp(-i t turn.sigma), keeps one direction, so that there it
-    acts as the field `frame` held for the whole pulse (its mean). Arrays
-    in `frame` and `turn` make a pulse of as many pieces of equal length,
-    one column of each per piece, the pieces acting in turn."""
-
-    duration: float
-    c_xy: float
-    c_dm: float
-    c_z: float
-    frame: tuple
-    turn: tuple
-
-    __post_init__ = ConstantPulse.__post_init__
-
-    def steps(self) -> np.ndarray:
         """Two exact steps per piece, (*frame, dt) and then (*turn, dt), dt
-        the duration over the number of pieces: the field in the turning
-        frame, then the frame's turn."""
-        pieces = np.broadcast(*self.frame, *self.turn).size
-        steps = np.empty((4, 2 * pieces))
+        the duration over the number of pieces: (4, *batch, 2 pieces)."""
+        # the [0.0] gives a pulse of scalar entries its one piece
+        *batch, pieces = np.broadcast(*self.frame, *self.turn, [0.0]).shape
+        steps = np.empty((4, *batch, 2 * pieces))
         for row, (frame, turn) in enumerate(zip(self.frame, self.turn)):
-            steps[row, 0::2], steps[row, 1::2] = frame, turn
+            steps[row, ..., 0::2], steps[row, ..., 1::2] = frame, turn
         steps[3] = self.duration / pieces
         return steps
 
@@ -117,7 +96,7 @@ def _field(da, db, beta):
     return -0.5 * da * np.sin(beta), 0.5 * da * np.cos(beta), 0.5 * db
 
 
-def _segment_pulse(seg) -> RotatingPulse:
+def _segment_pulse(seg) -> Pulse:
     """The pulse that drives one segment, from its exact rates."""
     if isinstance(seg, ArcSegment):
         # B = w k + lam(t) r: the frame turns with the arc, w k / 2, and
@@ -126,18 +105,14 @@ def _segment_pulse(seg) -> RotatingPulse:
         k = np.array(seg.axis)
         lam = seg._beta_integrals()[1] - (k @ r0) * seg.angle
         half = 0.5 / seg.duration
-        start = _field(*seg._rates(*r0, np.hypot(r0[0], r0[1])),
-                       seg.beta_start)
-        return RotatingPulse(seg.duration, *start,
-                             frame=tuple(half * lam * r0),
-                             turn=tuple(half * seg.angle * k))
+        return Pulse(seg.duration, frame=tuple(half * lam * r0),
+                     turn=tuple(half * seg.angle * k))
     # each piece of a polyline is a coordinate spiral: its field at its
     # start beta without the z part is its frame, the z part its turn; on a
     # coordinate-aligned piece the terms of the zero rate are exact zeros,
     # so one of the two steps is the identity
     c_xy, c_dm, c_z = _field(*seg._rates, seg.beta[:-1])
-    return RotatingPulse(seg.duration, c_xy[0], c_dm[0], c_z[0],
-                         frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
+    return Pulse(seg.duration, frame=(c_xy, c_dm, 0.0), turn=(0.0, 0.0, c_z))
 
 
 def reverse_engineer(path: SchmidtPath) -> tuple:
@@ -145,11 +120,11 @@ def reverse_engineer(path: SchmidtPath) -> tuple:
     drags the Schmidt vectors along the path with no extra phase, in either
     sector.
 
-    A polyline, a linear segment among them, becomes one rotating pulse
-    of a spiral piece between each pair of consecutive samples; a piece
-    with constant alpha or constant beta has a constant field. A rotation
-    arc becomes a rotating pulse exact in the frame that turns with it
-    about its axis, its integral of cos(alpha) d beta in closed form. Every
+    A polyline, a linear segment among them, becomes one pulse of a
+    spiral piece between each pair of consecutive samples; on a piece with
+    constant alpha the frame field is zero, on one with constant beta the
+    turn. A rotation arc becomes a pulse exact in the frame that turns with
+    it about its axis, its integral of cos(alpha) d beta in closed form. Every
     pulse is exact: its propagator carries the sector's branch states from
     the segment's start to its end to rounding, however the segment is
     sampled.
@@ -208,18 +183,20 @@ def orange_slice_path(t1: float, tau: float) -> SchmidtPath:
 
 
 def tilted_schedule(theta, t1: float, tau: float) -> tuple:
-    """Two constant pulses: -(pi/(2 t1)) h_z during [0, t1], then the
-    second pulse tilted by theta,
+    """Two pulses that do not turn: -(pi/(2 t1)) h_z during [0, t1], then
+    the second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
     the plain two-pulse schedule that generates the orange-slice loop. A
-    stack of theta gives the second pulse coefficients of its shape, so
-    propagate gives a stack of propagators.
+    stack of theta is the second pulse's batch (of one piece), so propagate
+    gives a stack of propagators.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
+    theta = np.asarray(theta)[..., None]
     return (
-        ConstantPulse(t1, 0.0, 0.0, -np.pi / (2.0 * t1)),
-        ConstantPulse(tau - t1, -k * np.cos(theta), 0.0, k * np.sin(theta)),
+        Pulse(t1, frame=(0.0, 0.0, -np.pi / (2.0 * t1)), turn=(0.0, 0.0, 0.0)),
+        Pulse(tau - t1, frame=(-k * np.cos(theta), 0.0, k * np.sin(theta)),
+              turn=(0.0, 0.0, 0.0)),
     )
 
 
@@ -241,8 +218,8 @@ def trotter_propagate(theta, n) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
 
-    The step S, the propagator of the two-pulse schedule (z, then xy), is a
-    rotation cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its
+    The step S, the propagator of two pulses that do not turn (z, then xy),
+    is a rotation cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its
     n-th power is cos(n phi) I - i sin(n phi) (m.sigma), in closed form for
     any n. n is a positive integer or an integer array (Python integers
     beyond int64 too) that broadcasts against theta; the result is a
@@ -257,10 +234,10 @@ def trotter_propagate(theta, n) -> np.ndarray:
     # pi / (2 n), without forming 2 n, which overflows for n near the
     # largest double
     k = 0.5 * np.pi / n
-    step = propagate((
-        ConstantPulse(1.0, 0.0, 0.0, k * np.sin(theta)),
-        ConstantPulse(1.0, -k * np.cos(theta), 0.0, 0.0),
-    ))
+    # the batch of theta and n, with a trailing axis of one piece
+    z, xy = (k * np.sin(theta))[..., None], (-k * np.cos(theta))[..., None]
+    step = propagate((Pulse(1.0, frame=(0.0, 0.0, z), turn=(0.0, 0.0, 0.0)),
+                      Pulse(1.0, frame=(xy, 0.0, 0.0), turn=(0.0, 0.0, 0.0))))
     a, b = step[..., 1, 1], step[..., 2, 1]
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2

@@ -211,7 +211,7 @@ def _piece_integrals(x: np.ndarray, y: np.ndarray, f=np.cos):
     return dy, dy * f(x[:-1] + 0.5 * dx) * np.sinc(dx / (2.0 * np.pi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSegment:
     """Chart samples (alpha, beta) at uniform times over the duration, at
     least two, joined as a polyline: alpha and beta are linear in time
@@ -224,7 +224,7 @@ class SampledSegment:
     duration: float
     # rows alpha' and beta' on each piece, the sample steps over the time
     # step
-    _rates: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -253,8 +253,24 @@ class SampledSegment:
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(float(self.alpha[-1]), float(self.beta[-1]))
 
+    def start_rates(self) -> tuple[float, float]:
+        """(alpha', beta') at the start, the first piece's rates."""
+        return tuple(self._rates[:, 0])
+
     def reversed(self) -> "SampledSegment":
         return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
+
+    def __eq__(self, other):
+        return (isinstance(other, SampledSegment)
+                and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        """Samples and duration as plain floats, to compare and hash by."""
+        return (tuple(self.alpha.tolist()), tuple(self.beta.tolist()),
+                self.duration)
 
     def _beta_integrals(self) -> tuple[float, float]:
         """(integral of d beta, integral of cos(alpha) d beta), the sum of
@@ -369,10 +385,11 @@ class ArcSegment:
     def end_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(*self._closed[:2])
 
-    def _rates(self, x, y, z, rho):
-        """(alpha', beta') at the arc's points (x, y, z), rho = hypot(x, y):
-        the exact rates of r' = (angle / duration) k x r in the arc's chart
-        copy."""
+    def start_rates(self) -> tuple[float, float]:
+        """(alpha', beta') at the start: the exact rates of
+        r' = (angle / duration) k x r at r0, in the arc's chart copy."""
+        x, y, z = sphere_point(self.alpha_start, self.beta_start)
+        rho = np.hypot(x, y)
         (kx, ky, kz), rate = self.axis, self.angle / self.duration
         # alpha' = -z' / sin(alpha) (on the principal copy) and
         # beta' = (x y' - y x') / rho^2

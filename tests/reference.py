@@ -1,7 +1,8 @@
 """Reference objects the tests compare the package against: the sector and
 Pauli operators as literal matrices, chart samples of linear segments (the
-polylines of two samples) and rotation arcs with their exact rates, and the
-midpoint rule stepping the paper's field on such samples."""
+polylines of two samples) and rotation arcs with their exact rates, which
+share no rate formula with the package, and the midpoint rule stepping the
+paper's field on such samples."""
 
 import numpy as np
 
@@ -29,10 +30,11 @@ L_Z = np.diag([1, 0, 0, -1]).astype(complex)
 def chart(seg, n):
     """(t, alpha, beta, alpha', beta') of a linear segment or a rotation arc
     at n uniform times, with exact rates: a linear segment's are scalars,
-    its ends' differences over its duration, an arc's come from one
-    Rodrigues pass of the arc's own lift. An arc refuses a step of
-    |angle| / (n - 1) not below pi times its clearance, which np.unwrap
-    could not follow, since |d beta / d phi| <= 1 / rho."""
+    its ends' differences over its duration; an arc's come from the
+    velocity r' = (angle / duration) k x r at the arc's own lifted points,
+    as alpha' = -z' / sin(alpha) and beta' = (x y' - y x') / rho^2. An arc
+    refuses a step of |angle| / (n - 1) not below pi times its clearance,
+    which np.unwrap could not follow, since |d beta / d phi| <= 1 / rho."""
     t = np.linspace(0.0, seg.duration, n)
     if isinstance(seg, SampledSegment):
         (a0, a1), (b0, b1) = seg.alpha, seg.beta
@@ -42,7 +44,10 @@ def chart(seg, n):
         raise ValueError(f"rotation segment comes within {seg.clearance:.3e} "
                          f"of a pole, too close to lift at {n} samples")
     alpha, beta, rho, point = seg._lift(np.linspace(0.0, seg.angle, n))
-    return (t, alpha, beta, *seg._rates(*point, rho))
+    r = np.array(point)
+    dr = seg.angle / seg.duration * np.cross(seg.axis, r, axis=0)
+    return (t, alpha, beta, -dr[2] / np.sin(alpha),
+            (r[0] * dr[1] - r[1] * dr[0]) / rho ** 2)
 
 
 def midpoint_propagator(seg, n, sector):

@@ -1124,14 +1124,25 @@ def test_very_fast_segment_is_its_transport(tmp_path, capsys, segment):
     assert np.max(np.abs(props[0] - props[1])) < 1e-15
 
 
+_HUGE = {"start": 0.0, "stop": 1.0, "count": 1e300}
+
+
 @pytest.mark.parametrize("command, fields", [
     ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 10**17},
                    "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
-], ids=["sweep-map-count-1e17"])
+    ("sweep-map", {"alpha0": _HUGE,
+                   "omega": {"start": -3.0, "stop": 3.0, "count": 3}}),
+    ("sweep-map", {"alpha0": {"start": 0.0, "stop": 1.5, "count": 3},
+                   "omega": _HUGE}),
+    ("trotter-sweep", {"theta": _HUGE, "n_values": [1, 4]}),
+], ids=["sweep-map-count-1e17", "sweep-map-alpha0-count-1e300",
+        "sweep-map-omega-count-1e300", "trotter-sweep-theta-count-1e300"])
 def test_input_too_large_for_memory_gives_one_diagnostic(tmp_path, capsys,
                                                          command, fields):
     # 1e17 float64 samples need 711 PiB, more than any address space, so
-    # the allocation fails at once: one diagnostic, exit 2, no output file
+    # the allocation fails at once; a count of 1e300 is past the largest
+    # array numpy can index: either way one diagnostic, exit 2, no output
+    # file
     scn = write_scenario(tmp_path, {"schema_version": 1, "command": command,
                                     **fields})
     out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """The package carries no dead code that a syntax walk can see: no module
-imports a name it never uses, and no top-level private function or class
-goes unreferenced. Both checks read the source with the standard library's
-ast module, so a class or helper left behind by a deletion fails here.
+imports a name it never uses, no top-level private function or class goes
+unreferenced, and no private method of a class goes unread. The checks read
+the source with the standard library's ast module, so a class, helper or
+method left behind by a deletion fails here.
 """
 
 import ast
@@ -38,6 +39,11 @@ def unused_imports(tree) -> list:
     return [name for name in imported if name not in used]
 
 
+def _private(name: str) -> bool:
+    """Whether a name starts with one underscore (not a dunder)."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_privates(trees: dict) -> list:
     """(module, name) of each top-level function or class whose name
     starts with one underscore and that no code of the package reads or
@@ -46,8 +52,7 @@ def unreferenced_privates(trees: dict) -> list:
     for module, tree in trees.items():
         for node in tree.body:
             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+                    and _private(node.name)):
                 continue
             own = {id(n) for n in ast.walk(node)}
             here = any(isinstance(n, ast.Name) and n.id == node.name
@@ -62,6 +67,27 @@ def unreferenced_privates(trees: dict) -> list:
     return found
 
 
+def unread_private_methods(trees: dict) -> list:
+    """(module, class.method) of each method of a top-level class whose
+    name starts with one underscore and that no code of the package reads
+    as an attribute, other than its own body."""
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not (isinstance(node, ast.FunctionDef)
+                        and _private(node.name)):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(isinstance(n, ast.Attribute) and n.attr == node.name
+                           and isinstance(n.ctx, ast.Load) and id(n) not in own
+                           for t in trees.values() for n in ast.walk(t)):
+                    found.append((module, f"{cls.name}.{node.name}"))
+    return found
+
+
 def test_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -69,9 +95,15 @@ def test_checks_find_what_they_look_for():
         "from .x import _kept, _unused\n"
         "def _dead(n):\n    return _dead(n - 1)\n"
         "class _Helper:\n    pass\n"
+        "class Thing:\n"
+        "    def _unread(self):\n        return self._unread()\n"
+        "    def _read(self):\n        return 1\n"
+        "    def __len__(self):\n        return self._read()\n"
         "def run():\n    return np.pi, _kept, _Helper\n")
     assert unused_imports(tree) == ["os", "_unused"]
     assert unreferenced_privates({"m.py": tree}) == [("m.py", "_dead")]
+    assert unread_private_methods({"m.py": tree}) == [("m.py",
+                                                       "Thing._unread")]
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -83,3 +115,4 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates(_modules()) == []
+    assert unread_private_methods(_modules()) == []

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from schmidt_gates.dynamics import (
-    ConstantPulse,
-    RotatingPulse,
+    Pulse,
+    _field,
     composed_tilted_gate,
     dynamical_phase,
     extract_rotation_angle,
@@ -15,7 +15,7 @@ from schmidt_gates.dynamics import (
     trotter_propagate,
 )
 from schmidt_gates.gates import schmidt_gate, u_general
-from schmidt_gates.linalg import gate_fidelity
+from schmidt_gates.linalg import embed, gate_fidelity, su2_block, su2_exp
 from schmidt_gates.sphere import (
     ArcSegment,
     SampledSegment,
@@ -63,12 +63,11 @@ def test_sector_operators_commute_across_sectors():
 
 def test_pulse_and_schedule_validation():
     with pytest.raises(ValueError):
-        ConstantPulse(0.0, 1.0, 0.0, 0.0)
+        Pulse(0.0, frame=(1.0, 0.0, 0.0), turn=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        RotatingPulse(-1.0, 1.0, 0.0, 0.5, frame=(1.0, 0.0, 0.0),
-                      turn=(0.0, 0.0, 0.5))
+        Pulse(-1.0, frame=(1.0, 0.0, 0.0), turn=(0.0, 0.0, 0.5))
     with pytest.raises(ValueError, match="unknown sector 'nu'"):
-        propagate((ConstantPulse(1.0, 0, 0, 0),), "nu")
+        propagate((Pulse(1.0, frame=(0, 0, 0), turn=(0, 0, 0)),), "nu")
     sched = tilted_schedule(0.3, 1.0, 1.5)
     assert sum(p.duration for p in sched) == pytest.approx(1.5)
 
@@ -81,45 +80,48 @@ def _is_zero(field):
     return not np.any(np.broadcast_arrays(*field))
 
 
+def _pieces(field):
+    """A pulse's frame or turn as a (3, pieces) array."""
+    return np.array(np.broadcast_arrays(*field, [0.0])[:3])
+
+
 def test_reverse_engineer_constant_pulse_coefficients():
-    # equator arc: pure splitting pulse at half the beta rate, a rotating
-    # pulse whose frame is zero, so that it is its constant turn
+    # equator arc: pure splitting pulse at half the beta rate, a pulse whose
+    # frame is zero, so that it is its constant turn
     sched = reverse_engineer(SchmidtPath((equator_arc(0.2, 1.4, 2.0),)))
     (p,) = sched
-    assert isinstance(p, RotatingPulse) and _is_zero(p.frame)
-    assert p.c_xy == pytest.approx(0.0, abs=TOL)
-    assert p.c_dm == pytest.approx(0.0, abs=TOL)
-    assert p.c_z == pytest.approx(0.5 * 1.2 / 2.0, abs=TOL)
+    assert p.duration == 2.0 and _is_zero(p.frame)
+    assert np.allclose(_pieces(p.turn), [[0.0], [0.0], [0.5 * 1.2 / 2.0]],
+                       atol=TOL)
 
-    # meridian arc: exchange mix at half the alpha rate, a rotating pulse
-    # whose turn is zero, so that it is its constant frame
+    # meridian arc: exchange mix at half the alpha rate, a pulse that does
+    # not turn, so that it is its constant frame
     beta = -0.8
     sched = reverse_engineer(SchmidtPath((meridian_arc(beta, 0.3, 1.7, 2.0),)))
     (p,) = sched
-    assert isinstance(p, RotatingPulse) and _is_zero(p.turn)
+    assert _is_zero(p.turn)
     rate = (1.7 - 0.3) / 2.0
-    assert p.c_xy == pytest.approx(-0.5 * rate * np.sin(beta), abs=TOL)
-    assert p.c_dm == pytest.approx(+0.5 * rate * np.cos(beta), abs=TOL)
-    assert p.c_z == pytest.approx(0.0, abs=TOL)
+    assert np.allclose(_pieces(p.frame), [[-0.5 * rate * np.sin(beta)],
+                                          [+0.5 * rate * np.cos(beta)],
+                                          [0.0]], atol=TOL)
 
     # rotation about z is a latitude arc: constant splitting pulse
     seg = rotation_arc(0.9, 0.1, (0.0, 0.0, -1.0), 0.5, 2.0)
     sched = reverse_engineer(SchmidtPath((seg,)))
     (p,) = sched
-    assert isinstance(p, RotatingPulse) and _is_zero(p.frame)
-    assert np.allclose([p.c_xy, p.c_dm, p.c_z], [0.0, 0.0, -0.5 * 0.25],
+    assert _is_zero(p.frame)
+    assert np.allclose(_pieces(p.turn), [[0.0], [0.0], [-0.5 * 0.25]],
                        atol=TOL)
 
-    # a tilted rotation axis gives a rotating pulse: the frame turns with the
-    # arc, (angle / 2T) k, and in it the field keeps the direction r0; its
-    # start field is the paper's field at the start, and B = 2 (c_xy, c_dm,
-    # c_z) turns the sphere point as the rotation does,
+    # a tilted rotation axis gives a pulse whose frame turns with the arc,
+    # (angle / 2T) k, and in which the field keeps the direction r0; the
+    # arc's start rates give the paper's field at the start, and
+    # B = 2 (c_xy, c_dm, c_z) turns the sphere point as the rotation does,
     # B x r0 = (angle / duration) k x r0
     k, rate = np.array([0.6, 0.0, 0.8]), 0.25
     seg = rotation_arc(0.9, 0.1, tuple(k), 0.5, 2.0)
     (p,) = reverse_engineer(SchmidtPath((seg,)))
-    assert isinstance(p, RotatingPulse)
-    assert p.duration == 2.0
+    assert p.duration == 2.0 and p.steps().shape == (4, 2)
     r0 = sphere_point(0.9, 0.1)
     assert np.allclose(p.turn, 0.5 * rate * k, atol=TOL)
     assert np.allclose(np.cross(p.frame, r0), 0.0, atol=TOL)
@@ -130,20 +132,23 @@ def test_reverse_engineer_constant_pulse_coefficients():
     dr = rate * np.cross(k, r0)
     da = -dr[2] / np.sin(0.9)
     db = (r0[0] * dr[1] - r0[1] * dr[0]) / np.sin(0.9) ** 2
-    assert np.allclose([p.c_xy, p.c_dm, p.c_z],
-                       [-0.5 * da * np.sin(0.1), 0.5 * da * np.cos(0.1),
-                        0.5 * db], atol=TOL)
-    field = 2.0 * np.array([p.c_xy, p.c_dm, p.c_z])
+    assert np.allclose(seg.start_rates(), [da, db], atol=TOL)
+    field = 2.0 * np.array(_field(*seg.start_rates(), 0.1))
+    assert np.allclose(field, [-da * np.sin(0.1), da * np.cos(0.1), db],
+                       atol=TOL)
     assert np.allclose(np.cross(field, r0), dr, atol=TOL)
 
 
 def _rotating_field(p, t):
-    """(c_xy, c_dm, c_z) of a rotating pulse at times t: its start field,
-    turned about z by 2 c_z t."""
-    phi = 2.0 * p.c_z * t
+    """(c_xy, c_dm, c_z) at times t of a one-piece pulse that turns about
+    z: H(t) = turn + R(t) frame R(t)^dag with R(t) = exp(-i t turn.sigma),
+    its frame field turned about z by 2 c_z t."""
+    (f_xy, f_dm, f_z), (t_xy, t_dm, c_z) = _pieces(p.frame), _pieces(p.turn)
+    assert not np.any([f_z, t_xy, t_dm])
+    phi = 2.0 * c_z * t
     cos, sin = np.cos(phi), np.sin(phi)
-    return (p.c_xy * cos - p.c_dm * sin, p.c_xy * sin + p.c_dm * cos,
-            np.broadcast_to(p.c_z, np.shape(t)))
+    return (f_xy * cos - f_dm * sin, f_xy * sin + f_dm * cos,
+            np.broadcast_to(c_z, np.shape(t)))
 
 
 def test_reverse_engineer_sampled_coefficients():
@@ -153,7 +158,6 @@ def test_reverse_engineer_sampled_coefficients():
     da, db = 1.2 - 0.3, 3.0 - 0.0
     sched = reverse_engineer(SchmidtPath((seg,)))
     (p,) = sched
-    assert isinstance(p, RotatingPulse)
     assert p.duration == seg.duration
     t, _, beta, *_ = chart(seg, 501)
     c_xy, c_dm, c_z = _rotating_field(p, t)
@@ -174,7 +178,6 @@ def test_effective_field_precesses_sphere_point():
         t, alpha, beta, *_ = chart(seg, 2001)
         r = np.stack([sphere_point(a, b) for a, b in zip(alpha, beta)])
         dr = np.gradient(r, t, axis=0, edge_order=2)
-        assert isinstance(p, RotatingPulse)
         field = 2 * np.stack(_rotating_field(p, t), axis=1)
         assert np.max(np.abs(dr - np.cross(field, r))) < 1e-5
 
@@ -202,50 +205,87 @@ def test_propagate_empty_schedule_is_identity(sector):
     assert np.array_equal(u, np.eye(4))
 
 
+def _element(p, batch, index):
+    """The pulse of one element of a pulse stacked over `batch`: each entry
+    of its frame and turn with leading axes is broadcast to the batch and
+    indexed, keeping its pieces."""
+    def pick(x):
+        if np.ndim(x) < 2:
+            return x
+        return np.broadcast_to(x, (*batch, np.shape(x)[-1]))[index]
+    return Pulse(p.duration, tuple(map(pick, p.frame)),
+                 tuple(map(pick, p.turn)))
+
+
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_pulse_that_does_not_turn_is_its_held_field(sector):
+    # the turn's zero-field step is the identity pair exactly, so a pulse
+    # that does not turn is one su2_exp step of its field, to the bit, for
+    # random fields with signed zeros and components of 1e+-300 mixed in
+    rng = np.random.default_rng(45)
+    specials = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+    for _ in range(2000):
+        f = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, 3)
+        mask = rng.random(3) < 0.4
+        f[mask] = rng.choice(specials, mask.sum())
+        t = rng.uniform(0.1, 3.0)
+        u = propagate((Pulse(t, tuple(f), (0.0, 0.0, 0.0)),), sector)
+        v = embed(su2_block(*su2_exp(*f, t)), sector)
+        assert u.tobytes() == v.tobytes()
+    # a stack of theta in tilted_schedule is each theta's own schedule
+    thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40),
+                             [0.0, -0.0, np.pi / 2, 5e-324]])
+    u = propagate(tilted_schedule(thetas, 0.7, 1.9), sector)
+    assert u.shape == (thetas.size, 4, 4)
+    for k, theta in enumerate(thetas):
+        one = propagate(tilted_schedule(theta, 0.7, 1.9), sector)
+        assert u[k].tobytes() == one.tobytes()
+
+
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
 def test_propagate_stacked_pulses_equal_per_element_calls(sector):
-    # constant pulses with (3, 4) stacks of coefficients, scalar ones mixed
-    # in, give the stack of the propagators of each element's schedule
+    # pulses whose frame and turn entries stack a (3, 4) batch on their
+    # leading axes and count pieces on the last, scalar entries and entries
+    # that broadcast mixed in, give the stack of the propagators of each
+    # element's schedule
     rng = np.random.default_rng(43)
-    c = rng.normal(size=(3, 3, 3, 4))
-    c[0, 0, 0] = 0.0
-    c[1, 2, 1, :2] = -0.0
-    durations = (0.4, 1.3, 0.7)
-    stacked = [ConstantPulse(d, *coeffs) for d, coeffs in zip(durations, c)]
-    stacked[1] = ConstantPulse(1.3, c[1, 0], 0.0, c[1, 2])
+    c = rng.normal(size=(3, 6, 3, 4, 2))
+    c[0, :, 0, 0] = 0.0
+    c[1, :2, 2, 1] = -0.0
+    stacked = [
+        Pulse(0.4, tuple(c[0, :3, ..., :1]), (0.0, 0.0, 0.0)),
+        Pulse(1.3, (c[1, 0], 0.0, c[1, 2, :1, :, :1]), (0.0, 0.0, c[1, 5])),
+        Pulse(0.7, tuple(c[2, :3]), (c[2, 3], c[2, 4, :, :1, 0:1], 0.2)),
+    ]
     u = propagate(stacked, sector)
     assert u.shape == (3, 4, 4, 4)
     for i in range(3):
         for j in range(4):
-            one = [ConstantPulse(p.duration, *(np.broadcast_to(x, (3, 4))[i, j]
-                                               for x in (p.c_xy, p.c_dm, p.c_z)))
-                   for p in stacked]
-            v = propagate(one, sector)
+            v = propagate([_element(p, (3, 4), (i, j)) for p in stacked],
+                          sector)
             assert u[i, j].tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
 def test_propagate_broadcasts_stacked_against_scalar_and_sampled_pulses(
         sector):
-    # a stacked constant pulse next to a scalar one and the pulse of a
-    # sampled segment, a rotating pulse of six pieces: the batch shapes
-    # broadcast, and each element of the stack is the propagator of its own
-    # schedule
+    # a stacked pulse that does not turn next to a scalar one and the pulse
+    # of a sampled segment, of six pieces: the batch shapes broadcast, and
+    # each element of the stack is the propagator of its own schedule
     rng = np.random.default_rng(44)
-    c_xy = rng.normal(size=(2, 3))
+    c_xy = rng.normal(size=(2, 3, 1))
     t = np.linspace(0.0, 0.8, 7)
     (sampled,) = reverse_engineer(SchmidtPath((
         SampledSegment(0.5 + np.sin(t), np.cos(t) + t ** 2, 0.8),)))
     assert sampled.steps().shape == (4, 12)
-    scalar = ConstantPulse(0.4, 0.3, -0.2, 0.5)
-    u = propagate((scalar, ConstantPulse(1.1, c_xy, 0.7, -0.1), sampled),
-                  sector)
+    scalar = Pulse(0.4, (0.3, -0.2, 0.5), (0.0, 0.0, 0.0))
+    stacked = Pulse(1.1, (c_xy, 0.7, -0.1), (0.0, 0.0, 0.0))
+    u = propagate((scalar, stacked, sampled), sector)
     assert u.shape == (2, 3, 4, 4)
     for i in range(2):
         for j in range(3):
-            one = (scalar, ConstantPulse(1.1, c_xy[i, j], 0.7, -0.1), sampled)
-            v = propagate(one, sector)
-            assert u[i, j].tobytes() == v.tobytes()
+            one = (scalar, _element(stacked, (2, 3), (i, j)), sampled)
+            assert u[i, j].tobytes() == propagate(one, sector).tobytes()
 
 
 def test_propagate_drags_schmidt_vectors_exactly():
@@ -353,7 +393,6 @@ def test_sampled_propagator_is_transport(sector, n):
     segments += [_random_polyline(rng, n) for _ in range(3)]
     for seg in segments:
         (p,) = reverse_engineer(SchmidtPath((seg,)))
-        assert isinstance(p, RotatingPulse)
         assert p.steps().shape == (4, 2 * (n - 1))
         u = propagate((p,), sector)
         assert np.max(np.abs(u - _transport(seg, sector))) < 1e-13
@@ -403,7 +442,7 @@ def test_spiral_propagator_is_transport(sector):
         seg = _random_spiral(rng, 80.0)
         sched = reverse_engineer(SchmidtPath((seg,)))
         (p,) = sched
-        assert isinstance(p, RotatingPulse)
+        assert p.steps().shape == (4, 2)
         u = propagate(sched, sector)
         assert np.max(np.abs(u - _transport(seg, sector))) < 1e-13
 
@@ -449,7 +488,7 @@ def test_arc_propagator_is_transport(sector):
         arc = _random_arc(rng)
         sched = reverse_engineer(SchmidtPath((arc,)))
         (p,) = sched
-        assert isinstance(p, RotatingPulse)
+        assert p.steps().shape == (4, 2)
         u = propagate(sched, sector)
         assert np.max(np.abs(u - _transport(arc, sector))) < 1e-13
 
@@ -547,8 +586,9 @@ def test_orange_slice_path_properties():
 def test_two_pulse_schedule_gives_rotation_gate():
     sched = tilted_schedule(0.0, 1.0, 2.0)
     assert len(sched) == 2
-    assert sched[0].c_z == pytest.approx(-np.pi / 2)
-    assert sched[1].c_xy == pytest.approx(-np.pi / 2)
+    assert _is_zero(sched[0].turn) and _is_zero(sched[1].turn)
+    assert np.allclose(_pieces(sched[0].frame), [[0.0], [0.0], [-np.pi / 2]])
+    assert np.allclose(_pieces(sched[1].frame), [[-np.pi / 2], [0.0], [0.0]])
     u = propagate(sched)
     assert gate_fidelity(u, u_general(-np.pi)) > 1 - TOL
     # and the reverse-engineered orange slice gives the same propagator

@@ -462,11 +462,15 @@ def test_arc_end_coords_are_the_last_chart_sample(n):
 
 
 def test_arc_rates_are_exact():
-    # central differences of an independent lift, step h: error O(h^2)
+    # central differences of an independent lift, step h: error O(h^2); the
+    # arc's own start rates are the reference's at t = 0
     h = 1e-5
     for arc in _random_arcs(44, 10):
         start = arc.start_coords()
         t, _, _, da, db = chart(arc, 101)
+        scale = max(abs(da).max(), abs(db).max())
+        assert np.allclose(arc.start_rates(), (da[0], db[0]), rtol=0,
+                           atol=1e-13 * scale)
         for i in range(10, 100, 10):
             phi = arc.angle * np.array([t[i] - h, t[i] + h]) / arc.duration
             a_lo, b_lo = _lift(start.alpha, start.beta, arc.axis, phi[0], 2)
@@ -475,6 +479,30 @@ def test_arc_rates_are_exact():
                                           rel=1e-7, abs=1e-8)
             assert db[i] == pytest.approx((b_hi[-1] - b_lo[-1]) / (2 * h),
                                           rel=1e-7, abs=1e-8)
+
+
+def test_segments_and_paths_compare_and_hash_by_value():
+    # polylines compare by their samples and duration, as arcs do by their
+    # fields, and equal segments, and paths of them, hash equal
+    seg = linear_segment(0.1, 0.2, 0.3, 0.4, 1.0)
+    same = linear_segment(0.1, 0.2, 0.3, 0.4, 1.0)
+    assert seg == same and hash(seg) == hash(same)
+    signed = (SampledSegment([0.1, -0.0], [0.2, 0.4], 1),
+              SampledSegment([0.1, 0.0], [0.2, 0.4], 1.0))
+    assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+    arc = rotation_arc(0.3, 0.4, (1.0, 0.0, 1.0), 0.1, 1.0)
+    others = [linear_segment(0.1, 0.2, 0.3, 0.5, 1.0),
+              linear_segment(0.1, 0.2, 0.3, 0.4, 2.0),
+              SampledSegment([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], 1.0), arc]
+    for other in others:
+        assert seg != other and not seg == other
+    assert seg != "segment"
+    assert len({seg, same, *others}) == 5
+    path = SchmidtPath((seg, arc))
+    again = SchmidtPath((same, rotation_arc(0.3, 0.4, (1.0, 0.0, 1.0), 0.1,
+                                            1.0)))
+    assert path == again and hash(path) == hash(again)
+    assert path != SchmidtPath((others[1], arc))
 
 
 def test_sampled_segment_validation():
