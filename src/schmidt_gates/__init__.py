@@ -39,7 +39,6 @@ from .gates import (
 from .invariants import (
     EntanglerClass,
     LocalInvariants,
-    bell_transform,
     classify,
     closed_form_invariants,
     makhlin_invariants,

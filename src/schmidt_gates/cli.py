@@ -476,8 +476,8 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
     loop = scenario.get("loop", True)
     path = _build_path(scenario["path"], loop)
     if loop and not path.closed:
-        raise ScenarioError("simulate in loop mode requires a closed path "
-                            "(endpoints differ on the sphere)")
+        raise ScenarioError("simulate in loop mode requires a closed path, "
+                            'but the path declares "closed": false')
     try:
         omega = solid_angle(path) if path.closed else None
         schedule = reverse_engineer(path)

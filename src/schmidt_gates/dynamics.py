@@ -63,13 +63,14 @@ from .sphere import (
     sphere_point,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pulse:
     """Pulse that holds the field `frame` in the frame turning as
     exp(-i t turn.sigma), each piece of length T propagating as
     exp(-i T turn.sigma) exp(-i T frame.sigma). The entries of `frame` and
     `turn` broadcast: the last axis counts the pieces, of equal length and
-    acting in turn, and leading axes are a batch of one duration."""
+    acting in turn, and leading axes are a batch of one duration. Pulses
+    compare and hash by identity, since their entries may be arrays."""
 
     duration: float
     frame: tuple

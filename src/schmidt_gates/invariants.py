@@ -30,23 +30,16 @@ CLASSIFY_TOL = 1e-9
 
 _G2_IMAG_TOL = 1e-10
 
-_SQRT2 = np.sqrt(2.0)
-
+# columns: the Bell (magic) basis (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2,
+# (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
 _BELL = np.array([
     [1, 0, 0, 1j],
     [0, 1j, 1, 0],
     [0, 1j, -1, 0],
     [1, 0, 0, -1j],
-], dtype=np.complex128) / _SQRT2
+], dtype=np.complex128) / np.sqrt(2.0)
 
 _BELL_DAG = _BELL.conj().T
-
-
-def bell_transform() -> np.ndarray:
-    """Unitary sending the computational basis to the Bell (magic) basis:
-    (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
-    """
-    return _BELL.copy()
 
 
 @dataclass(frozen=True)

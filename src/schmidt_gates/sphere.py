@@ -126,8 +126,6 @@ class SchmidtDecomposition:
     """Canonical-gauge Schmidt data of a two-qubit pure state."""
 
     coords: SchmidtCoordinates
-    f: complex
-    g: complex
     n_state: np.ndarray
     m_state: np.ndarray
     degenerate: bool
@@ -174,11 +172,8 @@ def schmidt_decompose(state: np.ndarray) -> SchmidtDecomposition:
         g_raw = s[1] * c_a * c_b
         beta = float(np.angle(g_raw) - np.angle(f_raw))
         beta = float(np.arctan2(np.sin(beta), np.cos(beta)))
-    f, g = _amplitudes(alpha, beta)
     return SchmidtDecomposition(
         coords=SchmidtCoordinates(float(alpha), beta),
-        f=complex(f),
-        g=complex(g),
         n_state=n_state,
         m_state=m_state,
         degenerate=bool(s[0] - s[1] < DEGENERACY_TOL),
@@ -257,9 +252,6 @@ class SampledSegment:
         """(alpha', beta') at the start, the first piece's rates."""
         return tuple(self._rates[:, 0])
 
-    def reversed(self) -> "SampledSegment":
-        return SampledSegment(self.alpha[::-1], self.beta[::-1], self.duration)
-
     def __eq__(self, other):
         return (isinstance(other, SampledSegment)
                 and self._key() == other._key())
@@ -312,8 +304,6 @@ class ArcSegment:
     angle: float
     duration: float
     clearance: float = field(init=False)
-    # columns c0 k, a, b of r(phi) = c0 k + cos(phi) a + sin(phi) b, c0 = k.r0
-    _basis: np.ndarray = field(init=False, repr=False, compare=False)
     # end coordinates, then the integrals of d beta and of cos(alpha) d beta
     _closed: tuple = field(init=False, repr=False, compare=False)
 
@@ -329,19 +319,27 @@ class ArcSegment:
         c0 = float(k @ r0)
         a, b = r0 - c0 * k, np.cross(k, r0)
         object.__setattr__(self, "axis", tuple(k.tolist()))
-        object.__setattr__(self, "_basis", np.array([c0 * k, a, b]).T)
         # z is extremal at phi_top + m pi: these and the ends bound rho
         phi_top = np.arctan2(b[2], a[2])
         lo, hi = sorted((0.0, self.angle))
         turns = np.minimum(lo + np.mod(phi_top - lo, np.pi) + [0.0, np.pi], hi)
-        alpha, beta, rho, _ = self._lift(np.array([0.0, self.angle, *turns]))
+        # r(phi) = c0 k + cos(phi) a + sin(phi) b at the start, the end and
+        # the turns, lifted to the start's chart copy
+        phi = np.array([0.0, self.angle, *turns])
+        x, y, z = (np.array([c0 * k, a, b]).T
+                   @ [np.ones_like(phi), np.cos(phi), np.sin(phi)])
+        rho = np.hypot(x, y)
+        alpha, beta = np.arctan2(rho, z), np.arctan2(y[0], x[0])
+        if self.alpha_start < 0:
+            alpha, beta = -alpha, beta + np.pi
+        beta += 2 * np.pi * np.round((self.beta_start - beta) / (2 * np.pi))
         object.__setattr__(self, "clearance", float(np.min(rho)))
         if self.clearance < 1e-9:
             raise ValueError("rotation segment passes through or too close "
                              "to a pole; use a linear or sampled segment "
                              "for a pole crossing")
         if max(abs(self.alpha_start - alpha[0]),
-               abs(self.beta_start - beta[0])) > 1e-6:
+               abs(self.beta_start - beta)) > 1e-6:
             raise ValueError("start coordinates do not lie on the declared arc")
         # |alpha'| <= |rate| and |beta'| <= |rate| / rho bound the chart rates
         if not np.isfinite(self.angle / self.duration / self.clearance):
@@ -369,16 +367,6 @@ class ArcSegment:
             float(alpha[1]), float(self.beta_start + north + south),
             float(north + south), float(c0 * self.angle + north - south)))
 
-    def _lift(self, phi):
-        """Chart, rho and points (x, y, z) at the rotation angles phi."""
-        x, y, z = self._basis @ [np.ones_like(phi), np.cos(phi), np.sin(phi)]
-        rho = np.hypot(x, y)
-        alpha, beta = np.arctan2(rho, z), np.unwrap(np.arctan2(y, x))
-        if self.alpha_start < 0:
-            alpha, beta = -alpha, beta + np.pi
-        beta += 2 * np.pi * np.round((self.beta_start - beta[0]) / (2 * np.pi))
-        return alpha, beta, rho, (x, y, z)
-
     def start_coords(self) -> SchmidtCoordinates:
         return SchmidtCoordinates(self.alpha_start, self.beta_start)
 
@@ -395,10 +383,6 @@ class ArcSegment:
         # beta' = (x y' - y x') / rho^2
         return (-np.sign(self.alpha_start) * rate * (kx * y - ky * x) / rho,
                 rate * (kz - z * (kx * x + ky * y) / rho ** 2))
-
-    def reversed(self) -> "ArcSegment":
-        return ArcSegment(*self._closed[:2], self.axis, -self.angle,
-                          self.duration)
 
     def _beta_integrals(self) -> tuple[float, float]:
         """(integral of d beta, integral of cos(alpha) d beta), closed form."""
@@ -457,10 +441,6 @@ class SchmidtPath:
     @property
     def duration(self) -> float:
         return float(sum(seg.duration for seg in self.segments))
-
-    def reversed(self) -> "SchmidtPath":
-        return SchmidtPath(tuple(s.reversed() for s in self.segments[::-1]),
-                           closed=self.closed)
 
 
 def solid_angle(path: SchmidtPath) -> float:

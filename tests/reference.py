@@ -1,13 +1,20 @@
 """Reference objects the tests compare the package against: the sector and
-Pauli operators as literal matrices, chart samples of linear segments (the
+Pauli operators and the magic basis as literal matrices, an arc's chart
+lift by Rodrigues' formula, chart samples of linear segments (the
 polylines of two samples) and rotation arcs with their exact rates, which
-share no rate formula with the package, and the midpoint rule stepping the
-paper's field on such samples."""
+share no lift or rate formula with the package, the midpoint rule stepping
+the paper's field on such samples, and a path run backwards, built from the
+public constructors."""
 
 import numpy as np
 
 from schmidt_gates.linalg import embed, su2_exp, su2_product
-from schmidt_gates.sphere import SampledSegment
+from schmidt_gates.sphere import (
+    SampledSegment,
+    SchmidtPath,
+    rotation_arc,
+    sphere_point,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,12 +33,35 @@ L_DM = np.array([[0, 0, 0, -1j], [0, 0, 0, 0], [0, 0, 0, 0], [1j, 0, 0, 0]],
                 dtype=complex)
 L_Z = np.diag([1, 0, 0, -1]).astype(complex)
 
+# columns: the magic basis (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2,
+# (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
+BELL = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0],
+                 [1, 0, 0, -1j]], dtype=complex) / np.sqrt(2.0)
+
+
+def lift(alpha0, beta0, axis, angle, n):
+    """(alpha, beta, r) of a rotation arc at n points: r by Rodrigues'
+    formula as a (3, n) array, alpha and beta by atan2 and np.unwrap, on the
+    start's chart copy (alpha < 0 is the copy (-alpha, beta + pi)) with beta
+    moved onto the start's 2 pi copy."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    r0 = sphere_point(alpha0, beta0)
+    phi = np.linspace(0.0, angle, n)[:, None]
+    r = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
+         + (1 - np.cos(phi)) * np.dot(k, r0) * k).T
+    alpha = np.arctan2(np.hypot(r[0], r[1]), r[2])
+    beta = np.unwrap(np.arctan2(r[1], r[0]))
+    if alpha0 < 0:
+        alpha, beta = -alpha, beta + np.pi
+    beta += 2 * np.pi * np.round((beta0 - beta[0]) / (2 * np.pi))
+    return alpha, beta, r
+
 
 def chart(seg, n):
     """(t, alpha, beta, alpha', beta') of a linear segment or a rotation arc
     at n uniform times, with exact rates: a linear segment's are scalars,
     its ends' differences over its duration; an arc's come from the
-    velocity r' = (angle / duration) k x r at the arc's own lifted points,
+    velocity r' = (angle / duration) k x r at the points of `lift`,
     as alpha' = -z' / sin(alpha) and beta' = (x y' - y x') / rho^2. An arc
     refuses a step of |angle| / (n - 1) not below pi times its clearance,
     which np.unwrap could not follow, since |d beta / d phi| <= 1 / rho."""
@@ -43,11 +73,11 @@ def chart(seg, n):
     if abs(seg.angle) / max(n - 1, 1) >= np.pi * seg.clearance:
         raise ValueError(f"rotation segment comes within {seg.clearance:.3e} "
                          f"of a pole, too close to lift at {n} samples")
-    alpha, beta, rho, point = seg._lift(np.linspace(0.0, seg.angle, n))
-    r = np.array(point)
+    alpha, beta, r = lift(seg.alpha_start, seg.beta_start, seg.axis,
+                          seg.angle, n)
     dr = seg.angle / seg.duration * np.cross(seg.axis, r, axis=0)
     return (t, alpha, beta, -dr[2] / np.sin(alpha),
-            (r[0] * dr[1] - r[1] * dr[0]) / rho ** 2)
+            (r[0] * dr[1] - r[1] * dr[0]) / (r[0] ** 2 + r[1] ** 2))
 
 
 def midpoint_propagator(seg, n, sector):
@@ -58,3 +88,19 @@ def midpoint_propagator(seg, n, sector):
                                      0.5 * da * np.cos(beta), 0.5 * db))
     mid = 0.5 * (c[:, :-1] + c[:, 1:])
     return embed(su2_product(*su2_exp(*mid, np.diff(t))), sector)
+
+
+def reverse(seg):
+    """The segment run backwards: a polyline through its samples in reverse
+    order, an arc from its end point by the negated angle."""
+    if isinstance(seg, SampledSegment):
+        return SampledSegment(seg.alpha[::-1], seg.beta[::-1], seg.duration)
+    end = seg.end_coords()
+    return rotation_arc(end.alpha, end.beta, seg.axis, -seg.angle,
+                        seg.duration)
+
+
+def reverse_path(path):
+    """The path run backwards, segment by segment, closed if it is."""
+    return SchmidtPath(tuple(reverse(seg) for seg in path.segments[::-1]),
+                       closed=path.closed)

@@ -909,19 +909,23 @@ def test_two_sample_tilted_arc_runs(tmp_path, capsys):
 
 
 def test_loop_mode_with_path_declared_open_rejected(tmp_path, capsys):
-    scn = write_scenario(tmp_path, {
-        "schema_version": 1, "command": "simulate", "loop": True,
-        "path": {"segments": [{
-            "kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
-            "alpha_end": 1.0, "beta_end": 0.5, "duration": 1.0,
-        }], "closed": False},
-    })
-    out = tmp_path / "report.json"
-    code, stdout, err = run_main(["simulate", scn, "--out", str(out)], capsys)
-    assert code == 2 and stdout == ""
-    assert err == ("error: simulate in loop mode requires a closed path "
-                   "(endpoints differ on the sphere)\n")
-    assert not out.exists()
+    # the refusal names the declaration, also for a latitude loop whose
+    # endpoints coincide
+    for alpha_end, beta_end in ((1.0, 0.5), (0.3, 2 * np.pi)):
+        scn = write_scenario(tmp_path, {
+            "schema_version": 1, "command": "simulate", "loop": True,
+            "path": {"segments": [{
+                "kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
+                "alpha_end": alpha_end, "beta_end": beta_end, "duration": 1.0,
+            }], "closed": False},
+        })
+        out = tmp_path / "report.json"
+        code, stdout, err = run_main(["simulate", scn, "--out", str(out)],
+                                     capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: simulate in loop mode requires a closed path, "
+                       'but the path declares "closed": false\n')
+        assert not out.exists()
 
 
 def _linear(alpha_start, alpha_end, duration):

@@ -1,14 +1,17 @@
 """The package carries no dead code that a syntax walk can see: no module
 imports a name it never uses, no top-level private function or class goes
-unreferenced, and no private method of a class goes unread. The checks read
-the source with the standard library's ast module, so a class, helper or
-method left behind by a deletion fails here.
+unreferenced, no private method of a class goes unread, and no public
+function, class or method serves only the unit tests. The checks read the
+source with the standard library's ast module, so a class, helper or method
+left behind by a deletion fails here.
 """
 
 import ast
 from pathlib import Path
 
 import schmidt_gates
+
+from test_readme import python_blocks
 
 PACKAGE = Path(schmidt_gates.__file__).resolve().parent
 
@@ -88,6 +91,49 @@ def unread_private_methods(trees: dict) -> list:
     return found
 
 
+def _readers() -> list:
+    """The code besides the package that public API may serve: README's
+    Python blocks and the acceptance suite."""
+    return [ast.parse(block) for block in python_blocks()] + [
+        ast.parse(Path(__file__).with_name("test_acceptance.py")
+                  .read_text(encoding="utf-8"))]
+
+
+def _loads(tree) -> list:
+    """(node id, name) of every name and attribute the tree reads."""
+    return [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)]
+
+
+def unread_publics(trees: dict, readers: list) -> list:
+    """(module, name) of each public top-level function or class, and
+    (module, class.method) of each public method of a top-level class, that
+    nothing reads as a name or an attribute: neither the package, outside
+    the definition's own body and the `__init__` that only re-exports, nor
+    the trees in `readers`. `run_<command>` is exempt, because `main` looks
+    it up by name."""
+    package = {m: t for m, t in trees.items() if m != "__init__.py"}
+    loads = [load for tree in package.values() for load in _loads(tree)]
+    outside = {name for tree in readers for _, name in _loads(tree)}
+    found = []
+    for module, tree in package.items():
+        defs = [(node, node.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(node, f"{cls.name}.{node.name}") for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        for node, label in defs:
+            if node.name.startswith(("_", "run_")) or node.name in outside:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and i not in own
+                       for i, name in loads):
+                found.append((module, label))
+    return found
+
+
 def test_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -104,6 +150,21 @@ def test_checks_find_what_they_look_for():
     assert unreferenced_privates({"m.py": tree}) == [("m.py", "_dead")]
     assert unread_private_methods({"m.py": tree}) == [("m.py",
                                                        "Thing._unread")]
+    api = ast.parse(
+        "def shown():\n    return Tool().used()\n"
+        "def tested():\n    return tested()\n"
+        "def run_thing():\n    return 1\n"
+        "class Tool:\n"
+        "    def used(self):\n        return self.spare()\n"
+        "    def spare(self):\n        return 1\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def __repr__(self):\n        return ''\n"
+        "class Spare:\n    pass\n")
+    exports = ast.parse("from .m import Spare, tested\n")
+    readme = ast.parse("print(shown())\n")
+    assert unread_publics({"m.py": api, "__init__.py": exports},
+                          [readme]) == [("m.py", "tested"), ("m.py", "Spare"),
+                                        ("m.py", "Tool.unused")]
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -116,3 +177,7 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates(_modules()) == []
     assert unread_private_methods(_modules()) == []
+
+
+def test_every_public_definition_has_a_reader():
+    assert unread_publics(_modules(), _readers()) == []

@@ -10,7 +10,6 @@ from schmidt_gates.invariants import (
     EntanglerClass,
     LocalInvariants,
     _bell,
-    bell_transform,
     classify,
     closed_form_invariants,
     makhlin_invariants,
@@ -23,6 +22,8 @@ from schmidt_gates.linalg import (
     tensor_product,
     unitarity_defect,
 )
+
+from reference import BELL
 
 TOL = 1e-12
 
@@ -59,16 +60,19 @@ def random_unitary2(rng):
 
 
 def test_bell_transform_is_unitary_magic_basis():
-    q = bell_transform()
-    assert unitarity_defect(q) < TOL
+    # the reference's literal Q has the magic states as its columns, and
+    # _bell is the change to that basis, Q^dag u Q
+    k0, k1 = np.eye(2)
     s = 1 / np.sqrt(2)
-    cols = np.array([
-        [s, 0, 0, s],
-        [0, 1j * s, 1j * s, 0],
-        [0, s, -s, 0],
-        [1j * s, 0, 0, -1j * s],
-    ]).T
-    assert np.max(np.abs(q - cols)) < TOL
+    magic = [s * (np.kron(k0, k0) + np.kron(k1, k1)),
+             1j * s * (np.kron(k0, k1) + np.kron(k1, k0)),
+             s * (np.kron(k0, k1) - np.kron(k1, k0)),
+             1j * s * (np.kron(k0, k0) - np.kron(k1, k1))]
+    assert np.max(np.abs(BELL - np.array(magic).T)) < TOL
+    assert unitarity_defect(BELL) < TOL
+    for u in (np.eye(4), CNOT, SWAP, SQRT_SWAP, u_general(0.7)):
+        expect = BELL.conj().T @ u @ BELL
+        assert np.max(np.abs(_bell(u)[..., 0] - expect)) < TOL
 
 
 def test_reference_gate_invariants():
@@ -215,8 +219,7 @@ def test_stacked_invariants_equal_per_gate_calls():
 
 
 def _per_gate_bell(u):
-    q = bell_transform()
-    return q.conj().T @ u @ q
+    return BELL.conj().T @ u @ BELL
 
 
 @pytest.mark.parametrize("shape", [(1,), (777,), (20, 25)])

@@ -13,9 +13,14 @@ import numpy as np
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def python_blocks() -> list:
+    """The README's ```python blocks, in order."""
+    return re.findall(r"^```python\n(.*?)^```$",
+                      README.read_text(encoding="utf-8"), flags=re.S | re.M)
+
+
 def test_readme_python_blocks_run(capsys):
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
-                        flags=re.S | re.M)
+    blocks = python_blocks()
     assert blocks
     namespace = {}
     for block in blocks:

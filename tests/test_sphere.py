@@ -21,7 +21,7 @@ from schmidt_gates.sphere import (
     sphere_point,
 )
 
-from reference import chart
+from reference import chart, lift, reverse, reverse_path
 
 TOL = 1e-12
 TOL_PIPE = 1e-10
@@ -327,19 +327,6 @@ def test_accepted_rotation_lift_is_exact(alpha0, beta0, axis, angle, n):
     assert np.max(np.abs(seg.end_coords().point() - expect[-1])) <= 1e-9
 
 
-def _lift(alpha0, beta0, axis, angle, n):
-    """Independent chart lift of a rotation arc at n points: Rodrigues,
-    atan2 and np.unwrap, beta moved onto the start's 2 pi copy."""
-    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-    r0 = sphere_point(alpha0, beta0)
-    phi = np.linspace(0.0, angle, n)[:, None]
-    r = (np.cos(phi) * r0 + np.sin(phi) * np.cross(k, r0)
-         + (1 - np.cos(phi)) * np.dot(k, r0) * k)
-    alpha = np.arctan2(np.hypot(r[:, 0], r[:, 1]), r[:, 2])
-    beta = np.unwrap(np.arctan2(r[:, 1], r[:, 0]))
-    return alpha, beta + 2 * np.pi * np.round((beta0 - beta[0]) / (2 * np.pi))
-
-
 def _random_arcs(seed, count, turns=1.0):
     """Tilted arcs that stay at least 0.05 from both poles."""
     rng = np.random.default_rng(seed)
@@ -362,7 +349,7 @@ def test_tilted_rotation_is_an_arc_segment():
     assert isinstance(arc, ArcSegment)
     assert np.linalg.norm(arc.axis) == pytest.approx(1.0, abs=1e-15)
     assert (arc.angle, arc.duration) == (1.3, 2.0)
-    alpha, _ = _lift(1.1, 0.4, arc.axis, 1.3, 100001)
+    alpha, *_ = lift(1.1, 0.4, arc.axis, 1.3, 100001)
     assert arc.clearance == pytest.approx(np.min(np.sin(alpha)), abs=1e-10)
 
 
@@ -398,7 +385,7 @@ def test_arc_passing_a_pole_at_1e6_ends_where_a_fine_lift_ends(pole):
     a0, b0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2]), np.arctan2(r0[1], r0[0])
     arc = rotation_arc(a0, b0, tuple(k), 0.2, 1.0)
     assert arc.clearance == pytest.approx(1e-6, rel=1e-6)
-    alpha, beta = _lift(a0, b0, k, 0.2, 200001)
+    alpha, beta, _ = lift(a0, b0, k, 0.2, 200001)
     assert abs(beta[-1] - beta[0]) > 3.0
     end = arc.end_coords()
     assert abs(end.beta - beta[-1]) <= 1e-11
@@ -430,11 +417,11 @@ def test_arc_on_the_negative_alpha_copy():
 def test_multi_turn_arc_and_its_reverse():
     for arc in _random_arcs(42, 20, turns=3.0):
         start, end = arc.start_coords(), arc.end_coords()
-        alpha, beta = _lift(start.alpha, start.beta, arc.axis, arc.angle,
-                            20001)
+        alpha, beta, _ = lift(start.alpha, start.beta, arc.axis, arc.angle,
+                              20001)
         assert end.alpha == pytest.approx(alpha[-1], abs=1e-12)
         assert end.beta == pytest.approx(beta[-1], abs=1e-11)
-        back = arc.reversed()
+        back = reverse(arc)
         assert isinstance(back, ArcSegment)
         assert back.angle == -arc.angle and back.duration == arc.duration
         assert back.axis == pytest.approx(arc.axis, abs=1e-15)
@@ -473,8 +460,8 @@ def test_arc_rates_are_exact():
                            atol=1e-13 * scale)
         for i in range(10, 100, 10):
             phi = arc.angle * np.array([t[i] - h, t[i] + h]) / arc.duration
-            a_lo, b_lo = _lift(start.alpha, start.beta, arc.axis, phi[0], 2)
-            a_hi, b_hi = _lift(start.alpha, start.beta, arc.axis, phi[1], 2)
+            a_lo, b_lo, _ = lift(start.alpha, start.beta, arc.axis, phi[0], 2)
+            a_hi, b_hi, _ = lift(start.alpha, start.beta, arc.axis, phi[1], 2)
             assert da[i] == pytest.approx((a_hi[-1] - a_lo[-1]) / (2 * h),
                                           rel=1e-7, abs=1e-8)
             assert db[i] == pytest.approx((b_hi[-1] - b_lo[-1]) / (2 * h),
@@ -546,6 +533,7 @@ def test_path_closes_through_pole_identification():
     ), closed=True)
     assert path.duration == pytest.approx(2.0)
     assert solid_angle(path) == pytest.approx(-np.pi, abs=1e-12)
+    assert solid_angle(reverse_path(path)) == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_solid_angle_latitude_loops():
@@ -554,7 +542,7 @@ def test_solid_angle_latitude_loops():
             (linear_segment(a0, 0.0, a0, 2 * np.pi, 1.0),), closed=True)
         assert solid_angle(loop) == pytest.approx(
             2 * np.pi * (1 - np.cos(a0)), abs=TOL)
-        assert solid_angle(loop.reversed()) == pytest.approx(
+        assert solid_angle(reverse_path(loop)) == pytest.approx(
             -2 * np.pi * (1 - np.cos(a0)), abs=TOL)
 
 
@@ -610,13 +598,3 @@ def test_solid_angle_rejects_south_pole_crossing():
     with pytest.raises(ValueError, match="segment 0"):
         solid_angle(SchmidtPath((touching,), closed=True))
 
-
-def test_reversed_round_trip():
-    path = SchmidtPath((
-        equator_arc(np.pi / 2, -np.pi / 2, 1.0),
-        meridian_arc(-np.pi / 2, np.pi / 2, -np.pi / 2, 1.0),
-    ), closed=True)
-    back = path.reversed().reversed()
-    assert back.start_coords() == path.start_coords()
-    assert back.end_coords() == path.end_coords()
-    assert solid_angle(path.reversed()) == pytest.approx(np.pi, abs=1e-12)
