@@ -24,6 +24,7 @@ from .sphere import (
     assemble_state,
     concurrence,
     equator_arc,
+    frame_unitaries,
     linear_segment,
     meridian_arc,
     rotation_arc,
@@ -32,7 +33,6 @@ from .sphere import (
     sphere_point,
 )
 from .gates import (
-    frame_unitaries,
     schmidt_gate,
     u_general,
 )

@@ -154,6 +154,13 @@ def load_scenario(path: str, command: str) -> dict:
         raise ScenarioError(
             f"scenario is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        # the file is decoded in one piece, so the offset is the file's
+        raise ScenarioError(f"scenario is not valid UTF-8 (byte "
+                            f"{exc.start}): {exc.reason}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario is not valid JSON: nested too "
+                            "deeply") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     declared = raw.get("command")

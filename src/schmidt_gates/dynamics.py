@@ -36,7 +36,9 @@ so the propagator of a piece or an arc is the product of two exponentials:
 
 So every segment is one Pulse(duration, frame, turn), two exact steps per
 piece, and nothing is stepped by a quadrature rule; a pulse that does not
-turn, such as the tilted and Trotter pulses below, states turn = (0, 0, 0).
+turn, such as the tilted pulses below, states turn = (0, 0, 0), and the
+Trotter step, exp(-i xy X) exp(-i z Z), is one pulse whose frame holds the
+z field and whose turn is the xy field.
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
@@ -219,12 +221,13 @@ def trotter_propagate(theta, n) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
 
-    The step S, the propagator of two pulses that do not turn (z, then xy),
-    is a rotation cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its
-    n-th power is cos(n phi) I - i sin(n phi) (m.sigma), in closed form for
-    any n. n is a positive integer or an integer array (Python integers
-    beyond int64 too) that broadcasts against theta; the result is a
-    (*broadcast shape, 4, 4) stack.
+    The step S, the propagator of one pulse that holds the z field in the
+    frame turning by the xy field (z, then xy), is a rotation
+    cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its n-th power
+    is cos(n phi) I - i sin(n phi) (m.sigma), in closed form for any n. n
+    is a positive integer or an integer array (Python integers beyond int64
+    too) that broadcasts against theta; the result is a (*broadcast shape,
+    4, 4) stack.
     """
     n = np.asarray(n)
     integer = n.dtype.kind in "iu" or (
@@ -237,8 +240,7 @@ def trotter_propagate(theta, n) -> np.ndarray:
     k = 0.5 * np.pi / n
     # the batch of theta and n, with a trailing axis of one piece
     z, xy = (k * np.sin(theta))[..., None], (-k * np.cos(theta))[..., None]
-    step = propagate((Pulse(1.0, frame=(0.0, 0.0, z), turn=(0.0, 0.0, 0.0)),
-                      Pulse(1.0, frame=(xy, 0.0, 0.0), turn=(0.0, 0.0, 0.0))))
+    step = propagate((Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0)),))
     a, b = step[..., 1, 1], step[..., 2, 1]
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2

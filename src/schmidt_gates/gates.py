@@ -17,19 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import embed, su2_block, tensor_product
-from .sphere import _check_frame, _perp_a, _perp_b
-
-
-def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
-    """Local unitaries (A, B) carrying the standard frame to `frame`.
-
-    A maps (|0>, |1>) to (|n>, |-n>); B maps (|0>, |1>) to (|-m>, |m>).
-    With frame = (|0>, |1>) both are the identity.
-    """
-    n_state, m_state = _check_frame(frame)
-    a = np.column_stack([n_state, _perp_a(n_state)])
-    b = np.column_stack([_perp_b(m_state), m_state])
-    return a, b
+from .sphere import frame_unitaries
 
 
 def schmidt_gate(alpha0: float, beta0: float, omega: float,

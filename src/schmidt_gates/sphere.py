@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL_PIPELINE, tensor_product
+from .linalg import _PAIRS, ATOL_PIPELINE, tensor_product
 
 # Chart-level agreement required at segment junctions and loop closure.
 CHART_TOL = 1e-9
@@ -37,8 +37,6 @@ _PRODUCT_CUT = 1e-12
 
 # Components below this count as vanishing when fixing local-state phases.
 _PHASE_CUT = 1e-9
-
-DEGENERACY_TOL = 1e-9
 
 BRANCHES = ("gamma+", "gamma-", "lambda+", "lambda-")
 
@@ -91,34 +89,38 @@ def _check_frame(frame) -> tuple[np.ndarray, np.ndarray]:
     return n_state, m_state
 
 
+def frame_unitaries(frame) -> tuple[np.ndarray, np.ndarray]:
+    """Local unitaries (A, B) carrying the standard frame to `frame`.
+
+    A maps (|0>, |1>) to (|n>, |-n>); B maps (|0>, |1>) to (|-m>, |m>).
+    With frame = (|0>, |1>) both are the identity.
+    """
+    n_state, m_state = _check_frame(frame)
+    a = np.column_stack([n_state, _perp_a(n_state)])
+    b = np.column_stack([_perp_b(m_state), m_state])
+    return a, b
+
+
 def assemble_state(alpha: float, beta: float, branch: str = "gamma+",
                    frame=None) -> np.ndarray:
     """One member of the orthonormal Schmidt quadruple at (alpha, beta).
 
     The gamma branches live in span{|n,m>, |-n,-m>}, the lambda branches in
     span{|n,-m>, |-n,m>}; within each pair the "+" state carries amplitudes
-    (f, g) and the "-" state (-conj(g), conj(f)). The default frame is
-    (|0>, |1>), for which the lambda pair couples |00> and |11>.
+    (f, g) and the "-" state (-conj(g), conj(f)). In the default frame
+    (|0>, |1>) the pairs are the sectors' pairs of linalg.embed (gamma:
+    |01>, |10>; lambda: |00>, |11>); another frame applies its local
+    unitaries, frame_unitaries(frame), to that state.
     """
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    if frame is None:
-        n_state = np.array([1, 0], dtype=np.complex128)
-        m_state = np.array([0, 1], dtype=np.complex128)
-    else:
-        n_state, m_state = _check_frame(frame)
     f, g = _amplitudes(alpha, beta)
-    neg_n = _perp_a(n_state)
-    neg_m = _perp_b(m_state)
-    if branch.startswith("gamma"):
-        first = tensor_product(n_state, m_state)
-        second = tensor_product(neg_n, neg_m)
-    else:
-        first = tensor_product(n_state, neg_m)
-        second = tensor_product(neg_n, m_state)
-    if branch.endswith("+"):
-        return f * first + g * second
-    return -np.conj(g) * first + np.conj(f) * second
+    state = np.zeros(4, dtype=np.complex128)
+    state[_PAIRS[branch[:-1]]] = ((f, g) if branch.endswith("+")
+                                  else (-np.conj(g), np.conj(f)))
+    if frame is None:
+        return state
+    return tensor_product(*frame_unitaries(frame)) @ state
 
 
 @dataclass(frozen=True)
@@ -128,21 +130,16 @@ class SchmidtDecomposition:
     coords: SchmidtCoordinates
     n_state: np.ndarray
     m_state: np.ndarray
-    degenerate: bool
 
     def reassemble(self) -> np.ndarray:
         return assemble_state(self.coords.alpha, self.coords.beta, "gamma+",
                               frame=(self.n_state, self.m_state))
 
 
-def _fix_phase(v: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Rotate v so its first non-vanishing component is real positive.
-
-    Returns the fixed vector and the phase that was removed.
-    """
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """v rotated so its first non-vanishing component is real positive."""
     idx = 0 if abs(v[0]) > _PHASE_CUT else 1
-    phase = v[idx] / abs(v[idx])
-    return v * np.conj(phase), phase
+    return v * (np.conj(v[idx]) / abs(v[idx]))
 
 
 def schmidt_decompose(state: np.ndarray) -> SchmidtDecomposition:
@@ -150,33 +147,29 @@ def schmidt_decompose(state: np.ndarray) -> SchmidtDecomposition:
 
     Local states carry real-positive leading components, the residual phase
     is split symmetrically over (f, g) as exp(-+ i beta / 2), the global
-    phase is discarded, and alpha lies in [0, pi/2] (so f >= |g|). Product
-    states take beta = 0; a near-degenerate Schmidt spectrum only raises
-    the `degenerate` flag, the gauge is still applied as-is.
+    phase is discarded, and alpha lies in [0, pi/2] (so f >= |g|). (f, g)
+    are the gamma-pair amplitudes of the state in its own frame (n, m), up
+    to that global phase. Product states take beta = 0; a near-degenerate
+    Schmidt spectrum leaves the local states arbitrary, and the gauge is
+    still applied as-is.
     """
     state = np.asarray(state, dtype=np.complex128).reshape(4)
     if abs(np.linalg.norm(state) - 1.0) > ATOL_PIPELINE:
         raise ValueError("state is not normalized")
-    m = state.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(state.reshape(2, 2))
     alpha = 2.0 * np.arctan2(s[1], s[0])
-    n_state, phase_n = _fix_phase(u[:, 0])
-    m_state, phase_m = _fix_phase(vh[0, :])
+    n_state, m_state = _fix_phase(u[:, 0]), _fix_phase(vh[0, :])
     if s[1] < _PRODUCT_CUT:
         beta = 0.0
     else:
-        f_raw = s[0] * phase_n * phase_m
-        # The second Schmidt pair equals the canonical partners up to a phase.
-        c_a = np.vdot(_perp_a(n_state), u[:, 1])
-        c_b = np.vdot(_perp_b(m_state), vh[1, :])
-        g_raw = s[1] * c_a * c_b
-        beta = float(np.angle(g_raw) - np.angle(f_raw))
+        local = tensor_product(*frame_unitaries((n_state, m_state)))
+        f, g = (local.conj().T @ state)[_PAIRS["gamma"]]
+        beta = float(np.angle(g) - np.angle(f))
         beta = float(np.arctan2(np.sin(beta), np.cos(beta)))
     return SchmidtDecomposition(
         coords=SchmidtCoordinates(float(alpha), beta),
         n_state=n_state,
         m_state=m_state,
-        degenerate=bool(s[0] - s[1] < DEGENERACY_TOL),
     )
 
 

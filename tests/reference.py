@@ -1,5 +1,6 @@
 """Reference objects the tests compare the package against: the sector and
-Pauli operators and the magic basis as literal matrices, an arc's chart
+Pauli operators and the magic basis as literal matrices, the Schmidt
+quadruple of a frame as sums of product states, an arc's chart
 lift by Rodrigues' formula, chart samples of linear segments (the
 polylines of two samples) and rotation arcs with their exact rates, which
 share no lift or rate formula with the package, the midpoint rule stepping
@@ -37,6 +38,26 @@ L_Z = np.diag([1, 0, 0, -1]).astype(complex)
 # (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
 BELL = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0],
                  [1, 0, 0, -1j]], dtype=complex) / np.sqrt(2.0)
+
+
+def framed_state(alpha, beta, branch, frame):
+    """A Schmidt quadruple member in the frame (n, m), summed from tensor
+    products of n, m and their partners -n = (-conj n1, conj n0) and
+    -m = (conj m1, -conj m0): the gamma branches on |n,m>, |-n,-m>, the
+    lambda branches on |n,-m>, |-n,m>, the "+" state with amplitudes
+    (f, g) and the "-" state with (-conj g, conj f)."""
+    n, m = (np.asarray(v, dtype=complex) for v in frame)
+    neg_n = np.array([-np.conj(n[1]), np.conj(n[0])])
+    neg_m = np.array([np.conj(m[1]), -np.conj(m[0])])
+    f = np.exp(-0.5j * beta) * np.cos(0.5 * alpha)
+    g = np.exp(0.5j * beta) * np.sin(0.5 * alpha)
+    if branch.startswith("gamma"):
+        first, second = np.kron(n, m), np.kron(neg_n, neg_m)
+    else:
+        first, second = np.kron(n, neg_m), np.kron(neg_n, m)
+    if branch.endswith("-"):
+        f, g = -np.conj(g), np.conj(f)
+    return f * first + g * second
 
 
 def lift(alpha0, beta0, axis, angle, n):

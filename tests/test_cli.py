@@ -540,6 +540,31 @@ def test_scenario_error_paths(tmp_path, capsys):
     assert code == 2 and "tolerance" in err
 
 
+def test_scenario_not_utf8_gives_one_diagnostic(tmp_path, capsys):
+    # the bad byte lies beyond the first read buffer, and its offset is
+    # the file's
+    head = b'{"schema_version": 1, "command": "classify", "pad": "'
+    p = tmp_path / "latin1.json"
+    p.write_bytes(head + b"x" * 20000 + b'\xff"}')
+    out = tmp_path / "report.json"
+    code, stdout, err = run_main(["classify", str(p), "--out", str(out)],
+                                 capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == (f"error: scenario is not valid UTF-8 (byte "
+                   f"{len(head) + 20000}): invalid start byte\n")
+
+
+def test_scenario_nested_too_deeply_gives_one_diagnostic(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"schema_version": 1, "command": "classify", "gate": '
+                 + "[" * 100000 + "]" * 100000 + "}")
+    out = tmp_path / "report.json"
+    code, stdout, err = run_main(["classify", str(p), "--out", str(out)],
+                                 capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: scenario is not valid JSON: nested too deeply\n"
+
+
 def test_simulate_rejects_south_pole_loop(tmp_path, capsys):
     # a valid loop whose meridian runs through alpha = pi: the chart solid
     # angle would be off by 2 pi, so the scenario is rejected, not failed

@@ -1,9 +1,10 @@
 """The package carries no dead code that a syntax walk can see: no module
 imports a name it never uses, no top-level private function or class goes
-unreferenced, no private method of a class goes unread, and no public
-function, class or method serves only the unit tests. The checks read the
-source with the standard library's ast module, so a class, helper or method
-left behind by a deletion fails here.
+unreferenced, no private method of a class goes unread, no public
+function, class or method serves only the unit tests, and no field of a
+dataclass goes unread. The checks read the source with the standard
+library's ast module, so a class, helper, method or field left behind by a
+deletion fails here.
 """
 
 import ast
@@ -134,6 +135,31 @@ def unread_publics(trees: dict, readers: list) -> list:
     return found
 
 
+def _dataclass(cls) -> bool:
+    """Whether a class definition is decorated with dataclass, called with
+    options or not."""
+    for decorator in cls.decorator_list:
+        name = (decorator.func if isinstance(decorator, ast.Call)
+                else decorator)
+        if isinstance(name, ast.Name) and name.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(trees: dict, readers: list) -> list:
+    """(module, class.field) of each field declared on a top-level
+    dataclass of the package that nothing reads as an attribute: neither
+    the package nor the trees in `readers`."""
+    read = {n.attr for tree in [*trees.values(), *readers]
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(module, f"{cls.name}.{node.target.id}")
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _dataclass(cls)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+
+
 def test_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -165,6 +191,17 @@ def test_checks_find_what_they_look_for():
     assert unread_publics({"m.py": api, "__init__.py": exports},
                           [readme]) == [("m.py", "tested"), ("m.py", "Spare"),
                                         ("m.py", "Tool.unused")]
+    data = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Point:\n    x: float\n    y: float\n    flag: bool\n"
+        "    def norm(self):\n        return self.x\n"
+        "@dataclass\n"
+        "class Pair:\n    first: int\n    second: int\n"
+        "class Plain:\n    unread: int\n"
+        "def use(pair):\n    return pair.first\n")
+    readme = ast.parse("print(Point(1, 2, True).y)\n")
+    assert unread_fields({"m.py": data}, [readme]) == [
+        ("m.py", "Point.flag"), ("m.py", "Pair.second")]
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -181,3 +218,7 @@ def test_every_private_definition_is_referenced():
 
 def test_every_public_definition_has_a_reader():
     assert unread_publics(_modules(), _readers()) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_modules(), _readers()) == []

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from schmidt_gates.gates import (
-    frame_unitaries,
-    schmidt_gate,
-    u_general,
-)
+from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.linalg import tensor_product, unitarity_defect
-from schmidt_gates.sphere import BRANCHES, assemble_state
+from schmidt_gates.sphere import BRANCHES, assemble_state, frame_unitaries
+
+from reference import framed_state
 
 TOL = 1e-12
 
@@ -129,15 +127,16 @@ def test_frame_unitaries_are_unitary_and_consistent():
 
 
 def test_frame_unitaries_map_standard_quadruple():
+    # the framed quadruple is the standard one under frame_unitaries; the
+    # reference sums it from product states of the frame and its partners
     rng = np.random.default_rng(47)
     for _ in range(20):
         frame = random_frame(rng)
-        a, b = frame_unitaries(frame)
-        local = tensor_product(a, b)
+        a0, b0 = rng.uniform(-np.pi, np.pi, 2)
         for br in BRANCHES:
-            std = assemble_state(0.7, -0.3, br)
-            framed = assemble_state(0.7, -0.3, br, frame=frame)
-            assert np.max(np.abs(local @ std - framed)) < TOL
+            framed = assemble_state(a0, b0, br, frame=frame)
+            expect = framed_state(a0, b0, br, frame)
+            assert np.max(np.abs(framed - expect)) < TOL
 
 
 def test_gamma_and_lambda_gates_commute():

@@ -121,7 +121,6 @@ def test_schmidt_decompose_recovers_chart_coordinates():
         dec = schmidt_decompose(assemble_state(a, b, "gamma+"))
         assert abs(dec.coords.alpha - a) < 1e-10
         assert abs(wrap(dec.coords.beta - b)) < 1e-10
-        assert not dec.degenerate
 
 
 def test_schmidt_decompose_round_trip_random_states():
@@ -158,7 +157,6 @@ def test_schmidt_decompose_product_and_bell():
     assert concurrence([0, 1, 0, 0]) == pytest.approx(0.0, abs=TOL)
     bell = schmidt_decompose(np.array([0, 1, 1, 0]) / np.sqrt(2))
     assert bell.coords.alpha == pytest.approx(np.pi / 2, abs=TOL)
-    assert bell.degenerate
     assert concurrence(np.array([0, 1, 1, 0]) / np.sqrt(2)) == pytest.approx(1.0, abs=TOL)
 
 
