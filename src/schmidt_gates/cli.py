@@ -306,8 +306,6 @@ def _dump(obj, indent: int) -> str:
         inner = ",\n".join(pad + "  " + _dump(v, indent + 1) for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         inner = ",\n".join(
             pad + "  " + json.dumps(str(k)) + ": " + _dump(v, indent + 1)
             for k, v in obj.items())
@@ -331,7 +329,8 @@ def _write_text(text: str, out: str | None) -> None:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        # a path open() cannot encode, or one with a NUL, is a ValueError
+        except (OSError, ValueError) as exc:
             raise ScenarioError(f"cannot write output: {exc}") from exc
 
 

@@ -36,17 +36,20 @@ so the propagator of a piece or an arc is the product of two exponentials:
 
 So every segment is one Pulse(duration, frame, turn), two exact steps per
 piece, and nothing is stepped by a quadrature rule; a pulse that does not
-turn, such as the tilted pulses below, states turn = (0, 0, 0), and the
-Trotter step, exp(-i xy X) exp(-i z Z), is one pulse whose frame holds the
-z field and whose turn is the xy field.
+turn, such as the tilted pulses below, states turn = (0, 0, 0). Two pulses
+of equal length that do not turn are one pulse whose frame holds the
+first's field and whose turn is the second's, so the composed tilted gate
+and the Trotter step, exp(-i xy X) exp(-i z Z), are each one pulse of two
+steps.
 
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse, its power in closed form. propagate(pulses, sector) is the one road
-from a schedule to a gate; a stack of theta gives pulses with a batch of
-fields, which it propagates as one batch, so trotter-sweep computes a
-block of table rows per call.
+pulse: the SU(2) block of its step raised to the n-th power in closed
+form. propagate(pulses, sector) is the one road from a schedule to a gate.
+The pulses of a schedule share one batch shape; a stack of theta gives
+pulses with a batch of fields, which propagate exponentiates as one stack,
+so trotter-sweep computes a block of table rows per call.
 """
 
 from __future__ import annotations
@@ -136,23 +139,20 @@ def reverse_engineer(path: SchmidtPath) -> tuple:
 
 
 def _steps(pulses) -> np.ndarray:
-    """All pulses' steps as one (4, *batch, n) stack, batch shapes broadcast
-    (in a function, so that no pulse's steps outlive the exponentials)."""
-    steps = [p.steps() for p in pulses] or [np.empty((4, 0))]
-    batch = np.broadcast_shapes(*(s.shape[1:-1] for s in steps))
-    return np.concatenate([np.broadcast_to(s.reshape(
-        4, *[1] * (len(batch) + 2 - s.ndim), *s.shape[1:]),
-        (4, *batch, s.shape[-1])) for s in steps], axis=-1)
+    """All pulses' steps as one (4, *batch, n) stack, the pulses sharing one
+    batch shape; pulses of different batches raise numpy's ValueError (in a
+    function, so that no pulse's steps outlive the exponentials)."""
+    return np.concatenate([p.steps() for p in pulses] or [np.empty((4, 0))],
+                          axis=-1)
 
 
 def propagate(pulses, sector: str = "gamma") -> np.ndarray:
     """Time-ordered propagator of a sequence of pulses (first acts first,
     so the latest is leftmost) in one sector: the steps of all the pulses
     are exponentiated as one stack of Cayley-Klein pairs, composed by
-    su2_product and embedded once on the sector's pair. Pulses with stacked
-    coefficients give a (*batch, 4, 4) stack of propagators, the pulses'
-    batch shapes broadcast against each other. No pulses give the
-    identity."""
+    su2_product and embedded once on the sector's pair. The pulses of a
+    schedule share one batch shape, and stacked coefficients give a
+    (*batch, 4, 4) stack of propagators. No pulses give the identity."""
     return embed(su2_product(*su2_exp(*_steps(pulses))), sector)
 
 
@@ -189,15 +189,17 @@ def tilted_schedule(theta, t1: float, tau: float) -> tuple:
     """Two pulses that do not turn: -(pi/(2 t1)) h_z during [0, t1], then
     the second pulse tilted by theta,
     -(pi/(2 (tau-t1))) (cos(theta) h_xy - sin(theta) h_z). theta = 0 gives
-    the plain two-pulse schedule that generates the orange-slice loop. A
-    stack of theta is the second pulse's batch (of one piece), so propagate
-    gives a stack of propagators.
+    the plain two-pulse schedule that generates the orange-slice loop. Both
+    pulses take theta's shape as their batch (of one piece), so a stack of
+    theta is one schedule per element and propagate gives a stack of
+    propagators.
     """
     _check_times(t1, tau)
     k = np.pi / (2.0 * (tau - t1))
     theta = np.asarray(theta)[..., None]
+    z = np.full(theta.shape, -np.pi / (2.0 * t1))
     return (
-        Pulse(t1, frame=(0.0, 0.0, -np.pi / (2.0 * t1)), turn=(0.0, 0.0, 0.0)),
+        Pulse(t1, frame=(0.0, 0.0, z), turn=(0.0, 0.0, 0.0)),
         Pulse(tau - t1, frame=(-k * np.cos(theta), 0.0, k * np.sin(theta)),
               turn=(0.0, 0.0, 0.0)),
     )
@@ -212,20 +214,24 @@ def tilted_segment_propagator(theta) -> np.ndarray:
 
 
 def composed_tilted_gate(theta) -> np.ndarray:
-    """Exact propagator of the full tilted sequence (both pulses); a stack
-    of theta gives a (..., 4, 4) stack."""
-    return propagate(tilted_schedule(theta, 1.0, 2.0))
+    """Exact propagator of the full tilted sequence, the tilted pulse after
+    the h_z pulse: both last one unit, so the sequence is one pulse that
+    holds the h_z field in the frame turning by the tilted one, two SU(2)
+    steps. A stack of theta gives a (..., 4, 4) stack."""
+    first, second = tilted_schedule(theta, 1.0, 2.0)
+    return propagate((Pulse(1.0, frame=first.frame, turn=second.frame),))
 
 
 def trotter_propagate(theta, n) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
 
-    The step S, the propagator of one pulse that holds the z field in the
-    frame turning by the xy field (z, then xy), is a rotation
-    cos(phi) I - i sin(phi) (m.sigma) on the gamma pair, so its n-th power
-    is cos(n phi) I - i sin(n phi) (m.sigma), in closed form for any n. n
-    is a positive integer or an integer array (Python integers beyond int64
+    The step S, the SU(2) block of one pulse that holds the z field in the
+    frame turning by the xy field (z, then xy), formed by su2_exp and
+    su2_product, is a rotation cos(phi) I - i sin(phi) (m.sigma) on the
+    gamma pair, so its n-th power is cos(n phi) I - i sin(n phi) (m.sigma),
+    in closed form for any n, and only that power is embedded. n is a
+    positive integer or an integer array (Python integers beyond int64
     too) that broadcasts against theta; the result is a (*broadcast shape,
     4, 4) stack.
     """
@@ -240,8 +246,9 @@ def trotter_propagate(theta, n) -> np.ndarray:
     k = 0.5 * np.pi / n
     # the batch of theta and n, with a trailing axis of one piece
     z, xy = (k * np.sin(theta))[..., None], (-k * np.cos(theta))[..., None]
-    step = propagate((Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0)),))
-    a, b = step[..., 1, 1], step[..., 2, 1]
+    pulse = Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0))
+    step = su2_product(*su2_exp(*pulse.steps()))
+    a, b = step[..., 0, 0], step[..., 1, 0]
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2
     phi = np.arctan2(np.hypot(a.imag, np.hypot(b.real, b.imag)), a.real)

@@ -28,8 +28,6 @@ from .linalg import ATOL_PIPELINE, gram_upper, require_unitary
 
 CLASSIFY_TOL = 1e-9
 
-_G2_IMAG_TOL = 1e-10
-
 # columns: the Bell (magic) basis (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2,
 # (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
 _BELL = np.array([
@@ -137,7 +135,7 @@ def makhlin_invariants(u: np.ndarray,
     g1 = tr * tr / (16.0 * det)
     g2 = (tr * tr - tr2) / (4.0 * det)
     worst = max(g2.imag.min(initial=0.0), g2.imag.max(initial=0.0), key=abs)
-    if abs(worst) > max(_G2_IMAG_TOL, atol):
+    if abs(worst) > atol:
         raise ValueError(f"G2 has imaginary part {worst:.3e}; "
                          "input is too far from unitary")
     shape = u.shape[:-2]

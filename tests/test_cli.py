@@ -232,6 +232,42 @@ def test_classify_rejects_non_unitary_matrix(tmp_path, capsys):
     assert "unitary" in err
 
 
+# A Haar unitary plus a complex perturbation of scale ~3e-11: its
+# unitarity defect (9.3e-11) is within the tolerance 1e-10, but the
+# imaginary part of its G2 (1.8e-10) is not.
+NEAR_UNITARY = [
+    [[0.4496104862675303, -0.4035417121075188],
+     [-0.140628020012489, 0.06513184606497302],
+     [0.36897456731906564, -0.16969408054554894],
+     [0.4870787573778518, 0.45694865311407284]],
+    [[-0.24948054524473823, -0.4298609633889569],
+     [-0.12457434147763619, -0.6675846495255222],
+     [0.31527465260680604, 0.42110424276204134],
+     [-0.07024296903359757, -0.1006479724137]],
+    [[-0.22215969470194086, -0.4623773944699782],
+     [-0.3114998599289312, 0.3405140266450544],
+     [-0.4792183231001749, 0.259972530661143],
+     [-0.24359803053336912, 0.40901629747370616]],
+    [[-0.3510965239833976, 0.039584754805809516],
+     [0.35203289819881023, -0.4217634945481215],
+     [-0.16569269617733026, -0.4833681934127036],
+     [-0.05008497286152163, 0.5565476501479435]],
+]
+
+
+def test_classify_rejects_g2_imaginary_part_beyond_tolerance(tmp_path,
+                                                             capsys):
+    # the imaginary part of G2 is checked against the same tolerance as
+    # unitarity, so a gate that passes one check can fail the other
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify", "tolerance": 1e-10,
+        "gate": {"kind": "matrix", "matrix": NEAR_UNITARY}})
+    code, stdout, err = run_main(["classify", scn], capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("error: G2 has imaginary part 1.802e-10; input is too "
+                   "far from unitary\n")
+
+
 def test_classify_below_rounding_tolerance_reports_failed_checks(
         tmp_path, capsys):
     # a gate the program built is off unitary by rounding (~3e-16); below
@@ -966,10 +1002,17 @@ def _linear(alpha_start, alpha_end, duration):
      "path": {"segments": [_linear(-1e308, 1e308, 1.0)]}},
     {"schema_version": 1, "command": "simulate", "loop": False,
      "path": {"segments": [_linear(0.3, 0.5, 1e-320)]}},
+    {"schema_version": 1, "command": "simulate", "loop": False,
+     "path": {"segments": [
+         {"kind": "linear", "alpha_start": 0.3, "beta_start": 0.0,
+          "alpha_end": 0.5, "beta_end": 0.2, "duration": 1e308},
+         {"kind": "linear", "alpha_start": 0.5, "beta_start": 0.2,
+          "alpha_end": 0.7, "beta_end": 0.4, "duration": 1e308}]}},
 ], ids=["sweep-map-grid-overflow", "segment-range-overflow",
-        "segment-duration-underflow"])
+        "segment-duration-underflow", "path-duration-overflow"])
 def test_non_finite_result_rejected(tmp_path, capsys, scenario):
-    # every input is a finite double, but a grid step or a path rate is not
+    # every input is a finite double, but a grid step, a path rate or the
+    # path's duration (a sum its serializer refuses) is not
     scn = write_scenario(tmp_path, scenario)
     out = tmp_path / "out.txt"
     code, stdout, err = run_main([scenario["command"], scn, "--out", str(out)],
@@ -989,6 +1032,22 @@ def test_unwritable_output_rejected(tmp_path, capsys, via):
     assert code == 2 and stdout == ""
     assert err.startswith("error: cannot write output: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["\ud800.json", "a\x00b.json"],
+                         ids=["lone-surrogate", "nul"])
+def test_output_path_open_refuses_rejected(tmp_path, capsys, name):
+    # open() refuses a path it cannot encode, or one with a NUL, with a
+    # ValueError rather than an OSError; both are one diagnostic line
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify",
+        "gate": {"kind": "rotation", "omega": -np.pi},
+        "out": str(tmp_path / name)})
+    code, stdout, err = run_main(["classify", scn], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["scenario.json"]
 
 
 def test_cli_import_does_not_load_jsonschema():
@@ -1076,6 +1135,12 @@ RATES_OVERFLOW = "invalid path: segment rates overflow double precision"
 
 SPAN = ("invalid path: segment spans more than 8388608 rad, where its "
         "rounded angles miss its end by more than the chart tolerance")
+
+
+def test_dump_report_refuses_unknown_types():
+    from schmidt_gates import cli
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli.dump_report({"x": object()})
 
 
 @pytest.mark.parametrize("segment, reason", [

@@ -2,15 +2,18 @@
 imports a name it never uses, no top-level private function or class goes
 unreferenced, no private method of a class goes unread, no public
 function, class or method serves only the unit tests, and no field of a
-dataclass goes unread. The checks read the source with the standard
+dataclass goes unread, and no field a scenario schema declares goes
+unread by the CLI. The checks read the source with the standard
 library's ast module, so a class, helper, method or field left behind by a
 deletion fails here.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import schmidt_gates
+from schmidt_gates import cli
 
 from test_readme import python_blocks
 
@@ -160,6 +163,62 @@ def unread_fields(trees: dict, readers: list) -> list:
             if isinstance(node, ast.AnnAssign) and node.target.id not in read]
 
 
+def _schema_fields(schema) -> list:
+    """(name, schema) of every property a JSON schema declares, at any
+    depth."""
+    if isinstance(schema, list):
+        return [field for item in schema for field in _schema_fields(item)]
+    if not isinstance(schema, dict):
+        return []
+    return [*schema.get("properties", {}).items(),
+            *(field for value in schema.values()
+              for field in _schema_fields(value))]
+
+
+def _definitions(tree, root: str) -> set:
+    """ids of the nodes of the top-level definition `root` and of every
+    top-level definition it is built from, followed through the names
+    they read."""
+    top = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            top.update((t.id, node) for t in node.targets
+                       if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top[node.name] = node
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in top and name not in seen:
+            seen.add(name)
+            todo += _loaded_names(top[name])
+    return {id(n) for name in seen for n in ast.walk(top[name])}
+
+
+def unread_scenario_fields(tree, root: str, schemas: dict,
+                           constructors: dict) -> list:
+    """Sorted names of the properties declared in `schemas` that are
+    neither a const (a tag or the schema version), nor a string the tree
+    reads as a subscript or passes as a positional argument outside the
+    definitions `root` is built from, nor a parameter of one of the
+    `constructors`, which take a segment's other fields as keywords."""
+    skip = _definitions(tree, root)
+    read = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            read.add(node.slice)
+        elif isinstance(node, ast.Call):
+            read.update(node.args)
+    keys = {n.value for n in read
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    keys.update(name for build in constructors.values()
+                for name in inspect.signature(build).parameters)
+    return sorted({name for name, schema in _schema_fields(schemas)
+                   if "const" not in schema and name not in keys})
+
+
 def test_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -202,6 +261,38 @@ def test_checks_find_what_they_look_for():
     readme = ast.parse("print(Point(1, 2, True).y)\n")
     assert unread_fields({"m.py": data}, [readme]) == [
         ("m.py", "Point.flag"), ("m.py", "Pair.second")]
+
+
+def test_scenario_field_check_finds_unread_fields():
+    # a key named by the schema's own definitions, or one the code writes,
+    # is not read; a constructor's parameter and a subscript key are
+    source = (
+        "_N = {'type': 'number'}\n"
+        "def _obj(props, *order):\n"
+        "    return {'type': 'object', 'properties': props,\n"
+        "            'required': list(order)}\n"
+        "SCHEMAS = {'run': _obj({'tag': {'const': 'run'}, 'read': _N,\n"
+        "                        'built': _N, 'spare': _N, 'written': _N,\n"
+        "                        'nested': _obj({'deep': _N})}, 'spare')}\n"
+        "def run(s):\n"
+        "    out = {'written': s['read'], 'nested': s.get('nested')}\n"
+        "    return out, BUILD[s.pop('tag')](**s)\n")
+    namespace = {}
+    exec(source, namespace)
+    assert unread_scenario_fields(
+        ast.parse(source), "SCHEMAS", namespace["SCHEMAS"],
+        {"x": lambda built: None}) == ["deep", "spare", "written"]
+
+
+# The benchmark's scenarios still send samples_per_segment; since every
+# segment is propagated exactly, nothing reads it.
+UNREAD_SCENARIO_FIELDS = ["samples_per_segment"]
+
+
+def test_every_scenario_field_is_read():
+    assert unread_scenario_fields(
+        _modules()["cli.py"], "SCENARIO_SCHEMAS", cli.SCENARIO_SCHEMAS,
+        cli._SEGMENTS) == UNREAD_SCENARIO_FIELDS
 
 
 def test_no_module_imports_a_name_it_never_uses():

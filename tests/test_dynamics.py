@@ -246,7 +246,9 @@ def test_pulse_that_does_not_turn_is_its_held_field(sector):
     # a stack of theta in tilted_schedule is each theta's own schedule
     thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40),
                              [0.0, -0.0, np.pi / 2, 5e-324]])
-    u = propagate(tilted_schedule(thetas, 0.7, 1.9), sector)
+    schedule = tilted_schedule(thetas, 0.7, 1.9)
+    assert [p.steps().shape for p in schedule] == [(4, thetas.size, 2)] * 2
+    u = propagate(schedule, sector)
     assert u.shape == (thetas.size, 4, 4)
     for k, theta in enumerate(thetas):
         one = propagate(tilted_schedule(theta, 0.7, 1.9), sector)
@@ -278,25 +280,25 @@ def test_propagate_stacked_pulses_equal_per_element_calls(sector):
 
 
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
-def test_propagate_broadcasts_stacked_against_scalar_and_sampled_pulses(
-        sector):
-    # a stacked pulse that does not turn next to a scalar one and the pulse
-    # of a sampled segment, of six pieces: the batch shapes broadcast, and
-    # each element of the stack is the propagator of its own schedule
+def test_propagate_refuses_pulses_of_different_batches(sector):
+    # the pulses of a schedule share one batch: a stacked pulse next to a
+    # scalar one or the pulse of a sampled segment, or two stacks whose
+    # batch shapes would broadcast, are refused, never broadcast
     rng = np.random.default_rng(44)
-    c_xy = rng.normal(size=(2, 3, 1))
     t = np.linspace(0.0, 0.8, 7)
     (sampled,) = reverse_engineer(SchmidtPath((
         SampledSegment(0.5 + np.sin(t), np.cos(t) + t ** 2, 0.8),)))
     assert sampled.steps().shape == (4, 12)
     scalar = Pulse(0.4, (0.3, -0.2, 0.5), (0.0, 0.0, 0.0))
-    stacked = Pulse(1.1, (c_xy, 0.7, -0.1), (0.0, 0.0, 0.0))
-    u = propagate((scalar, stacked, sampled), sector)
-    assert u.shape == (2, 3, 4, 4)
-    for i in range(2):
-        for j in range(3):
-            one = (scalar, _element(stacked, (2, 3), (i, j)), sampled)
-            assert u[i, j].tobytes() == propagate(one, sector).tobytes()
+    stacked = Pulse(1.1, (rng.normal(size=(2, 3, 1)), 0.7, -0.1),
+                    (0.0, 0.0, 0.0))
+    column = Pulse(0.9, (rng.normal(size=(2, 1, 1)), 0.0, 0.2),
+                   (0.0, 0.0, 0.0))
+    for schedule in ((scalar, stacked), (stacked, sampled),
+                     (scalar, stacked, sampled), (stacked, column)):
+        with pytest.raises(ValueError):
+            propagate(schedule, sector)
+    assert propagate((stacked, stacked), sector).shape == (2, 3, 4, 4)
 
 
 def test_propagate_drags_schmidt_vectors_exactly():
@@ -765,6 +767,9 @@ def test_tilted_and_trotter_stacks_equal_per_theta_calls():
                              [0.0, -0.0, np.pi / 2, 5e-324]])
     exact = tilted_segment_propagator(thetas)
     composed = composed_tilted_gate(thetas)
+    # the one pulse of the composed gate is the two-pulse schedule
+    assert np.array_equal(composed, propagate(tilted_schedule(thetas, 1.0,
+                                                              2.0)))
     omega, residual = extract_rotation_angle(composed)
     assert exact.shape == composed.shape == (thetas.size, 4, 4)
     for n in (1, 2, 7, 512):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schmidt_gates.gates import schmidt_gate, u_general
-from schmidt_gates.linalg import tensor_product, unitarity_defect
+from schmidt_gates.linalg import unitarity_defect
 from schmidt_gates.sphere import BRANCHES, assemble_state, frame_unitaries
 
 from reference import framed_state
@@ -117,13 +117,19 @@ def test_frame_unitaries_are_unitary_and_consistent():
         a, b = frame_unitaries(frame)
         assert unitarity_defect(a) < TOL
         assert unitarity_defect(b) < TOL
-        # conjugating the standard-frame gate must equal assembling the
-        # gate directly in the target frame
+        # the gate in the frame is the projector sum over the reference's
+        # framed quadruple: e^(-+i w/2) on the sector's "+-" states, the
+        # identity on the idle pair
         a0, b0, w = rng.uniform(0.2, 1.4), rng.uniform(-2, 2), rng.uniform(-4, 4)
-        local = tensor_product(a, b)
-        direct = schmidt_gate(a0, b0, w, frame=frame)
-        conj = local @ schmidt_gate(a0, b0, w) @ local.conj().T
-        assert np.max(np.abs(direct - conj)) < TOL
+        for sector, idle in (("gamma", "lambda"), ("lambda", "gamma")):
+            expect = np.zeros((4, 4), dtype=complex)
+            for branch, phase in ((sector + "+", np.exp(-0.5j * w)),
+                                  (sector + "-", np.exp(0.5j * w)),
+                                  (idle + "+", 1.0), (idle + "-", 1.0)):
+                psi = framed_state(a0, b0, branch, frame)
+                expect += phase * np.outer(psi, psi.conj())
+            direct = schmidt_gate(a0, b0, w, sector, frame=frame)
+            assert np.max(np.abs(direct - expect)) < TOL
 
 
 def test_frame_unitaries_map_standard_quadruple():
