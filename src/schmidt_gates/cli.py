@@ -16,7 +16,14 @@ the name become underscores) returns `(text, summary, passed)`, the JSON
 report or CSV table, the one-line stderr summary of a table (None for a
 report) and whether every check passed. `main` looks the runner up when it
 runs, writes the text to `--out`, the scenario's `out` field or stdout,
-then prints the summary."""
+then prints the summary.
+
+The module imports only the standard library. numpy and the numerical
+layers are imported by the functions that use them, reached once `main`
+has accepted the scenario, so `--help`, a bad command line and a rejected
+scenario are answered without them. A call into a layer goes through the
+layer module (`dynamics.propagate`), where a wrapper set on the module is
+seen."""
 
 from __future__ import annotations
 
@@ -24,35 +31,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
-
-from .dynamics import (
-    _field,
-    composed_tilted_gate,
-    dynamical_phase,
-    extract_rotation_angle,
-    orange_slice_path,
-    propagate,
-    reverse_engineer,
-    tilted_segment_propagator,
-    trotter_propagate,
-)
-from .gates import schmidt_gate, u_general
-from .invariants import (
-    classify,
-    closed_form_invariants,
-    makhlin_invariants,
-)
-from .linalg import ATOL_PIPELINE, gate_fidelity, unitarity_defect
-from .sphere import (
-    SampledSegment,
-    SchmidtPath,
-    _piece_integrals,
-    linear_segment,
-    rotation_arc,
-    solid_angle,
-)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -229,18 +207,17 @@ def _validate(instance, schema: dict, path: tuple) -> None:
 
 def _finite_numbers(values: list) -> bool:
     """Whether every value is an int or a float (not a bool) strictly inside
-    the double range, decided for the whole array in one pass. Anything
-    else, including a value that rounds to the range's edge, is left to the
-    per-item walk, which names the first bad index."""
+    the double range, decided for the whole array in one pass: the sum of
+    the magnitudes stays below the largest double only if each one does.
+    Anything else, including a value that rounds to the range's edge or
+    values whose sum overflows, is left to the per-item walk, which names
+    the first bad index."""
     if not set(map(type, values)) <= {int, float}:
         return False
     try:
-        numbers = np.array(values, dtype=float)
-    except OverflowError:
+        return sum(map(abs, values)) < sys.float_info.max
+    except OverflowError:  # an int too large for a double meets a float
         return False
-    # in place: a second array of the size of the input would raise the
-    # peak memory of a run whose input is a long sampled segment
-    return bool(np.abs(numbers, out=numbers).max() < sys.float_info.max)
 
 
 def _declared_branch(instance, branches: list, path: tuple) -> dict:
@@ -294,9 +271,10 @@ def _dump(obj, indent: int) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    # numpy.float64, the one numpy scalar type a report holds, is a float
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -319,7 +297,7 @@ def dump_report(report: dict) -> str:
 
 def matrix_entries(u: np.ndarray) -> list:
     """4x4 complex matrix as nested [re, im] pairs (row-major)."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(u)]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -354,6 +332,8 @@ def _render(row: str, columns: list) -> str:
     cells that %s prints as their str (text, or entangler classes), each
     value formatted once. A non-finite number anywhere in the block is the
     not-finite diagnostic."""
+    import numpy as np
+
     numbers = [column for column in columns if column.dtype != object]
     if not np.isfinite(numbers).all():
         raise ScenarioError(_NOT_FINITE)
@@ -363,6 +343,8 @@ def _render(row: str, columns: list) -> str:
 
 def _cells(values: np.ndarray) -> np.ndarray:
     """The 17-digit text of each value, as an object column for _render."""
+    import numpy as np
+
     return np.array(_render("%.17g\n", [values]).splitlines(), dtype=object)
 
 
@@ -382,19 +364,25 @@ def _table_result(command: str, header: list[str], blocks: list[str],
 # --------------------------------------------------------------------------
 
 
-# Segment kind -> constructor of the schema's other fields.
-_SEGMENTS = {"linear": linear_segment, "rotation": rotation_arc,
-             "sampled": SampledSegment}
+def _segment_constructors() -> dict:
+    """Segment kind -> constructor of the schema's other fields."""
+    from . import sphere
+
+    return {"linear": sphere.linear_segment, "rotation": sphere.rotation_arc,
+            "sampled": sphere.SampledSegment}
 
 
 def _build_path(spec: dict, loop: bool) -> SchmidtPath:
+    from . import dynamics, sphere
+
     try:
         if spec.get("preset") == "orange_slice":
-            return orange_slice_path(spec["t1"], spec["tau"])
+            return dynamics.orange_slice_path(spec["t1"], spec["tau"])
+        build = _segment_constructors()
         specs = [dict(s) for s in spec["segments"]]
-        segments = tuple(_SEGMENTS[s.pop("kind")](**s) for s in specs)
+        segments = tuple(build[s.pop("kind")](**s) for s in specs)
         closed = spec.get("closed", loop)
-        return SchmidtPath(segments, closed=closed)
+        return sphere.SchmidtPath(segments, closed=closed)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
 
@@ -402,21 +390,27 @@ def _build_path(spec: dict, loop: bool) -> SchmidtPath:
 def _build_gate(spec: dict, tol: float):
     """Returns (matrix, echo-dict, closed_form_invariants or None); a
     general matrix gate is the one without a closed form."""
+    import numpy as np
+
+    from . import gates, invariants, linalg
+
     if spec["kind"] == "geometric":
         sector = spec.get("sector", "gamma")
-        u = schmidt_gate(spec["alpha0"], spec["beta0"], spec["omega"], sector)
+        u = gates.schmidt_gate(spec["alpha0"], spec["beta0"], spec["omega"],
+                               sector)
         echo = {"kind": "geometric", "alpha0": spec["alpha0"],
                 "beta0": spec["beta0"], "omega": spec["omega"],
                 "sector": sector}
-        closed = closed_form_invariants(spec["alpha0"], spec["omega"])
+        closed = invariants.closed_form_invariants(spec["alpha0"],
+                                                   spec["omega"])
         return u, echo, closed
     if spec["kind"] == "rotation":
-        u = u_general(spec["omega"])
-        closed = closed_form_invariants(np.pi / 2, spec["omega"])
+        u = gates.u_general(spec["omega"])
+        closed = invariants.closed_form_invariants(math.pi / 2, spec["omega"])
         return u, {"kind": "rotation", "omega": spec["omega"]}, closed
     u = np.array([[complex(re, im) for re, im in row]
                   for row in spec["matrix"]])
-    if unitarity_defect(u) > tol:
+    if linalg.unitarity_defect(u) > tol:
         raise ScenarioError("gate matrix is not unitary within tolerance")
     return u, {"kind": "matrix"}, None
 
@@ -427,12 +421,17 @@ def _build_gate(spec: dict, tol: float):
 
 
 def _pulse_summary(seg) -> dict:
-    if isinstance(seg, SampledSegment) and seg.alpha.size > 2:
+    import numpy as np
+
+    from . import dynamics, sphere
+
+    sampled = isinstance(seg, sphere.SampledSegment)
+    if sampled and seg.alpha.size > 2:
         # the exact time integrals of the field the polyline applies: per
         # piece, -(1/2) integral of sin(beta) d alpha, (1/2) integral of
         # cos(beta) d alpha and (1/2) d beta
-        _, sin_int = _piece_integrals(seg.beta, seg.alpha, np.sin)
-        _, cos_int = _piece_integrals(seg.beta, seg.alpha)
+        _, sin_int = sphere._piece_integrals(seg.beta, seg.alpha, np.sin)
+        _, cos_int = sphere._piece_integrals(seg.beta, seg.alpha)
         return {
             "kind": "sampled",
             "duration": float(seg.duration),
@@ -446,8 +445,8 @@ def _pulse_summary(seg) -> dict:
     # with a zero rate holds its field, and the terms of that rate report
     # +0, whatever the sign of their product with sin or cos of beta
     kind, (da, db) = "rotating", seg.start_rates()
-    c_xy, c_dm, c_z = _field(da, db, seg.start_coords().beta)
-    if isinstance(seg, SampledSegment):
+    c_xy, c_dm, c_z = dynamics._field(da, db, seg.start_coords().beta)
+    if sampled:
         if da == 0.0:
             kind, c_xy, c_dm = "constant", 0.0, 0.0
         elif db == 0.0:
@@ -466,18 +465,25 @@ def _assess(u: np.ndarray, tol: float, closed=None, general=False, **atol):
     invariants `closed` is None without them; a `general` gate, one that is
     not a sector block, is classified by the convex-hull test; `atol` is
     passed on to `makhlin_invariants`."""
+    import numpy as np
+
+    from . import invariants
+
     try:
-        inv = makhlin_invariants(u, **atol)
+        inv = invariants.makhlin_invariants(u, **atol)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     deviation = None
     if closed is not None:
         deviation = np.maximum(abs(inv.g1 - closed.g1),
                                abs(inv.g2 - closed.g2))
-    return inv, classify(inv, tol, gate=u if general else None), deviation
+    label = invariants.classify(inv, tol, gate=u if general else None)
+    return inv, label, deviation
 
 
 def run_simulate(scenario: dict, tol: float) -> _Result:
+    from . import dynamics, gates, linalg, sphere
+
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
     path = _build_path(scenario["path"], loop)
@@ -485,21 +491,21 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         raise ScenarioError("simulate in loop mode requires a closed path, "
                             'but the path declares "closed": false')
     try:
-        omega = solid_angle(path) if path.closed else None
-        schedule = reverse_engineer(path)
-        phi_plus, phi_minus = dynamical_phase(path)
+        omega = sphere.solid_angle(path) if path.closed else None
+        schedule = dynamics.reverse_engineer(path)
+        phi_plus, phi_minus = dynamics.dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
-    u = propagate(schedule, sector)
+    u = dynamics.propagate(schedule, sector)
     phase_zero = abs(phi_plus) <= tol
     start = path.start_coords()
 
-    checks = {"propagator_unitary": unitarity_defect(u) <= tol}
+    checks = {"propagator_unitary": linalg.unitarity_defect(u) <= tol}
     predicted = None
     fidelity = None
     if path.closed and phase_zero:
-        target = schmidt_gate(start.alpha, start.beta, omega, sector)
-        fidelity = float(gate_fidelity(u, target))
+        target = gates.schmidt_gate(start.alpha, start.beta, omega, sector)
+        fidelity = float(linalg.gate_fidelity(u, target))
         predicted = {"alpha0": start.alpha, "beta0": start.beta,
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
@@ -524,10 +530,12 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
 
 
 def run_classify(scenario: dict, tol: float) -> _Result:
+    from . import linalg
+
     u, echo, closed = _build_gate(scenario["gate"], tol)
     inv, label, deviation = _assess(u, tol, closed, general=closed is None,
-                                    atol=max(tol, ATOL_PIPELINE))
-    checks = {"gate_unitary": unitarity_defect(u) <= tol}
+                                    atol=max(tol, linalg.ATOL_PIPELINE))
+    checks = {"gate_unitary": linalg.unitarity_defect(u) <= tol}
     if closed is not None:
         deviation = float(deviation)
         checks["matches_closed_form"] = deviation <= tol
@@ -541,6 +549,8 @@ def run_classify(scenario: dict, tol: float) -> _Result:
 
 
 def _grid(scenario: dict, field: str) -> np.ndarray:
+    import numpy as np
+
     spec = scenario[field]
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
@@ -561,6 +571,10 @@ _SWEEP_BLOCK = 512
 
 
 def run_sweep_map(scenario: dict, tol: float) -> _Result:
+    import numpy as np
+
+    from . import gates, invariants
+
     alphas = _grid(scenario, "alpha0")
     omegas = _grid(scenario, "omega")
     beta0 = scenario.get("beta0", 0.0)
@@ -574,7 +588,8 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
                          omegas.size)
         a, w = alphas[i], omegas[j]
         inv, labels, deviation = _assess(
-            schmidt_gate(a, beta0, w), tol, closed_form_invariants(a, w))
+            gates.schmidt_gate(a, beta0, w), tol,
+            invariants.closed_form_invariants(a, w))
         max_dev = max(max_dev, deviation.max())
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g,%s\n", [
             alpha_cells[i], omega_cells[j], inv.g1.real, inv.g1.imag, inv.g2,
@@ -586,6 +601,10 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
 
 
 def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
+    import numpy as np
+
+    from . import dynamics, linalg
+
     thetas = _grid(scenario, "theta")
     n_values = [int(n) for n in scenario["n_values"]]
     n_array = np.array(n_values)
@@ -601,12 +620,12 @@ def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
         i, j = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, rows)),
                          len(n_values))
         theta = thetas[i[0]:i[-1] + 1]
-        exact = tilted_segment_propagator(theta)[i - i[0]]
-        omega, resid = extract_rotation_angle(composed_tilted_gate(theta))
+        exact = dynamics.tilted_segment_propagator(theta)[i - i[0]]
+        omega, resid = dynamics.extract_rotation_angle(
+            dynamics.composed_tilted_gate(theta))
         max_resid = max(max_resid, resid.max())
-        infid = np.maximum(
-            0.0, 1.0 - gate_fidelity(exact, trotter_propagate(thetas[i],
-                                                              n_array[j])))
+        approx = dynamics.trotter_propagate(thetas[i], n_array[j])
+        infid = np.maximum(0.0, 1.0 - linalg.gate_fidelity(exact, approx))
         # the phase-aligned distance, sqrt(2 (1 - fidelity))
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g\n", [
             theta_cells[i], n_cells[j], infid, np.sqrt(2.0 * infid),
@@ -667,6 +686,10 @@ def main(argv=None) -> int:
         if not 0 < tol < math.inf:
             raise ScenarioError("tolerance must be positive and finite")
         out = args.out if args.out is not None else scenario.get("out")
+        # the first numerics import: every check above runs on the
+        # standard library alone
+        import numpy as np
+
         # looked up at call time, so a wrapper set on the module is used
         run = globals()["run_" + args.command.replace("-", "_")]
         # an overflow or invalid value anywhere in the numerics is the

@@ -5,7 +5,10 @@ lift by Rodrigues' formula, chart samples of linear segments (the
 polylines of two samples) and rotation arcs with their exact rates, which
 share no lift or rate formula with the package, the midpoint rule stepping
 the paper's field on such samples, and a path run backwards, built from the
-public constructors."""
+public constructors, and the CLI's one-pass check of a number array as
+numpy made it."""
+
+import sys
 
 import numpy as np
 
@@ -125,3 +128,16 @@ def reverse_path(path):
     """The path run backwards, segment by segment, closed if it is."""
     return SchmidtPath(tuple(reverse(seg) for seg in path.segments[::-1]),
                        closed=path.closed)
+
+
+def finite_numbers(values: list) -> bool:
+    """The numpy form of the CLI's one-pass number-array check: every value
+    an int or a float (not a bool) whose double magnitude lies strictly
+    below the largest double; an int too large for a double fails."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        numbers = np.array(values, dtype=float)
+    except OverflowError:
+        return False
+    return bool(np.abs(numbers).max() < sys.float_info.max)

@@ -1,14 +1,21 @@
 import csv
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import schmidt_gates
+from schmidt_gates import cli
 from schmidt_gates.cli import main
 
 # Subprocesses import the package the tests import, installed or not.
@@ -437,7 +444,7 @@ def test_trotter_sweep_blocks_split_long_n_values(tmp_path, capsys,
     # more n_values than a block holds rows: blocks end inside a theta's
     # rows, each block's working stack stays within _SWEEP_BLOCK rows, and
     # the table is the one the rows give one at a time; n beyond int64 runs
-    from schmidt_gates import cli
+    from schmidt_gates import dynamics
     from schmidt_gates.dynamics import (
         composed_tilted_gate,
         extract_rotation_angle,
@@ -454,7 +461,8 @@ def test_trotter_sweep_blocks_split_long_n_values(tmp_path, capsys,
         sizes.append(np.shape(n))
         return trotter_propagate(theta, n)
 
-    monkeypatch.setattr(cli, "trotter_propagate", recording)
+    # the CLI calls the layer through its module
+    monkeypatch.setattr(dynamics, "trotter_propagate", recording)
     out = tmp_path / "trot.csv"
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "trotter-sweep", "theta": thetas,
@@ -543,6 +551,46 @@ def test_long_number_array_at_range_edges_accepted():
     for values in ([0.5] * 1000 + [big, -big, 2 ** 1023, 0, -0.0],
                    [1, 2, 3], [big]):
         _validate(values, schema, ())
+
+
+_BIG = sys.float_info.max
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+# ints, floats and bools, with the values at and beyond the double range
+# and finite values large enough that a few of them sum past it
+_ARRAY_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, _BIG, -_BIG,
+                     int(_BIG), 2 ** 1024, -(2 ** 1024)]),
+    _signed(st.integers(2 ** 1023, 2 ** 1100)),
+    _signed(st.floats(_BIG / 4, _BIG)))
+
+
+def _array_verdict(values, finite_numbers):
+    """The validator's diagnostic of `values` as a number array, None if it
+    accepts them, with `finite_numbers` as its one-pass check."""
+    schema = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+    with mock.patch.object(cli, "_finite_numbers", finite_numbers):
+        try:
+            cli._validate(values, schema, ("path", "segments", 0, "alpha"))
+        except cli.ScenarioError as exc:
+            return str(exc)
+    return None
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(values=st.lists(_ARRAY_VALUES, min_size=1, max_size=12))
+def test_one_pass_number_check_agrees_with_numpy_check(values):
+    # the standard-library check gives the verdict and the diagnostic of the
+    # numpy one, and of the per-item walk alone
+    verdict = _array_verdict(values, cli._finite_numbers)
+    assert verdict == _array_verdict(values, reference.finite_numbers)
+    assert verdict == _array_verdict(values, lambda _: False)
 
 
 def test_scenario_error_paths(tmp_path, capsys):
@@ -1058,17 +1106,95 @@ def test_cli_import_does_not_load_jsonschema():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_imports_only_numpy_beyond_the_standard_library():
-    # numpy is the one runtime dependency: importing the CLI in a fresh
-    # interpreter adds no other top-level third-party module
-    code = ("import sys; before = set(sys.modules); "
-            "import schmidt_gates.cli; "
-            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
-            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
+def fresh_run(statement, argv=(), cwd=None):
+    """(exit status, stdout, stderr, top-level modules beyond the standard
+    library left in sys.modules) of a fresh interpreter that runs
+    `statement` with `argv` as its arguments."""
+    code = ("import sys\n"
+            "try:\n"
+            f"    {statement}\n"
+            "finally:\n"
+            "    print('modules:', *sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=PACKAGE_ENV,
+                          cwd=cwd)
+    err, _, modules = proc.stderr.rpartition("modules: ")
+    top = {name.partition(".")[0] for name in modules.split()}
+    return (proc.returncode, proc.stdout, err,
+            top - set(sys.stdlib_module_names))
+
+
+# as `python -m schmidt_gates.cli <argv>` runs it
+RUN_CLI = ("import runpy; runpy.run_module('schmidt_gates.cli', "
+           "run_name='__main__', alter_sys=True)")
+
+
+@functools.cache
+def bare_modules():
+    """What a bare interpreter imports beyond the standard library (for
+    instance through .pth files of the environment)."""
+    return fresh_run("pass")[3]
+
+
+@pytest.mark.parametrize("statement, argv, status", [
+    ("import schmidt_gates", [], 0),
+    ("import schmidt_gates.cli", [], 0),
+    (RUN_CLI, ["--help"], 0),
+    (RUN_CLI, ["simulate"], 2),
+    (RUN_CLI, ["nonsense", "x.json"], 2),
+], ids=["package", "cli", "help", "missing-scenario", "unknown-command"])
+def test_imports_and_command_line_run_without_numpy(statement, argv, status):
+    code, _, err, modules = fresh_run(statement, argv)
+    assert code == status, err
+    assert modules - bare_modules() == {"schmidt_gates"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"schema_version": 1, "command": "classify",
+                  "gate": {"kind": "rotation", "omega": 1.0}}),
+    ("simulate", dict(ORANGE, bogus=1)),
+    ("classify", {"schema_version": 1, "command": "classify",
+                  "gate": {"kind": "rotation", "omega": "1.0"}}),
+], ids=["command-mismatch", "unknown-field", "wrong-type"])
+def test_rejected_scenario_runs_without_numpy(tmp_path, command, payload):
+    scn = write_scenario(tmp_path, payload)
+    code, stdout, err, modules = fresh_run(
+        RUN_CLI, [command, scn, "--out", "out.json"], tmp_path)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: scenario ") and err.count("\n") == 1
+    assert modules - bare_modules() == {"schmidt_gates"}
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
+def test_valid_scenario_imports_only_numpy_beyond_the_standard_library(
+        tmp_path):
+    # numpy is the one runtime dependency, imported once the scenario is
+    # accepted
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "classify",
+        "gate": {"kind": "rotation", "omega": 1.0}})
+    code, stdout, err, modules = fresh_run(
+        RUN_CLI, ["classify", scn, "--out", "out.json"], tmp_path)
+    assert (code, stdout, err) == (0, "", "")
+    assert json.loads((tmp_path / "out.json").read_text())["passed"] is True
+    assert modules - bare_modules() == {"numpy", "schmidt_gates"}
+
+
+def test_package_loads_a_submodule_on_first_use():
+    code = ("import sys, schmidt_gates as sg; "
+            "assert 'schmidt_gates.sphere' not in sys.modules; "
+            "f = sg.solid_angle; "
+            "assert f is sys.modules['schmidt_gates.sphere'].solid_angle; "
+            "assert sg.dynamics is sys.modules['schmidt_gates.dynamics']; "
+            "assert 'schmidt_gates.cli' not in sys.modules; "
+            "assert not hasattr(sg, 'missing'); "
+            "assert set(sg.__all__) <= set(dir(sg)); "
+            "namespace = {}; exec('from schmidt_gates import *', namespace); "
+            "assert namespace['propagate'] is sg.propagate; "
+            "assert set(namespace) - {'__builtins__'} == set(sg.__all__)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=PACKAGE_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "schmidt_gates"]
 
 
 def test_out_field_in_scenario(tmp_path, capsys):
@@ -1088,6 +1214,22 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=PACKAGE_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entangler_class"] == "SPE"
+
+
+def test_simulate_refuses_loop_with_endpoint_gap_above_chart_tol(tmp_path,
+                                                                 capsys):
+    # an equator loop that overshoots its start by 1e-7 rad, between the
+    # chart tolerance 1e-9 and 1e-6, is not closed: loop mode refuses it
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate",
+        "path": {"segments": [{
+            "kind": "linear", "alpha_start": np.pi / 2, "beta_start": 0.0,
+            "alpha_end": np.pi / 2, "beta_end": 2 * np.pi + 1e-7,
+            "duration": 1.0}]}})
+    code, stdout, err = run_main(["simulate", scn], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: invalid path: path is flagged closed but "
+                   "endpoints differ by 1.000e-07 on the sphere\n")
 
 
 def test_sweep_map_grid_list_rejected(tmp_path, capsys):
@@ -1256,7 +1398,7 @@ def test_simulate_out_of_memory_gives_one_diagnostic(tmp_path, capsys,
     def no_memory(schedule, sector):
         raise MemoryError
 
-    monkeypatch.setattr(schmidt_gates.cli, "propagate", no_memory)
+    monkeypatch.setattr(schmidt_gates.dynamics, "propagate", no_memory)
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "path": {"segments": [_rotation([0.3, 0.0, 1.0])]}})

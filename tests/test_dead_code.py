@@ -1,6 +1,9 @@
 """The package carries no dead code that a syntax walk can see: no module
-imports a name it never uses, no top-level private function or class goes
-unreferenced, no private method of a class goes unread, no public
+imports a name it never uses (a function-local import, as the CLI makes
+for numpy and the numerical layers, is read in its own function), every
+entry of the package's lazy export table names a definition of its
+module, no top-level private function or class goes unreferenced, no
+private method of a class goes unread, no public
 function, class or method serves only the unit tests, and no field of a
 dataclass goes unread, and no field a scenario schema declares goes
 unread by the CLI. The checks read the source with the standard
@@ -34,16 +37,47 @@ def _loaded_names(tree) -> list:
 
 def unused_imports(tree) -> list:
     """Names the module imports (outside `from __future__`) and never
-    reads."""
-    imported = []
+    reads: an import at the top level is read anywhere in the module, one
+    inside a function is read in that function."""
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    # the innermost function around each node; outer scopes come first in
+    # the walk, so an inner one overwrites them
+    scope = {}
+    for outer in [tree, *functions]:
+        scope.update((id(node), outer) for node in ast.walk(outer))
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported += [a.asname or a.name.partition(".")[0]
-                         for a in node.names]
+            imported = [a.asname or a.name.partition(".")[0]
+                        for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
-    used = set(_loaded_names(tree))
-    return [name for name in imported if name not in used]
+            imported = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        used = set(_loaded_names(scope[id(node)]))
+        found += [name for name in imported if name not in used]
+    return found
+
+
+def _top_level_names(tree) -> set:
+    """Names a module binds at its top level: definitions and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def stale_exports(trees: dict, exports: dict) -> list:
+    """(name, module) of each entry of a lazy export table whose module
+    does not define the name at its top level."""
+    return [(name, module) for name, module in exports.items()
+            if name not in _top_level_names(trees[f"{module}.py"])]
 
 
 def _private(name: str) -> bool:
@@ -115,9 +149,9 @@ def unread_publics(trees: dict, readers: list) -> list:
     """(module, name) of each public top-level function or class, and
     (module, class.method) of each public method of a top-level class, that
     nothing reads as a name or an attribute: neither the package, outside
-    the definition's own body and the `__init__` that only re-exports, nor
-    the trees in `readers`. `run_<command>` is exempt, because `main` looks
-    it up by name."""
+    the definition's own body and the `__init__`, whose export table only
+    names it, nor the trees in `readers`. `run_<command>` is exempt,
+    because `main` looks it up by name."""
     package = {m: t for m, t in trees.items() if m != "__init__.py"}
     loads = [load for tree in package.values() for load in _loads(tree)]
     outside = {name for tree in readers for _, name in _loads(tree)}
@@ -230,8 +264,13 @@ def test_checks_find_what_they_look_for():
         "    def _unread(self):\n        return self._unread()\n"
         "    def _read(self):\n        return 1\n"
         "    def __len__(self):\n        return self._read()\n"
-        "def run():\n    return np.pi, _kept, _Helper\n")
-    assert unused_imports(tree) == ["os", "_unused"]
+        "def run():\n    return np.pi, _kept, _Helper\n"
+        "def local():\n    import json\n    from . import y, z\n"
+        "    def inner():\n        return y\n    return 1\n"
+        "def reader():\n    return json, z\n")
+    assert unused_imports(tree) == ["os", "_unused", "json", "z"]
+    assert stale_exports({"m.py": tree}, {"run": "m", "Thing": "m",
+                                          "gone": "m"}) == [("gone", "m")]
     assert unreferenced_privates({"m.py": tree}) == [("m.py", "_dead")]
     assert unread_private_methods({"m.py": tree}) == [("m.py",
                                                        "Thing._unread")]
@@ -292,14 +331,19 @@ UNREAD_SCENARIO_FIELDS = ["samples_per_segment"]
 def test_every_scenario_field_is_read():
     assert unread_scenario_fields(
         _modules()["cli.py"], "SCENARIO_SCHEMAS", cli.SCENARIO_SCHEMAS,
-        cli._SEGMENTS) == UNREAD_SCENARIO_FIELDS
+        cli._segment_constructors()) == UNREAD_SCENARIO_FIELDS
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # the package's __init__ imports only to export
     found = {module: names for module, tree in _modules().items()
-             if module != "__init__.py" and (names := unused_imports(tree))}
+             if (names := unused_imports(tree))}
     assert found == {}
+
+
+def test_every_export_names_a_definition_of_its_module():
+    # the export table is text, so a name deleted from its module would
+    # fail only on first access to it
+    assert stale_exports(_modules(), schmidt_gates._EXPORTS) == []
 
 
 def test_every_private_definition_is_referenced():

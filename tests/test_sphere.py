@@ -181,6 +181,15 @@ def test_linear_segment_basics():
         linear_segment(0, 0, 1, 1, 0.0)
 
 
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+@pytest.mark.parametrize("duration", [0.0, -1.0])
+def test_rotation_arc_duration_must_be_positive(axis, duration):
+    # the scenario schema refuses such a duration before the CLI builds a
+    # segment, so only a library call reaches this check
+    with pytest.raises(ValueError, match="segment duration must be positive"):
+        rotation_arc(0.5, 0.0, axis, 1.0, duration=duration)
+
+
 def test_segment_span_beyond_double_precision_refused():
     # a span above 2**23 rad rounds by more than the chart tolerance, so
     # the pulse would end elsewhere than the segment; up to it, accepted
@@ -520,6 +529,23 @@ def test_path_junction_and_closure_validation():
     with pytest.raises(ValueError):
         SchmidtPath(())
     SchmidtPath((s1, linear_segment(0.5, 1.0, 0.5, 2.0, 1.0)))
+
+
+@pytest.mark.parametrize("gap", [1e-7, 2e-9])
+def test_closed_path_with_endpoint_gap_above_chart_tol_refused(gap):
+    # an equator loop that overshoots by `gap` ends that far from its start
+    # on the sphere: above CHART_TOL it is not a closed loop
+    loop = (linear_segment(np.pi / 2, 0.0, np.pi / 2, 2 * np.pi + gap, 1.0),)
+    with pytest.raises(ValueError, match="flagged closed but endpoints "
+                                         f"differ by {gap:.3e}"):
+        SchmidtPath(loop, closed=True)
+    SchmidtPath(loop)
+
+
+def test_closed_path_with_endpoint_gap_below_chart_tol_accepted():
+    loop = (linear_segment(np.pi / 2, 0.0, np.pi / 2, 2 * np.pi + 5e-10,
+                           1.0),)
+    assert SchmidtPath(loop, closed=True).closed
 
 
 def test_path_closes_through_pole_identification():
