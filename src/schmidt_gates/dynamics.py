@@ -11,8 +11,8 @@ which the sphere point precesses (r' = B x r). The gamma-sector triple
 annihilates |00>, |11>; the lambda-sector triple is its analog on
 span{|00>, |11>}. The coefficients (c_xy, c_dm, c_z) are the same in both
 sectors, so a schedule is a plain tuple of pulses (first entry acts
-first) and the sector is chosen once, when propagate embeds the SU(2)
-block.
+first) and the sector is chosen once, when propagate embeds the composed
+Cayley-Klein pair.
 
 A segment is a polyline in the chart, alpha and beta linear in t between
 consecutive samples (a linear segment is the polyline of two), or a
@@ -45,8 +45,9 @@ steps.
 The transmon pulse family is tilted_schedule(theta, t1, tau), whose
 theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
-pulse: the SU(2) block of its step raised to the n-th power in closed
-form. propagate(pulses, sector) is the one road from a schedule to a gate.
+pulse: the Cayley-Klein pair of its step raised to the n-th power in
+closed form. propagate(pulses, sector) is the one road from a schedule to
+a gate.
 The pulses of a schedule share one batch shape; a stack of theta gives
 pulses with a batch of fields, which propagate exponentiates as one stack,
 so trotter-sweep computes a block of table rows per call.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import u_general
-from .linalg import embed, su2_block, su2_exp, su2_product
+from .linalg import embed, su2_exp, su2_product
 from .sphere import (
     ArcSegment,
     SchmidtPath,
@@ -153,7 +154,7 @@ def propagate(pulses, sector: str = "gamma") -> np.ndarray:
     su2_product and embedded once on the sector's pair. The pulses of a
     schedule share one batch shape, and stacked coefficients give a
     (*batch, 4, 4) stack of propagators. No pulses give the identity."""
-    return embed(su2_product(*su2_exp(*_steps(pulses))), sector)
+    return embed(*su2_product(*su2_exp(*_steps(pulses))), sector)
 
 
 def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
@@ -226,14 +227,15 @@ def trotter_propagate(theta, n) -> np.ndarray:
     """First-order splitting of the tilted pulse into n alternating steps
     exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
 
-    The step S, the SU(2) block of one pulse that holds the z field in the
-    frame turning by the xy field (z, then xy), formed by su2_exp and
-    su2_product, is a rotation cos(phi) I - i sin(phi) (m.sigma) on the
-    gamma pair, so its n-th power is cos(n phi) I - i sin(n phi) (m.sigma),
-    in closed form for any n, and only that power is embedded. n is a
-    positive integer or an integer array (Python integers beyond int64
-    too) that broadcasts against theta; the result is a (*broadcast shape,
-    4, 4) stack.
+    The step S, one pulse that holds the z field in the frame turning by
+    the xy field (z, then xy), is the Cayley-Klein pair (a, b) that su2_exp
+    and su2_product give: a rotation cos(phi) I - i sin(phi) (m.sigma) on
+    the gamma pair, so its n-th power is cos(n phi) I - i sin(n phi)
+    (m.sigma), the pair (cos(n phi) + i r a.imag, r b) with
+    r = sin(n phi) / sin(phi), in closed form for any n, and only that
+    pair is embedded. n is a positive integer or an integer array (Python
+    integers beyond int64 too) that broadcasts against theta; the result is
+    a (*broadcast shape, 4, 4) stack.
     """
     n = np.asarray(n)
     integer = n.dtype.kind in "iu" or (
@@ -247,15 +249,13 @@ def trotter_propagate(theta, n) -> np.ndarray:
     # the batch of theta and n, with a trailing axis of one piece
     z, xy = (k * np.sin(theta))[..., None], (-k * np.cos(theta))[..., None]
     pulse = Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0))
-    step = su2_product(*su2_exp(*pulse.steps()))
-    a, b = step[..., 0, 0], step[..., 1, 0]
+    a, b = su2_product(*su2_exp(*pulse.steps()))
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2
     phi = np.arctan2(np.hypot(a.imag, np.hypot(b.real, b.imag)), a.real)
     # sin(n phi) / sin(phi), with its limit n at phi = 0
     ratio = n * np.sinc(n * phi / np.pi) / np.sinc(phi / np.pi)
-    return embed(su2_block(np.cos(n * phi) + 1j * (ratio * a.imag),
-                           ratio * b), "gamma")
+    return embed(np.cos(n * phi) + 1j * (ratio * a.imag), ratio * b, "gamma")
 
 
 def extract_rotation_angle(u: np.ndarray):

@@ -2,9 +2,9 @@
 
 A gate anchored at Schmidt coordinates (alpha0, beta0) with loop solid
 angle omega acts as identity on its invariant product pair and multiplies
-the entangled pair by exp(-+ i omega / 2): an SU(2) block with Cayley-Klein
-pair a = cos(omega/2) - i sin(omega/2) cos(alpha0) and
-b = -i sin(omega/2) sin(alpha0) exp(i beta0), placed by linalg.embed.
+the entangled pair by exp(-+ i omega / 2): an SU(2) rotation of the sector
+pair whose Cayley-Klein pair a = cos(omega/2) - i sin(omega/2) cos(alpha0),
+b = -i sin(omega/2) sin(alpha0) exp(i beta0) goes straight to linalg.embed.
 schmidt_gate builds it for either sector, named by its `sector` argument:
 the gamma sector entangles span{|01>, |10>}, the lambda sector
 span{|00>, |11>} (standard frame). Its arguments broadcast: arrays of
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import embed, su2_block, tensor_product
+from .linalg import embed, tensor_product
 from .sphere import frame_unitaries
 
 
@@ -33,13 +33,11 @@ def schmidt_gate(alpha0: float, beta0: float, omega: float,
     """
     half = 0.5 * np.asarray(omega)
     s = np.sin(half)
-    block = su2_block(np.cos(half) - 1j * s * np.cos(alpha0),
-                      -1j * s * np.sin(alpha0) * np.exp(1j * beta0))
-    u = embed(block, sector)
+    u = embed(np.cos(half) - 1j * s * np.cos(alpha0),
+              -1j * s * np.sin(alpha0) * np.exp(1j * beta0), sector)
     if frame is None:
         return u
-    a, b = frame_unitaries(frame)
-    local = tensor_product(a, b)
+    local = tensor_product(*frame_unitaries(frame))
     return local @ u @ local.conj().T
 
 
@@ -49,4 +47,4 @@ def u_general(omega) -> np.ndarray:
     gate with rows (1,0,0,0), (0,0,1,0), (0,-1,0,0), (0,0,0,1). A stack of
     omega gives a (..., 4, 4) stack.
     """
-    return embed(su2_block(np.cos(0.5 * omega), np.sin(0.5 * omega)), "gamma")
+    return embed(np.cos(0.5 * omega), np.sin(0.5 * omega), "gamma")

@@ -2,14 +2,15 @@
 
 Gates are 4x4 numpy arrays in the computational product basis |00>, |01>,
 |10>, |11> (row-major, qubit a first), or stacks of them of shape
-(..., 4, 4); embed, unitarity_defect, gate_fidelity and
-phase_aligned_distance act on the last two axes, so one gate is the 0-d
-case of a stack. Each sector drives one pair of basis states, so gates and
-propagators are 2x2 SU(2) blocks that embed places on the sector pair, with
-the identity on the other pair. A propagator is carried as the Cayley-Klein
-pair (a, b) of its block [[a, -conj(b)], [b, conj(a)]] until su2_product
-composes it, along the last axis of a pair stack whose leading axes are a
-batch; su2_block is the one place that forms such a block.
+(..., 4, 4); embed gives such a stack, and unitarity_defect,
+gate_fidelity and phase_aligned_distance act on its last two axes, so one
+gate is the 0-d case of a stack. Each sector drives one pair of basis
+states, so gates and propagators are SU(2) rotations of the sector pair,
+with the identity on the other pair. A rotation is carried as its
+Cayley-Klein pair (a, b), of the block [[a, -conj(b)], [b, conj(a)]], from
+su2_exp through su2_product, which composes a stack of pairs along its last
+axis (leading axes are a batch); embed is the one place a pair becomes a
+4x4 matrix.
 gram_upper forms products of stacks held with the gate axis last, one
 length-n row per matrix entry; unitarity_defect is built on it.
 ATOL_PIPELINE is the default tolerance for quantities assembled from
@@ -117,11 +118,11 @@ def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
     return cos - 1j * (snc * vz), snc * (vy - 1j * vx)
 
 
-def su2_product(a, b) -> np.ndarray:
-    """2x2 block of the time-ordered product of a stack of Cayley-Klein
-    pairs along the last axis, the first acting first; leading axes are a
-    batch, giving a (..., 2, 2) stack of blocks. An empty stack gives the
-    identity. Each pass combines neighbours, later on the left, as
+def su2_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair of the time-ordered product of a stack of pairs
+    along the last axis, the first acting first; leading axes are a batch,
+    the shape of the two arrays returned. An empty stack gives the identity
+    pair (1, 0). Each pass combines neighbours, later on the left, as
     a = a1 a0 - conj(b1) b0 and b = b1 a0 + conj(a1) b0, and carries an odd
     last pair over.
     """
@@ -130,44 +131,35 @@ def su2_product(a, b) -> np.ndarray:
     a, b = (np.atleast_1d(np.asarray(x, dtype=np.complex128)).T
             for x in (a, b))
     if len(a) == 0:
-        return su2_block(np.ones(a.shape[:0:-1]), 0.0)
+        return np.ones(a.shape[:0:-1]), np.zeros(a.shape[:0:-1])
     while len(a) > 1:
         n = len(a) - len(a) % 2
         a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
         a, b = (np.concatenate((a1 * a0 - b1.conj() * b0, a[n:])),
                 np.concatenate((b1 * a0 + a1.conj() * b0, b[n:])))
-    return su2_block(a[0].T, b[0].T)
-
-
-def su2_block(a, b) -> np.ndarray:
-    """The 2x2 block [[a, -conj(b)], [b, conj(a)]] of a Cayley-Klein pair;
-    a and b broadcast, and their shape comes first in a (..., 2, 2) stack.
-    Every exact zero of the block is +0.
-    """
-    a, b = np.broadcast_arrays(a, b)
-    block = np.empty((*a.shape, 2, 2), dtype=np.complex128)
-    block[..., 0, 0], block[..., 0, 1] = a, -b.conj()
-    block[..., 1, 0], block[..., 1, 1] = b, a.conj()
-    # adding +0 turns every exact -0 (as in -conj(0)) into +0
-    return block + 0.0
+    return a[0].T, b[0].T
 
 
 # Basis indices of the pair each sector drives; the other pair is idle.
 _PAIRS = {"gamma": slice(1, 3), "lambda": slice(0, 4, 3)}
 
 
-def embed(block: np.ndarray, sector: str) -> np.ndarray:
-    """4x4 matrix acting as the 2x2 `block` on the sector's pair (gamma:
-    |01>, |10>; lambda: |00>, |11>) and as the identity on the other pair;
-    a (..., 2, 2) stack of blocks gives a (..., 4, 4) stack of gates.
+def embed(a, b, sector: str) -> np.ndarray:
+    """4x4 matrix acting as the block [[a, -conj(b)], [b, conj(a)]] of the
+    Cayley-Klein pair (a, b) on the sector's pair (gamma: |01>, |10>;
+    lambda: |00>, |11>) and as the identity on the other pair. a and b
+    broadcast, and their shape comes first in a (..., 4, 4) stack. Every
+    exact zero of the matrix is +0.
     """
     if sector not in _PAIRS:
         raise ValueError(f"unknown sector {sector!r}")
-    pair = _PAIRS[sector]
-    block = np.asarray(block)
-    u = np.tile(np.eye(4, dtype=np.complex128), (*block.shape[:-2], 1, 1))
-    u[..., pair, pair] = block
-    return u
+    i, j = range(4)[_PAIRS[sector]]
+    u = np.tile(np.eye(4, dtype=complex), (*np.broadcast(a, b).shape, 1, 1))
+    u[..., i, i], u[..., i, j] = a, -np.conj(b)
+    u[..., j, i], u[..., j, j] = b, np.conj(a)
+    # adding +0 turns every exact -0 (as in -conj(0)) into +0; in place, as
+    # a fresh stack of a few thousand gates costs more in page faults
+    return np.add(u, 0.0, out=u)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray):

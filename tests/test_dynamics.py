@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_gates.dynamics import (
     Pulse,
@@ -15,7 +17,7 @@ from schmidt_gates.dynamics import (
     trotter_propagate,
 )
 from schmidt_gates.gates import schmidt_gate, u_general
-from schmidt_gates.linalg import embed, gate_fidelity, su2_block, su2_exp
+from schmidt_gates.linalg import embed, gate_fidelity, su2_exp
 from schmidt_gates.sphere import (
     ArcSegment,
     SampledSegment,
@@ -38,6 +40,8 @@ from reference import (
     L_Z,
     chart,
     midpoint_propagator,
+    quadrature_cos_beta_integral,
+    random_loop,
     reverse_path,
 )
 
@@ -241,7 +245,7 @@ def test_pulse_that_does_not_turn_is_its_held_field(sector):
         f[mask] = rng.choice(specials, mask.sum())
         t = rng.uniform(0.1, 3.0)
         u = propagate((Pulse(t, tuple(f), (0.0, 0.0, 0.0)),), sector)
-        v = embed(su2_block(*su2_exp(*f, t)), sector)
+        v = embed(*su2_exp(*f, t), sector)
         assert u.tobytes() == v.tobytes()
     # a stack of theta in tilted_schedule is each theta's own schedule
     thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40),
@@ -675,6 +679,19 @@ def test_dynamical_phase_latitude_loop():
     assert phi_plus == pytest.approx(np.pi / 2, abs=TOL)
     back_plus, _ = dynamical_phase(reverse_path(loop))
     assert back_plus == pytest.approx(-phi_plus, abs=TOL)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_dynamical_phase_matches_quadrature_along_the_exact_curve(seed):
+    # phi+ = -(1/2) integral of cos(alpha) d beta, by Gauss-Legendre
+    # quadrature along the exact curve of a random loop of polylines and
+    # tilted arcs, 0.2 clear of the poles
+    path = random_loop(np.random.default_rng(seed))
+    phi_plus, phi_minus = dynamical_phase(path)
+    expect = -0.5 * quadrature_cos_beta_integral(path)
+    assert abs(phi_plus - expect) <= 1e-12
+    assert phi_minus == -phi_plus
 
 
 # ------------------------------------------------------- tilted and trotter

@@ -18,7 +18,6 @@ from schmidt_gates.linalg import (
     _upper_pairs,
     embed,
     gram_upper,
-    su2_product,
     tensor_product,
     unitarity_defect,
 )
@@ -132,7 +131,7 @@ def test_sector_block_invariants_closed_form(sector):
     x = np.random.default_rng(57).normal(size=(4, 2000))
     x /= np.linalg.norm(x, axis=0)
     for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3]):
-        inv = makhlin_invariants(embed(su2_product(a, b), sector))
+        inv = makhlin_invariants(embed(a, b, sector))
         assert abs(inv.g1 - abs(a) ** 4) <= 1e-14
         assert abs(inv.g2 - (3.0 - 4.0 * abs(b) ** 2)) <= 1e-14
 
@@ -375,7 +374,7 @@ def test_classify_general_gate_by_hull():
 def test_threshold_rule_is_exact_for_sector_blocks(sector):
     x = np.random.default_rng(60).normal(size=(4, 2000))
     x /= np.linalg.norm(x, axis=0)
-    stack = np.array([embed(su2_product(a, b), sector)
+    stack = np.array([embed(a, b, sector)
                       for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3])])
     inv = makhlin_invariants(stack)
     assert list(classify(inv)) == list(classify(inv, gate=stack))

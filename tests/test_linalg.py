@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_gates import linalg
 from schmidt_gates.linalg import (
@@ -24,6 +26,7 @@ from reference import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    su2_block,
 )
 
 TOL = 1e-12
@@ -49,14 +52,6 @@ def random_unitary(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def su2_block(a, b):
-    """The block [[a, -conj(b)], [b, conj(a)]] of Cayley-Klein pairs, with
-    the stack shape of a and b in front."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.stack([np.stack([a, -b.conj()], -1),
-                     np.stack([b, a.conj()], -1)], -2)
 
 
 def random_pairs(rng, n):
@@ -170,10 +165,10 @@ def test_herm_exp_pair_block_against_series():
             c = rng.normal(size=3)
             h = sum(ck * op for ck, op in zip(c, ops))
             t = rng.uniform(-2, 2)
-            u = embed(su2_block(*su2_exp(*c, t)), sector)
+            u = embed(*su2_exp(*c, t), sector)
             assert np.max(np.abs(u - series_exp(h, t))) < TOL
     with pytest.raises(ValueError):
-        embed(np.eye(2), "mu")
+        embed(1.0, 0.0, "mu")
 
 
 def test_herm_exp_group_property_and_unitarity():
@@ -271,45 +266,82 @@ def test_su2_product_matches_sequential_fold(n):
     fold = np.eye(2, dtype=complex)
     for block in su2_block(a, b):
         fold = block @ fold
-    assert np.max(np.abs(su2_product(a, b) - fold)) < 1e-13
+    assert np.max(np.abs(su2_block(*su2_product(a, b)) - fold)) < 1e-13
     if n == 1:
-        assert np.array_equal(su2_product(a, b), su2_block(a[0], b[0]))
+        assert su2_product(a, b) == (a[0], b[0])
 
 
-def test_su2_block_broadcasts_a_scalar_against_a_stack():
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_embed_broadcasts_a_scalar_against_a_stack(sector):
     a, b = random_pairs(np.random.default_rng(31), 12)
     a, b = a.reshape(3, 4), b.reshape(3, 4)
-    block = linalg.su2_block(a, 0.25)
-    assert block.shape == (3, 4, 2, 2) and block.dtype == np.complex128
-    assert np.array_equal(block, su2_block(a, np.full((3, 4), 0.25)))
-    assert np.array_equal(linalg.su2_block(0.5, b),
-                          su2_block(np.full((3, 4), 0.5), b))
+    u = embed(a, 0.25, sector)
+    assert u.shape == (3, 4, 4, 4) and u.dtype == np.complex128
+    assert np.array_equal(u, embed(a, np.full((3, 4), 0.25), sector))
+    assert np.array_equal(embed(0.5, b, sector),
+                          embed(np.full((3, 4), 0.5), b, sector))
 
 
-def test_su2_block_zeros_are_positive():
+@pytest.mark.parametrize("sector", ["gamma", "lambda"])
+def test_embed_zeros_are_positive(sector):
     # every sign of zero in either part of a and of b, next to nonzero parts
     parts = [0.0, -0.0, 1.0, -1.0]
     a, b = np.meshgrid(*[[complex(re, im) for re in parts for im in parts]] * 2)
-    block = linalg.su2_block(a, b)
-    for part in (block.real, block.imag):
+    u = embed(a, b, sector)
+    for part in (u.real, u.imag):
         assert (part == 0).any()
         assert not np.signbit(part[part == 0]).any()
 
 
-def test_su2_product_of_one_pair_is_its_block_bit_for_bit():
+# entries of a Cayley-Klein pair at the edges of double precision: signed
+# zeros, subnormals, +-1e+-300, and plain values
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                         1e-300, -1e-300, 1e300, -1e300])
+_PART = st.one_of(_EDGE, st.floats(-2.0, 2.0))
+_ENTRY = st.one_of(st.builds(complex, _PART, _PART), _PART)
+_STACK = st.lists(_ENTRY, min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(a=st.one_of(_ENTRY, _STACK), b=st.one_of(_ENTRY, _STACK),
+       sector=st.sampled_from(["gamma", "lambda"]))
+def test_embed_is_the_block_on_the_literal_indices_byte_for_byte(a, b,
+                                                                 sector):
+    # the reference block written onto the sector's indices, gamma (1, 2)
+    # and lambda (0, 3), of the identity, every exact zero +0; a scalar, a
+    # stack, and a scalar against a stack (two stacks of different lengths
+    # are broadcast against one another as a column and a row)
+    if np.ndim(a) and np.ndim(b):
+        a, b = np.array(a)[:, None], np.array(b)
+    i, j = {"gamma": (1, 2), "lambda": (0, 3)}[sector]
+    a, b = np.broadcast_arrays(np.asarray(a, complex), np.asarray(b, complex))
+    block = su2_block(a, b) + 0.0
+    expect = np.zeros((*a.shape, 4, 4), complex)
+    for k in range(4):
+        expect[..., k, k] = 1.0
+    expect[..., i, i], expect[..., i, j] = block[..., 0, 0], block[..., 0, 1]
+    expect[..., j, i], expect[..., j, j] = block[..., 1, 0], block[..., 1, 1]
+    assert embed(a, b, sector).tobytes() == expect.tobytes()
+
+
+def test_su2_product_of_one_pair_is_that_pair_bit_for_bit():
     a, b = random_pairs(np.random.default_rng(32), 6)
     a[:2], b[2:4] = -0.0, 0.0 - 0.0j
     for k in range(6):
-        product = su2_product(a[k:k + 1], b[k:k + 1])
-        assert product.tobytes() == linalg.su2_block(a[k], b[k]).tobytes()
-    batch = su2_product(a[:, None], b[:, None])
-    assert batch.tobytes() == linalg.su2_block(a, b).tobytes()
+        pa, pb = su2_product(a[k:k + 1], b[k:k + 1])
+        assert pa.tobytes() + pb.tobytes() == a[k].tobytes() + b[k].tobytes()
+    pa, pb = su2_product(a[:, None], b[:, None])
+    assert pa.tobytes() + pb.tobytes() == a.tobytes() + b.tobytes()
 
 
 def test_su2_product_of_empty_stack_is_identity():
-    product = su2_product(np.empty(0), np.empty(0))
-    assert product.dtype == np.complex128
-    assert np.array_equal(product, np.eye(2))
+    # the identity pair (1, 0), in the batch shape
+    for batch in ((), (3,), (2, 5)):
+        pa, pb = su2_product(np.empty((*batch, 0)), np.empty((*batch, 0)))
+        assert pa.shape == pb.shape == batch
+        assert np.all(pa == 1.0) and np.all(pb == 0.0)
+    u = embed(*su2_product(np.empty(0), np.empty(0)), "lambda")
+    assert u.tobytes() == np.eye(4, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -317,11 +349,12 @@ def test_su2_product_batch_equals_per_batch_calls(n):
     # leading axes are a batch; each batch element is its own product
     a, b = random_pairs(np.random.default_rng(29 + n), 3 * 4 * n)
     a, b = a.reshape(3, 4, n), b.reshape(3, 4, n)
-    product = su2_product(a, b)
-    assert product.shape == (3, 4, 2, 2)
+    pa, pb = su2_product(a, b)
+    assert pa.shape == pb.shape == (3, 4)
     for i in range(3):
         for j in range(4):
-            assert np.array_equal(product[i, j], su2_product(a[i, j], b[i, j]))
+            one = su2_product(a[i, j], b[i, j])
+            assert (pa[i, j], pb[i, j]) == one
 
 
 def test_gate_comparisons_of_stacks_equal_per_gate_calls():
