@@ -603,7 +603,7 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
 def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
     import numpy as np
 
-    from . import dynamics, linalg
+    from . import dynamics
 
     thetas = _grid(scenario, "theta")
     n_values = [int(n) for n in scenario["n_values"]]
@@ -614,19 +614,23 @@ def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
     max_resid = 0.0
     rows = thetas.size * len(n_values)
     # the rows in theta order, each theta's n_values together, one block of
-    # rows at a time; the exact gates of the block's theta, then one
+    # rows at a time; the exact gamma pairs of the block's theta, then one
     # trotter_propagate call for all its rows
     for start in range(0, rows, _SWEEP_BLOCK):
         i, j = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, rows)),
                          len(n_values))
         theta = thetas[i[0]:i[-1] + 1]
-        exact = dynamics.tilted_segment_propagator(theta)[i - i[0]]
+        exact = np.take(dynamics.tilted_segment_propagator(theta), i - i[0], 1)
         omega, resid = dynamics.extract_rotation_angle(
-            dynamics.composed_tilted_gate(theta))
+            *dynamics.composed_tilted_gate(theta))
         max_resid = max(max_resid, resid.max())
-        approx = dynamics.trotter_propagate(thetas[i], n_array[j])
-        infid = np.maximum(0.0, 1.0 - linalg.gate_fidelity(exact, approx))
-        # the phase-aligned distance, sqrt(2 (1 - fidelity))
+        # the gamma pairs' differences (a - a_n, b - b_n): for two gamma
+        # blocks tr(U_exact^dag U_n) = 2 + 2 Re(conj(a) a_n + conj(b) b_n)
+        # is real and >= 0, so 1 - |tr| / 4 is (|a - a_n|^2 + |b - b_n|^2)
+        # / 4 and the phase-aligned distance ||U_exact - U_n||_F / 2 is the
+        # root of twice that, neither formed by a subtraction from 1
+        diff = exact - dynamics.trotter_propagate(thetas[i], n_array[j])
+        infid = 0.25 * (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g\n", [
             theta_cells[i], n_cells[j], infid, np.sqrt(2.0 * infid),
             omega[i - i[0]]]))

@@ -47,10 +47,13 @@ theta = 0 member drives the orange-slice loop, and
 trotter_propagate(theta, n) is the n-step Trotter splitting of its tilted
 pulse: the Cayley-Klein pair of its step raised to the n-th power in
 closed form. propagate(pulses, sector) is the one road from a schedule to
-a gate.
+a gate. The tilted family lives in the gamma sector, so
+tilted_segment_propagator, composed_tilted_gate and trotter_propagate
+return the gamma pair (a, b) and embed nothing; extract_rotation_angle
+reads such a pair.
 The pulses of a schedule share one batch shape; a stack of theta gives
-pulses with a batch of fields, which propagate exponentiates as one stack,
-so trotter-sweep computes a block of table rows per call.
+pulses with a batch of fields, which are exponentiated as one stack, so
+trotter-sweep computes a block of table rows per call.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import u_general
 from .linalg import embed, su2_exp, su2_product
 from .sphere import (
     ArcSegment,
@@ -139,22 +141,25 @@ def reverse_engineer(path: SchmidtPath) -> tuple:
     return tuple(_segment_pulse(seg) for seg in path.segments)
 
 
-def _steps(pulses) -> np.ndarray:
-    """All pulses' steps as one (4, *batch, n) stack, the pulses sharing one
-    batch shape; pulses of different batches raise numpy's ValueError (in a
-    function, so that no pulse's steps outlive the exponentials)."""
-    return np.concatenate([p.steps() for p in pulses] or [np.empty((4, 0))],
-                          axis=-1)
+def _pair(pulses) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair of the time-ordered product of a sequence of
+    pulses (first acts first, so the latest is leftmost): the steps of all
+    the pulses are exponentiated as one stack by su2_exp and composed by
+    su2_product. The pulses share one batch shape, the shape of the pair;
+    pulses of different batches raise numpy's ValueError. The steps die
+    before the exponentials are composed. No pulses give the identity pair
+    (1, 0)."""
+    return su2_product(*su2_exp(*np.concatenate(
+        [p.steps() for p in pulses] or [np.empty((4, 0))], axis=-1)))
 
 
 def propagate(pulses, sector: str = "gamma") -> np.ndarray:
     """Time-ordered propagator of a sequence of pulses (first acts first,
-    so the latest is leftmost) in one sector: the steps of all the pulses
-    are exponentiated as one stack of Cayley-Klein pairs, composed by
-    su2_product and embedded once on the sector's pair. The pulses of a
-    schedule share one batch shape, and stacked coefficients give a
-    (*batch, 4, 4) stack of propagators. No pulses give the identity."""
-    return embed(*su2_product(*su2_exp(*_steps(pulses))), sector)
+    so the latest is leftmost) in one sector: their composed Cayley-Klein
+    pair embedded once on the sector's pair. The pulses of a schedule share
+    one batch shape, and stacked coefficients give a (*batch, 4, 4) stack
+    of propagators. No pulses give the identity."""
+    return embed(*_pair(pulses), sector)
 
 
 def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
@@ -206,36 +211,38 @@ def tilted_schedule(theta, t1: float, tau: float) -> tuple:
     )
 
 
-def tilted_segment_propagator(theta) -> np.ndarray:
-    """Exact propagator of the tilted second pulse,
-    exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)); a stack of theta
-    gives a (..., 4, 4) stack.
+def tilted_segment_propagator(theta) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair (a, b), of the gamma block
+    [[a, -conj(b)], [b, conj(a)]], of the exact propagator of the tilted
+    second pulse, exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z)); a
+    stack of theta gives arrays of its shape.
     """
-    return propagate(tilted_schedule(theta, 1.0, 2.0)[1:])
+    return _pair(tilted_schedule(theta, 1.0, 2.0)[1:])
 
 
-def composed_tilted_gate(theta) -> np.ndarray:
-    """Exact propagator of the full tilted sequence, the tilted pulse after
-    the h_z pulse: both last one unit, so the sequence is one pulse that
-    holds the h_z field in the frame turning by the tilted one, two SU(2)
-    steps. A stack of theta gives a (..., 4, 4) stack."""
+def composed_tilted_gate(theta) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair (a, b) of the gamma block of the full tilted
+    sequence, the tilted pulse after the h_z pulse: both last one unit, so
+    the sequence is one pulse that holds the h_z field in the frame turning
+    by the tilted one, two SU(2) steps. A stack of theta gives arrays of
+    its shape."""
     first, second = tilted_schedule(theta, 1.0, 2.0)
-    return propagate((Pulse(1.0, frame=first.frame, turn=second.frame),))
+    return _pair((Pulse(1.0, frame=first.frame, turn=second.frame),))
 
 
-def trotter_propagate(theta, n) -> np.ndarray:
+def trotter_propagate(theta, n) -> tuple[np.ndarray, np.ndarray]:
     """First-order splitting of the tilted pulse into n alternating steps
-    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z).
+    exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z), as the
+    Cayley-Klein pair (a, b) of its gamma block.
 
     The step S, one pulse that holds the z field in the frame turning by
-    the xy field (z, then xy), is the Cayley-Klein pair (a, b) that su2_exp
-    and su2_product give: a rotation cos(phi) I - i sin(phi) (m.sigma) on
-    the gamma pair, so its n-th power is cos(n phi) I - i sin(n phi)
-    (m.sigma), the pair (cos(n phi) + i r a.imag, r b) with
-    r = sin(n phi) / sin(phi), in closed form for any n, and only that
-    pair is embedded. n is a positive integer or an integer array (Python
-    integers beyond int64 too) that broadcasts against theta; the result is
-    a (*broadcast shape, 4, 4) stack.
+    the xy field (z, then xy), is the pair (a, b) that su2_exp and
+    su2_product give: a rotation cos(phi) I - i sin(phi) (m.sigma), so its
+    n-th power is cos(n phi) I - i sin(n phi) (m.sigma), the pair
+    (cos(n phi) + i r a.imag, r b) with r = sin(n phi) / sin(phi), in
+    closed form for any n. n is a positive integer or an integer array
+    (Python integers beyond int64 too) that broadcasts against theta; a and
+    b take the broadcast shape.
     """
     n = np.asarray(n)
     integer = n.dtype.kind in "iu" or (
@@ -248,22 +255,25 @@ def trotter_propagate(theta, n) -> np.ndarray:
     k = 0.5 * np.pi / n
     # the batch of theta and n, with a trailing axis of one piece
     z, xy = (k * np.sin(theta))[..., None], (-k * np.cos(theta))[..., None]
-    pulse = Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0))
-    a, b = su2_product(*su2_exp(*pulse.steps()))
+    a, b = _pair((Pulse(1.0, frame=(0.0, 0.0, z), turn=(xy, 0.0, 0.0)),))
     # sin(phi) = |(a.imag, b)|; a.real = cos(phi) >= 0, as each factor
     # turns by at most pi/2
     phi = np.arctan2(np.hypot(a.imag, np.hypot(b.real, b.imag)), a.real)
     # sin(n phi) / sin(phi), with its limit n at phi = 0
     ratio = n * np.sinc(n * phi / np.pi) / np.sinc(phi / np.pi)
-    return embed(np.cos(n * phi) + 1j * (ratio * a.imag), ratio * b, "gamma")
+    return np.cos(n * phi) + 1j * (ratio * a.imag), ratio * b
 
 
-def extract_rotation_angle(u: np.ndarray):
-    """Rotation angle omega of a gate of the real middle-block rotation
-    form, plus the residual max|u - rebuilt form|; for a (..., 4, 4) stack,
-    arrays of both.
+def extract_rotation_angle(a, b):
+    """Rotation angle omega of the gamma pair (a, b) of a gate of the real
+    rotation form, a = cos(omega/2) and b = sin(omega/2), read as
+    omega = 2 atan2(b.real, a.real), plus the residual
+    max(|a - cos(omega/2)|, |b - sin(omega/2)|), which is max|u - rebuilt
+    form| over the embedded 4x4 gate u; for arrays of pairs, arrays of
+    both.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    omega = 2.0 * np.arctan2(u[..., 2, 1].real, u[..., 1, 1].real)
-    residual = np.abs(u - u_general(omega)).max(axis=(-2, -1))
-    return omega, residual
+    half = np.arctan2(b.real, a.real)
+    d = np.subtract((a, b), (np.cos(half), np.sin(half)))
+    # np.hypot rounds alike for one pair and for arrays of them; numpy's
+    # array abs can differ from it in the last bit
+    return 2.0 * half, np.hypot(d.real, d.imag).max(axis=0)

@@ -111,6 +111,26 @@ MUTANTS = [
      "u[..., j, i], u[..., j, j] = b, np.conj(a)",
      "u[..., i, j], u[..., j, j] = b, np.conj(a)",
      "embed with b at (i, j) instead of (j, i): the block is not unitary"),
+    ("dynamics.py",
+     "half = np.arctan2(b.real, a.real)",
+     "half = np.arctan2(b.imag, a.real)",
+     "the rotation angle from b.imag: the real rotation form keeps its "
+     "angle in b.real, so omega_empirical reads 0 or 2 pi"),
+    ("dynamics.py",
+     "return 2.0 * half, np.hypot(d.real, d.imag).max(axis=0)",
+     "return 2.0 * half, np.hypot(d.real, d.imag)[0]",
+     "the rotation-form residual without its b term: a pair whose b is "
+     "off the form passes as a rotation"),
+    ("cli.py",
+     "infid = 0.25 * (diff.real ** 2 + diff.imag ** 2).sum(axis=0)",
+     "infid = 0.25 * (diff.real ** 2 + diff.imag ** 2)[0]",
+     "the Trotter errors without |b - b_n|^2: both error columns miss the "
+     "off-diagonal part of the difference"),
+    ("linalg.py",
+     "np.angle((v.conj() * u)",
+     "np.angle((u.conj() * v)",
+     "the distance's phase from tr(u^dag v): v is turned by the conjugate "
+     "of the optimal phase"),
 ]
 
 

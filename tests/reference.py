@@ -10,7 +10,10 @@ public constructors, the CLI's one-pass check of a number array as
 numpy made it, random closed loops of polylines and tilted arcs, and two
 oracles for a loop's integrals that read only its samples and declared arc
 parameters: a triangle fan for the solid angle and Gauss-Legendre
-quadrature for the integral of cos(alpha) d beta."""
+quadrature for the integral of cos(alpha) d beta, and the phase-aligned
+Trotter error of the tilted pulse from eigh exponentials and
+matrix_power, which shares no code with su2_exp, su2_product or the
+closed-form power."""
 
 import math
 import sys
@@ -289,3 +292,34 @@ def quadrature_cos_beta_integral(path, nodes=20):
         f = r[2] * (r[0] * dr[1] - r[1] * dr[0]) / (r[0] ** 2 + r[1] ** 2)
         total += seg.angle * (np.tile(w, spans) * f).sum() / (2 * spans)
     return total
+
+
+def _expm_i(h):
+    """exp(-i h) of a Hermitian matrix h, from its eigh decomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _gamma_gate(block):
+    """The 4x4 gate that acts as the 2x2 block on |01>, |10>."""
+    u = np.eye(4, dtype=complex)
+    u[1:3, 1:3] = block
+    return u
+
+
+def trotter_distance(theta, n):
+    """min over phi of ||U - exp(i phi) U_n||_F / 2 for the tilted pulse's
+    exact propagator U = exp(+i (pi/2) (cos(theta) h_xy - sin(theta) h_z))
+    and its n-step splitting U_n = S^n,
+    S = exp(+i (pi/2n) cos(theta) h_xy) exp(-i (pi/2n) sin(theta) h_z): the
+    2x2 exponentials from eigh, the power by matrix_power, and the distance
+    at the phase of tr(U_n^dag U) on the embedded 4x4 gates."""
+    k = 0.5 * np.pi
+    c, s = np.cos(theta), np.sin(theta)
+    exact = _expm_i(-k * (c * PAULI_X - s * PAULI_Z))
+    step = _expm_i(-k / n * c * PAULI_X) @ _expm_i(k / n * s * PAULI_Z)
+    u = _gamma_gate(exact)
+    v = _gamma_gate(np.linalg.matrix_power(step, n))
+    t = np.trace(v.conj().T @ u)
+    phase = t / abs(t) if t != 0 else 1.0
+    return np.linalg.norm(u - phase * v) / 2.0

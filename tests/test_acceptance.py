@@ -28,7 +28,7 @@ from schmidt_gates.invariants import (
     closed_form_invariants,
     makhlin_invariants,
 )
-from schmidt_gates.linalg import gate_fidelity, phase_aligned_distance
+from schmidt_gates.linalg import embed, gate_fidelity, phase_aligned_distance
 from schmidt_gates.sphere import (
     SchmidtPath,
     concurrence,
@@ -213,12 +213,12 @@ def test_criterion_09_rotation_gate_entangles_product_basis():
 
 def test_criterion_10_trotter_error_halves_per_doubling():
     theta = np.pi / 4
-    exact = tilted_segment_propagator(theta)
+    exact = embed(*tilted_segment_propagator(theta), "gamma")
     ns = [4, 8, 16, 32, 64, 128, 256]
     dist = {}
     infid = {}
     for n in ns:
-        u = trotter_propagate(theta, n)
+        u = embed(*trotter_propagate(theta, n), "gamma")
         dist[n] = phase_aligned_distance(exact, u)
         infid[n] = max(0.0, 1.0 - gate_fidelity(exact, u))
     ratios = [dist[n] / dist[2 * n] for n in ns[:-1]]
@@ -230,9 +230,9 @@ def test_criterion_10_trotter_error_halves_per_doubling():
 
     worst_exact = 0.0
     for th in (0.0, np.pi / 2):
-        ref = tilted_segment_propagator(th)
+        ref = embed(*tilted_segment_propagator(th), "gamma")
         for n in ns:
-            u = trotter_propagate(th, n)
+            u = embed(*trotter_propagate(th, n), "gamma")
             worst_exact = max(worst_exact, np.max(np.abs(u - ref)))
     assert worst_exact <= 1e-13
     print(f"criterion 10: PASS - phase-aligned Trotter error halves per "
@@ -263,13 +263,14 @@ def test_criterion_12_empirical_rotation_angle_curve():
     worst_inv = 0.0
     curve = []
     for th in thetas:
-        omega, residual = extract_rotation_angle(composed_tilted_gate(th))
+        pair = composed_tilted_gate(th)
+        omega, residual = extract_rotation_angle(*pair)
         curve.append(omega)
         worst_residual = max(worst_residual, residual)
         worst_line = max(worst_line, abs(omega - (2.0 * th - np.pi)))
         # self-consistency: the emitted angle reproduces the measured
         # invariants of the composed gate through the closed form
-        inv = makhlin_invariants(composed_tilted_gate(th))
+        inv = makhlin_invariants(embed(*pair, "gamma"))
         ref = closed_form_invariants(np.pi / 2, omega)
         worst_inv = max(worst_inv, abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
     assert worst_residual <= 1e-9

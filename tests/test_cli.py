@@ -397,6 +397,47 @@ def test_trotter_sweep_output(tmp_path, capsys):
                                                             abs=1e-9)
 
 
+def test_trotter_sweep_errors_match_an_independent_oracle(tmp_path, capsys):
+    # both error columns against reference.trotter_distance, which shares
+    # no code with su2_exp, su2_product or the closed-form power; at
+    # theta = 1e-4, n = 4096 sqrt(2 (1 - F)) read 2.1e-8 for a distance of
+    # 2.7e-8. The oracle's matrix_power multiplies the rounding of its step
+    # n-fold: at theta = 0, where the splitting is exact, it reads up to
+    # 1.8e-13 at n = 4096, hence the n eps in the distance's bound
+    thetas = [0.0, 1e-4, 0.1, np.pi / 4, 1.5, 3.0, -2.0]
+    n_values = [1, 2, 3, 7, 64, 1000, 4096]
+    out = tmp_path / "trot.csv"
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "trotter-sweep", "theta": thetas,
+        "n_values": n_values, "out": str(out)})
+    code, _, err = run_main(["trotter-sweep", scn], capsys)
+    assert code == 0, err
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(thetas) * len(n_values)
+    for row in rows:
+        n = int(row["n"])
+        ref = reference.trotter_distance(float(row["theta"]), n)
+        drift = 4 * n * np.finfo(float).eps
+        assert (abs(float(row["trotter_error"]) - ref)
+                <= 1e-8 * ref + 1e-15 + drift), row
+        assert (abs(float(row["infidelity"]) - ref ** 2 / 2)
+                <= 1e-8 * ref ** 2 / 2 + 1e-15), row
+
+
+def _trotter_errors(theta, n):
+    """One row's (infidelity, trotter_error), from the gamma pairs of the
+    exact and the n-step propagator as the CLI forms them for a block."""
+    from schmidt_gates.dynamics import (
+        tilted_segment_propagator,
+        trotter_propagate,
+    )
+    diff = np.subtract(tilted_segment_propagator(theta),
+                       trotter_propagate(theta, n))
+    infid = 0.25 * (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
+    return infid, np.sqrt(2.0 * infid)
+
+
 @pytest.mark.parametrize("theta", [
     [float(x) for x in np.random.default_rng(43).uniform(-3.0, 3.0, 530)],
     {"start": -2.5, "stop": 2.9, "count": 530},
@@ -408,10 +449,7 @@ def test_trotter_sweep_blocks_match_one_row_at_a_time(tmp_path, capsys,
     from schmidt_gates.dynamics import (
         composed_tilted_gate,
         extract_rotation_angle,
-        tilted_segment_propagator,
-        trotter_propagate,
     )
-    from schmidt_gates.linalg import gate_fidelity, phase_aligned_distance
     assert cli._SWEEP_BLOCK < 530 < 2 * cli._SWEEP_BLOCK
     n_values = [1, 5, 512]
     out = tmp_path / "trot.csv"
@@ -425,14 +463,10 @@ def test_trotter_sweep_blocks_match_one_row_at_a_time(tmp_path, capsys,
     lines = ["theta,n,infidelity,trotter_error,omega_empirical"]
     worst = 0.0
     for th in thetas:
-        exact = tilted_segment_propagator(th)
-        omega, resid = extract_rotation_angle(composed_tilted_gate(th))
+        omega, resid = extract_rotation_angle(*composed_tilted_gate(th))
         worst = max(worst, resid)
         for n in n_values:
-            approx = trotter_propagate(th, n)
-            infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
-            values = (th, n, infid, phase_aligned_distance(exact, approx),
-                      omega)
+            values = (th, n, *_trotter_errors(th, n), omega)
             lines.append(",".join(format(float(x), ".17g") for x in values))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert err == (f"trotter-sweep: {530 * 3} rows, max rotation-form "
@@ -448,10 +482,8 @@ def test_trotter_sweep_blocks_split_long_n_values(tmp_path, capsys,
     from schmidt_gates.dynamics import (
         composed_tilted_gate,
         extract_rotation_angle,
-        tilted_segment_propagator,
         trotter_propagate,
     )
-    from schmidt_gates.linalg import gate_fidelity, phase_aligned_distance
     thetas = [0.0, 0.4, -1.3]
     n_values = [*range(1, 300), 2 ** 70]
     assert 1 < 3 * len(n_values) / cli._SWEEP_BLOCK < 2
@@ -472,15 +504,12 @@ def test_trotter_sweep_blocks_split_long_n_values(tmp_path, capsys,
     assert sizes == [(cli._SWEEP_BLOCK,), (3 * 300 - cli._SWEEP_BLOCK,)]
     lines = ["theta,n,infidelity,trotter_error,omega_empirical"]
     for th in thetas:
-        exact = tilted_segment_propagator(th)
-        omega, _ = extract_rotation_angle(composed_tilted_gate(th))
+        omega, _ = extract_rotation_angle(*composed_tilted_gate(th))
         for n in n_values:
-            approx = trotter_propagate(th, n)
-            infid = max(0.0, 1.0 - gate_fidelity(exact, approx))
             lines.append(",".join([
                 format(th, ".17g"), str(n),
-                *(format(float(x), ".17g") for x in (
-                    infid, phase_aligned_distance(exact, approx), omega))]))
+                *(format(float(x), ".17g")
+                  for x in (*_trotter_errors(th, n), omega))]))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

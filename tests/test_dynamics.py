@@ -697,14 +697,21 @@ def test_dynamical_phase_matches_quadrature_along_the_exact_curve(seed):
 # ------------------------------------------------------- tilted and trotter
 
 
+def _gamma(pair):
+    """The gamma-sector 4x4 gate, or stack, of a Cayley-Klein pair."""
+    return embed(*pair, "gamma")
+
+
 def test_tilted_schedule_limits():
-    assert gate_fidelity(composed_tilted_gate(0.0), u_general(-np.pi)) > 1 - TOL
-    assert gate_fidelity(composed_tilted_gate(np.pi / 2), np.eye(4)) > 1 - TOL
+    assert gate_fidelity(_gamma(composed_tilted_gate(0.0)),
+                         u_general(-np.pi)) > 1 - TOL
+    assert gate_fidelity(_gamma(composed_tilted_gate(np.pi / 2)),
+                         np.eye(4)) > 1 - TOL
 
 
 def test_tilted_gate_rotation_angle_map():
     for theta in np.linspace(0.0, np.pi, 21):
-        omega, residual = extract_rotation_angle(composed_tilted_gate(theta))
+        omega, residual = extract_rotation_angle(*composed_tilted_gate(theta))
         assert residual < TOL
         expect = np.arctan2(np.sin(2 * theta - np.pi),
                             np.cos(2 * theta - np.pi))
@@ -714,13 +721,16 @@ def test_tilted_gate_rotation_angle_map():
 
 def test_extract_rotation_angle_round_trip():
     for w in np.linspace(-np.pi, np.pi, 17):
-        omega, residual = extract_rotation_angle(u_general(w))
+        u = u_general(w)
+        omega, residual = extract_rotation_angle(u[1, 1], u[2, 1])
         assert abs(omega - w) < TOL
         assert residual < TOL
-    # a gate outside the family reports a large residual
-    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    _, residual = extract_rotation_angle(cnot)
-    assert residual > 0.5
+    # pairs outside the real rotation form report a large residual: a Z
+    # rotation, whose a is imaginary, and an X rotation, whose a is the
+    # cosine of the angle atan2 reads but whose b is imaginary
+    for a, b in ((1j, 0.0), (np.sqrt(0.5), -1j * np.sqrt(0.5))):
+        _, residual = extract_rotation_angle(a, b)
+        assert residual > 0.5
 
 
 def test_trotter_plan_validation():
@@ -736,19 +746,19 @@ def test_trotter_step_counts_broadcast_against_theta():
     # same arithmetic as its own call; n beyond int64 is a Python integer
     thetas = np.array([[0.0], [0.3], [-2.1], [np.pi / 2]])
     n = np.array([1, 2, 7, 4096, 2 ** 62])
-    u = trotter_propagate(thetas, n)
-    assert u.shape == (4, 5, 4, 4)
+    a, b = trotter_propagate(thetas, n)
+    assert a.shape == b.shape == (4, 5)
     for i, theta in enumerate(thetas[:, 0]):
         for j, k in enumerate(n):
-            assert np.array_equal(u[i, j], trotter_propagate(theta, int(k)))
+            assert (a[i, j], b[i, j]) == trotter_propagate(theta, int(k))
     huge = trotter_propagate(thetas[:, 0], 2 ** 70)
     assert np.array_equal(huge, trotter_propagate(thetas[:, 0],
                                                   [2 ** 70] * 4))
     # the splitting error is O(1/n), far below rounding, up to the largest
     # n a double holds
-    exact = tilted_segment_propagator(thetas[:, 0])
+    exact = _gamma(tilted_segment_propagator(thetas[:, 0]))
     for u in (huge, trotter_propagate(thetas[:, 0], 10 ** 308)):
-        assert np.max(np.abs(u - exact)) < 1e-15
+        assert np.max(np.abs(_gamma(u) - exact)) < 1e-15
     for bad in (np.array([3, 0]), [2.0], True, [2 ** 70, 1.5]):
         with pytest.raises(ValueError):
             trotter_propagate(0.3, bad)
@@ -756,24 +766,24 @@ def test_trotter_step_counts_broadcast_against_theta():
 
 def test_trotter_exact_at_axis_aligned_angles():
     for theta in (0.0, np.pi / 2):
-        exact = tilted_segment_propagator(theta)
+        exact = _gamma(tilted_segment_propagator(theta))
         for n in (1, 3, 16, 257):
-            u = trotter_propagate(theta, n)
+            u = _gamma(trotter_propagate(theta, n))
             assert np.max(np.abs(u - exact)) < 1e-13
 
 
 def test_trotter_error_scales_quadratically():
     theta = np.pi / 4
-    exact = tilted_segment_propagator(theta)
-    e32 = 1 - gate_fidelity(exact, trotter_propagate(theta, 32))
-    e64 = 1 - gate_fidelity(exact, trotter_propagate(theta, 64))
+    exact = _gamma(tilted_segment_propagator(theta))
+    e32 = 1 - gate_fidelity(exact, _gamma(trotter_propagate(theta, 32)))
+    e64 = 1 - gate_fidelity(exact, _gamma(trotter_propagate(theta, 64)))
     assert 3.5 < e32 / e64 < 4.5
 
 
 def test_trotter_approaches_tilted_propagator():
     theta = 0.9
-    exact = tilted_segment_propagator(theta)
-    u = trotter_propagate(theta, 4096)
+    exact = _gamma(tilted_segment_propagator(theta))
+    u = _gamma(trotter_propagate(theta, 4096))
     assert gate_fidelity(u, exact) > 1 - 1e-7
 
 
@@ -785,26 +795,29 @@ def test_tilted_and_trotter_stacks_equal_per_theta_calls():
     exact = tilted_segment_propagator(thetas)
     composed = composed_tilted_gate(thetas)
     # the one pulse of the composed gate is the two-pulse schedule
-    assert np.array_equal(composed, propagate(tilted_schedule(thetas, 1.0,
-                                                              2.0)))
-    omega, residual = extract_rotation_angle(composed)
-    assert exact.shape == composed.shape == (thetas.size, 4, 4)
+    assert np.array_equal(_gamma(composed),
+                          propagate(tilted_schedule(thetas, 1.0, 2.0)))
+    omega, residual = extract_rotation_angle(*composed)
+    for pair in (exact, composed):
+        assert pair[0].shape == pair[1].shape == thetas.shape
     for n in (1, 2, 7, 512):
         approx = trotter_propagate(thetas, n)
-        fidelity = gate_fidelity(exact, approx)
+        fidelity = gate_fidelity(_gamma(exact), _gamma(approx))
         for k, theta in enumerate(thetas):
             one = trotter_propagate(theta, n)
-            assert np.array_equal(approx[k], one)
-            assert fidelity[k] == gate_fidelity(exact[k], one)
+            assert (approx[0][k], approx[1][k]) == one
+            assert fidelity[k] == gate_fidelity(
+                _gamma((exact[0][k], exact[1][k])), _gamma(one))
     for k, theta in enumerate(thetas):
-        assert np.array_equal(exact[k], tilted_segment_propagator(theta))
-        assert np.array_equal(composed[k], composed_tilted_gate(theta))
-        assert (omega[k], residual[k]) == extract_rotation_angle(composed[k])
+        assert (exact[0][k], exact[1][k]) == tilted_segment_propagator(theta)
+        assert (composed[0][k], composed[1][k]) == composed_tilted_gate(theta)
+        assert (omega[k], residual[k]) == extract_rotation_angle(
+            composed[0][k], composed[1][k])
     # leading axes of any shape
     grid = thetas[:60].reshape(3, 4, 5)
     assert np.array_equal(trotter_propagate(grid, 9),
-                          trotter_propagate(thetas[:60], 9).reshape(3, 4, 5,
-                                                                    4, 4))
+                          [x.reshape(3, 4, 5)
+                           for x in trotter_propagate(thetas[:60], 9)])
 
 
 def test_trotter_powers_match_closed_form():
@@ -832,4 +845,5 @@ def test_trotter_powers_match_closed_form():
         closed[:, 1, 2] = -1j * s * (x - 1j * y)
         closed[:, 2, 1] = -1j * s * (x + 1j * y)
         closed[:, 2, 2] = c + 1j * s * z
-        assert np.max(np.abs(trotter_propagate(thetas, n) - closed)) < 1e-14
+        assert np.max(np.abs(_gamma(trotter_propagate(thetas, n))
+                              - closed)) < 1e-14

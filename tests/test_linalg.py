@@ -398,9 +398,11 @@ def test_phase_aligned_distance_matches_fidelity():
 
 
 def test_phase_aligned_distance_linear_in_defect():
-    # for a small traceless perturbation the distance is first order
+    # for a small traceless perturbation the distance is first order, down
+    # to defects whose squares vanish beside 1
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     u = np.eye(4, dtype=complex)
-    d1 = phase_aligned_distance(u, np.diag(np.exp(-1j * 1e-4 * signs)))
-    d2 = phase_aligned_distance(u, np.diag(np.exp(-1j * 2e-4 * signs)))
-    assert abs(d2 / d1 - 2.0) < 1e-3
+    for eps in (1e-4, 1e-9):
+        d1 = phase_aligned_distance(u, np.diag(np.exp(-1j * eps * signs)))
+        d2 = phase_aligned_distance(u, np.diag(np.exp(-2j * eps * signs)))
+        assert abs(d2 / d1 - 2.0) < 1e-3
