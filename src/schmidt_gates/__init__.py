@@ -25,8 +25,8 @@ _EXPORTS = {
         "sphere_point"], "sphere"),
     **dict.fromkeys(["schmidt_gate", "u_general"], "gates"),
     **dict.fromkeys([
-        "EntanglerClass", "LocalInvariants", "classify",
-        "closed_form_invariants", "makhlin_invariants"], "invariants"),
+        "LocalInvariants", "classify", "closed_form_invariants",
+        "makhlin_invariants"], "invariants"),
     **dict.fromkeys([
         "Pulse", "composed_tilted_gate", "dynamical_phase",
         "extract_rotation_angle", "orange_slice_path", "propagate",

@@ -329,9 +329,9 @@ def _render(row: str, columns: list) -> str:
     """Lines of a table block: the one-line format `row` filled with the
     equal-length 1-D `columns`, row by row, in one % call. A float column
     takes %.17g, whose text is format_float's; an object column holds
-    cells that %s prints as their str (text, or entangler classes), each
-    value formatted once. A non-finite number anywhere in the block is the
-    not-finite diagnostic."""
+    text cells, such as entangler class names, each value formatted once.
+    A non-finite number anywhere in the block is the not-finite
+    diagnostic."""
     import numpy as np
 
     numbers = [column for column in columns if column.dtype != object]
@@ -387,12 +387,12 @@ def _build_path(spec: dict, loop: bool) -> SchmidtPath:
         raise ScenarioError(f"invalid path: {exc}") from exc
 
 
-def _build_gate(spec: dict, tol: float):
+def _build_gate(spec: dict):
     """Returns (matrix, echo-dict, closed_form_invariants or None); a
     general matrix gate is the one without a closed form."""
     import numpy as np
 
-    from . import gates, invariants, linalg
+    from . import gates, invariants
 
     if spec["kind"] == "geometric":
         sector = spec.get("sector", "gamma")
@@ -410,8 +410,6 @@ def _build_gate(spec: dict, tol: float):
         return u, {"kind": "rotation", "omega": spec["omega"]}, closed
     u = np.array([[complex(re, im) for re, im in row]
                   for row in spec["matrix"]])
-    if linalg.unitarity_defect(u) > tol:
-        raise ScenarioError("gate matrix is not unitary within tolerance")
     return u, {"kind": "matrix"}, None
 
 
@@ -459,18 +457,22 @@ def _invariants_entry(inv) -> dict:
     return {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2}
 
 
-def _assess(u: np.ndarray, tol: float, closed=None, general=False, **atol):
-    """(invariants, entangler class, deviation) of the gate `u`, or arrays
-    of them for a stack of gates. The deviation from the closed-form
-    invariants `closed` is None without them; a `general` gate, one that is
-    not a sector block, is classified by the convex-hull test; `atol` is
-    passed on to `makhlin_invariants`."""
+def _assess(u: np.ndarray, tol: float, closed=None, general=False):
+    """(invariants, entangler class name, deviation) of the gate `u`, or
+    arrays of them for a stack of gates: the one verdict of every command.
+    The invariants hold `u` to be unitary within max(tol, ATOL_PIPELINE),
+    the report's own tolerance but never below the pipeline's rounding; a
+    gate further off is a scenario error. The deviation from the
+    closed-form invariants `closed` is None without them; a `general` gate,
+    one that is not a sector block, is classified by the convex-hull
+    test."""
     import numpy as np
 
-    from . import invariants
+    from . import invariants, linalg
 
     try:
-        inv = invariants.makhlin_invariants(u, **atol)
+        inv = invariants.makhlin_invariants(
+            u, max(tol, linalg.ATOL_PIPELINE))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     deviation = None
@@ -525,17 +527,20 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "predicted_gate": predicted,
         "propagator": matrix_entries(u),
         "invariants": _invariants_entry(inv),
-        "entangler_class": label.value,
+        "entangler_class": label,
     }, tol, checks)
 
 
 def run_classify(scenario: dict, tol: float) -> _Result:
     from . import linalg
 
-    u, echo, closed = _build_gate(scenario["gate"], tol)
-    inv, label, deviation = _assess(u, tol, closed, general=closed is None,
-                                    atol=max(tol, linalg.ATOL_PIPELINE))
-    checks = {"gate_unitary": linalg.unitarity_defect(u) <= tol}
+    u, echo, closed = _build_gate(scenario["gate"])
+    # a matrix gate is input, refused before its invariants are formed
+    defect = linalg.unitarity_defect(u)
+    if closed is None and defect > tol:
+        raise ScenarioError("gate matrix is not unitary within tolerance")
+    inv, label, deviation = _assess(u, tol, closed, general=closed is None)
+    checks = {"gate_unitary": defect <= tol}
     if closed is not None:
         deviation = float(deviation)
         checks["matches_closed_form"] = deviation <= tol
@@ -544,7 +549,7 @@ def run_classify(scenario: dict, tol: float) -> _Result:
         "invariants": _invariants_entry(inv),
         "closed_form": None if closed is None else _invariants_entry(closed),
         "closed_form_deviation": deviation,
-        "entangler_class": label.value,
+        "entangler_class": label,
     }, tol, checks)
 
 

@@ -14,17 +14,17 @@ Vala, Sastry and Whaley, PRA 67, 042313 (2003)). For the sector-block
 gates the pipeline builds this reduces to |G1| <= 1/4 and -1 <= G2 <= 1,
 which `classify` applies unless it is given the gate itself. A PE is a
 special perfect entangler (SPE) when additionally G1 = 0; both conditions
-are applied with a configurable tolerance.
+are applied with a configurable tolerance. A class is its name, "NOT_PE",
+"PE" or "SPE", the text the reports and tables print.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL_PIPELINE, gram_upper, require_unitary
+from .linalg import ATOL_PIPELINE, gram_upper, unitarity_defect
 
 CLASSIFY_TOL = 1e-9
 
@@ -121,7 +121,9 @@ def makhlin_invariants(u: np.ndarray,
     BLAS or LAPACK call per gate.
     """
     u = np.asarray(u, dtype=np.complex128)
-    require_unitary(u, tol=atol)
+    defect = unitarity_defect(u)
+    if defect > atol:
+        raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
     # det first, so that its (12, n) temporaries are freed before m's are
     # made: a lower peak keeps a block inside the allocator's reused memory
     det = _det(u)
@@ -155,15 +157,6 @@ def closed_form_invariants(alpha0: float, omega: float) -> LocalInvariants:
     return LocalInvariants(g1=np.asarray(g1, dtype=np.complex128)[()], g2=g2)
 
 
-class EntanglerClass(enum.Enum):
-    NOT_PE = "NOT_PE"
-    PE = "PE"
-    SPE = "SPE"
-
-    def __str__(self) -> str:
-        return self._value_
-
-
 def _hull_gap(u: np.ndarray) -> np.ndarray:
     """Widest angular gap between the eigenvalues of m on the unit circle;
     0 lies in their convex hull iff it is at most pi."""
@@ -175,8 +168,9 @@ def _hull_gap(u: np.ndarray) -> np.ndarray:
 
 
 def classify(inv: LocalInvariants, tol: float = CLASSIFY_TOL, gate=None):
-    """Entangler class of a gate from its local invariants (SPE implies PE);
-    an array of classes for the invariants of a stack.
+    """Entangler class name of a gate from its local invariants, "NOT_PE",
+    "PE" or "SPE" (SPE implies PE); an object array of names for the
+    invariants of a stack.
 
     Without `gate` a gate is PE when |G1| <= 1/4 and -1 <= G2 <= 1, which is
     exact for sector-block gates but not for general ones. Pass the gate (or
@@ -191,7 +185,7 @@ def classify(inv: LocalInvariants, tol: float = CLASSIFY_TOL, gate=None):
                  & (inv.g2 <= 1.0 + tol))
     else:
         is_pe = _hull_gap(gate) <= np.pi + tol
-    labels = np.full(np.shape(is_pe), EntanglerClass.NOT_PE, dtype=object)
-    labels[is_pe] = EntanglerClass.PE
-    labels[is_pe & (abs(inv.g1) <= tol)] = EntanglerClass.SPE
+    labels = np.full(np.shape(is_pe), "NOT_PE", dtype=object)
+    labels[is_pe] = "PE"
+    labels[is_pe & (abs(inv.g1) <= tol)] = "SPE"
     return labels[()]

@@ -83,12 +83,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return defect if defect < np.inf else np.inf
 
 
-def require_unitary(u: np.ndarray, tol: float = ATOL_PIPELINE) -> None:
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
-
-
 def su2_exp(c_xy, c_dm, c_z, t) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pair (a, b) of exp(-i t (c_xy X + c_dm Y + c_z Z)):
     a = cos(w t) - i s v_z, b = -i s (v_x + i v_y), w = |v|, s = sin(w t)/w,

@@ -5,7 +5,8 @@ under src/schmidt_gates, the exact text it replaces (found there exactly
 once), the new text, and why the change is a defect. For each entry the
 script copies src/ to a temporary directory, applies the change, and runs
 tier-1 on the copy with `pytest -x -q`; it fails if tier-1 passes, that is
-if a mutant survives.
+if a mutant survives. A run that outlasts TIMEOUT is stopped and counts as
+killed, since a hang fails a test run too.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py embed 4    # those whose number or reason matches
@@ -19,6 +20,7 @@ test that kills it.
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,6 +28,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds one mutant's tier-1 run may take: several times the whole suite's
+# run on 2 vCPUs, which a mutant that only slows tier-1 down stays under.
+TIMEOUT = 300
 
 MUTANTS = [
     ("sphere.py",
@@ -59,8 +65,8 @@ MUTANTS = [
      "the arc start-rate sign: an arc's alpha' at its start has the wrong "
      "sign, and so does the field the CLI reports for it"),
     ("invariants.py",
-     "labels[is_pe & (abs(inv.g1) <= tol)] = EntanglerClass.SPE",
-     "labels[is_pe & (abs(inv.g1) <= 100 * tol)] = EntanglerClass.SPE",
+     'labels[is_pe & (abs(inv.g1) <= tol)] = "SPE"',
+     'labels[is_pe & (abs(inv.g1) <= 100 * tol)] = "SPE"',
      "the SPE threshold at 100 x tol: perfect entanglers with G1 up to "
      "100 tol are labelled special"),
     ("invariants.py",
@@ -89,8 +95,8 @@ MUTANTS = [
      "the Trotter phi from |a|: cos(phi) is the real part of a, not its "
      "modulus, so a tilted step is powered by the wrong angle"),
     ("cli.py",
-     "    if linalg.unitarity_defect(u) > tol:",
-     "    if linalg.unitarity_defect(u) > 100 * tol:",
+     "    if closed is None and defect > tol:",
+     "    if closed is None and defect > 100 * tol:",
      "the matrix-gate unitarity tolerance: a matrix gate 100 times further "
      "from unitary than the tolerance is classified"),
     ("sphere.py",
@@ -131,12 +137,38 @@ MUTANTS = [
      "np.angle((u.conj() * v)",
      "the distance's phase from tr(u^dag v): v is turned by the conjugate "
      "of the optimal phase"),
+    ("invariants.py",
+     "is_pe = ((abs(inv.g1) <= 0.25 + tol)",
+     "is_pe = ((abs(inv.g1) < 0.25 + tol)",
+     "the G1 bound exclusive: a gate with |G1| exactly 1/4 + tol is not "
+     "labelled a perfect entangler"),
+    ("invariants.py",
+     "    if defect > atol:",
+     "    if defect >= atol:",
+     "the unitarity bound exclusive: a gate whose defect is exactly atol "
+     "is refused"),
+    ("sphere.py",
+     "idx = 0 if abs(v[0]) > _PHASE_CUT else 1",
+     "idx = 0 if abs(v[0]) >= _PHASE_CUT else 1",
+     "the phase cut inclusive: a first component of modulus exactly "
+     "_PHASE_CUT is taken as the phase reference"),
+    ("cli.py",
+     "u, max(tol, linalg.ATOL_PIPELINE))",
+     "u, linalg.ATOL_PIPELINE)",
+     "the invariants at the pipeline tolerance alone: a propagator within "
+     "the report's tolerance but off unitary by more than 1e-10 is refused"),
+    ("sphere.py",
+     "beta += 2 * np.pi * np.round((self.beta_start - beta) / (2 * np.pi))",
+     "beta += 2 / np.pi * np.round((self.beta_start - beta) / (2 * np.pi))",
+     "the arc's chart lift by 2 / pi: an arc's end lands off its start's "
+     "chart copy, so every tilted arc is refused"),
 ]
 
 
 def run(file: str, old: str, new: str) -> tuple[bool, str]:
-    """(killed, the first failing test or the tail of pytest's output) of
-    tier-1 on a copy of src/ with `old` replaced by `new` in `file`."""
+    """(killed, the first failing test, the tail of pytest's output or the
+    timeout) of tier-1 on a copy of src/ with `old` replaced by `new` in
+    `file`."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
@@ -151,20 +183,28 @@ def run(file: str, old: str, new: str) -> tuple[bool, str]:
         env = dict(os.environ, PYTHONPATH=str(src),
                    PYTHONDONTWRITEBYTECODE="1")
         # run from the copy, so that hypothesis keeps its example database
-        # there; pythonpath overrides pyproject's, which names the checkout
-        proc = subprocess.run(
+        # there; pythonpath overrides pyproject's, which names the checkout;
+        # in a session of its own, so that a timeout also stops the
+        # processes tier-1 starts
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", "-o", f"pythonpath={src}",
              str(ROOT / "tests")],
-            cwd=tmp, env=env, capture_output=True, text=True)
+            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return True, f"timed out after {TIMEOUT} s"
     # node ids are printed relative to the copy; keep them from tests/ on
-    failed = re.findall(r"^(?:FAILED|ERROR) \S*?(tests/\S+)", proc.stdout,
-                        re.M)
+    failed = re.findall(r"^(?:FAILED|ERROR) \S*?(tests/\S+)", stdout, re.M)
     if proc.returncode not in (0, 1, 2):
-        raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}"
-                         f"{proc.stderr}")
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{stdout}"
+                         f"{stderr}")
     return proc.returncode != 0, (failed[0] if failed
-                                  else proc.stdout.strip()[-200:])
+                                  else stdout.strip()[-200:])
 
 
 def main(argv: list[str]) -> int:

@@ -165,6 +165,13 @@ def finite_numbers(values: list) -> bool:
     return bool(np.abs(numbers).max() < sys.float_info.max)
 
 
+# Draws a random arc gets before the test that asks for it fails. Seeds
+# 0-2999 of random_loop need at most 8 draws for all of a loop's arcs, and
+# 20 000 arcs of test_dynamics' _random_arc at most 2; without a bound, a
+# defect that refuses every arc would draw forever.
+ARC_DRAWS = 100
+
+
 def random_loop(rng):
     """A closed path of one to three random segments, polylines of 2, 3 or
     300 samples and tilted rotation arcs, closed by the linear segment back
@@ -186,7 +193,7 @@ def random_loop(rng):
             segments.append(SampledSegment(alpha, beta, duration))
             a, b = alpha[-1], beta[-1]
             continue
-        while True:
+        for _ in range(ARC_DRAWS):
             axis = rng.normal(size=3)
             axis[:2] += 0.1 * np.sign(axis[:2])
             try:
@@ -196,6 +203,9 @@ def random_loop(rng):
                 continue
             if arc.clearance >= 0.2:
                 break
+        else:
+            raise RuntimeError(f"no arc 0.2 clear of the poles in "
+                               f"{ARC_DRAWS} draws")
         segments.append(arc)
         alpha, beta, _ = lift(a, b, arc.axis, arc.angle, 8193)
         a, b = alpha[-1], beta[-1]

@@ -306,6 +306,33 @@ def test_classify_below_rounding_tolerance_reports_failed_checks(
     assert err == "error: gate matrix is not unitary within tolerance\n"
 
 
+def test_simulate_holds_its_propagator_to_the_report_tolerance(
+        tmp_path, capsys, monkeypatch):
+    # a propagator whose unitarity defect (5e-10) lies between the
+    # pipeline's rounding tolerance (1e-10) and the scenario's (1e-9) is
+    # answered, and passes its unitarity check, not refused as not unitary
+    from schmidt_gates import dynamics, linalg
+
+    def off_unitary(pulses, sector):
+        a, b = dynamics._pair(pulses)
+        s = math.sqrt(1.0 + 5e-10)
+        return linalg.embed(s * a, s * b, sector)
+
+    monkeypatch.setattr(dynamics, "propagate", off_unitary)
+    scn = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                       "latitude_loop.json")
+    out = tmp_path / "report.json"
+    code, stdout, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert (code, stdout, err) == (0, "", "")
+    report = json.loads(out.read_text())
+    u = np.array([[complex(re, im) for re, im in row]
+                  for row in report["propagator"]])
+    assert 4e-10 < linalg.unitarity_defect(u) < 6e-10
+    assert report["tolerance"] == 1e-9
+    assert report["checks"]["propagator_unitary"] is True
+    assert report["passed"] is True
+
+
 def test_sweep_map_output(tmp_path, capsys):
     out = tmp_path / "map.csv"
     scn = write_scenario(tmp_path, {
@@ -365,7 +392,7 @@ def test_sweep_map_blocks_match_one_gate_at_a_time(tmp_path, capsys):
                         abs(inv.g2 - closed.g2))
             values = (a, w, inv.g1.real, inv.g1.imag, inv.g2)
             lines.append(",".join([*(format(float(x), ".17g") for x in values),
-                                   classify(inv).value]))
+                                   classify(inv)]))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert err == (f"sweep-map: 667 rows, max closed-form deviation "
                    f"{worst:.3e}, checks pass\n")

@@ -32,6 +32,7 @@ from schmidt_gates.sphere import (
 )
 
 from reference import (
+    ARC_DRAWS,
     H_DM,
     H_XY,
     H_Z,
@@ -484,7 +485,7 @@ def test_spiral_propagator_is_limit_of_time_stepping(sector):
 def _random_arc(rng, clearance=1e-3):
     """A tilted rotation arc of up to two turns either way, from a start in
     the extended chart, at least `clearance` from both poles."""
-    while True:
+    for _ in range(ARC_DRAWS):
         try:
             arc = rotation_arc(rng.uniform(-3.0, 3.0), rng.uniform(-7.0, 7.0),
                                tuple(rng.normal(size=3)),
@@ -494,6 +495,8 @@ def _random_arc(rng, clearance=1e-3):
             continue
         if isinstance(arc, ArcSegment) and arc.clearance >= clearance:
             return arc
+    raise RuntimeError(f"no arc {clearance} clear of the poles in "
+                       f"{ARC_DRAWS} draws")
 
 
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
-    EntanglerClass,
     LocalInvariants,
     _bell,
     classify,
@@ -166,7 +165,8 @@ def test_g1_lower_bound():
 
 
 def test_makhlin_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix is not unitary "
+                       r"\(max deviation 3\.000e\+00\)$"):
         makhlin_invariants(np.diag([2.0, 1.0, 1.0, 1.0]))
     # a matrix inside a looser atol is accepted
     u = np.eye(4, dtype=complex)
@@ -175,25 +175,35 @@ def test_makhlin_rejects_non_unitary():
         makhlin_invariants(u)
     inv = makhlin_invariants(u, atol=1e-8)
     assert abs(inv.g1 - 1.0) < 1e-8
+    # the bound is inclusive: a gate whose unitarity defect is exactly atol
+    # is answered, and one a step further off is refused
+    u = (1.0 + 1e-10) * CNOT
+    defect = unitarity_defect(u)
+    assert defect > 0.0
+    makhlin_invariants(u, atol=defect)
+    with pytest.raises(ValueError, match="not unitary"):
+        makhlin_invariants(u, atol=np.nextafter(defect, 0.0))
 
 
 def test_classify_anchors():
-    assert classify(makhlin_invariants(np.eye(4))) is EntanglerClass.NOT_PE
-    assert classify(makhlin_invariants(SWAP)) is EntanglerClass.NOT_PE
-    assert classify(makhlin_invariants(CNOT)) is EntanglerClass.SPE
-    assert classify(makhlin_invariants(u_general(-np.pi))) is EntanglerClass.SPE
-    assert classify(makhlin_invariants(SQRT_SWAP)) is EntanglerClass.PE
+    assert classify(makhlin_invariants(np.eye(4))) == "NOT_PE"
+    assert classify(makhlin_invariants(SWAP)) == "NOT_PE"
+    assert classify(makhlin_invariants(CNOT)) == "SPE"
+    assert classify(makhlin_invariants(u_general(-np.pi))) == "SPE"
+    assert classify(makhlin_invariants(SQRT_SWAP)) == "PE"
 
 
 def test_classify_tolerance_boundaries():
     tol = 1e-9
-    assert classify(LocalInvariants(0.25 + 0.5e-9, 0.0), tol) is EntanglerClass.PE
-    assert classify(LocalInvariants(0.25 + 2e-9, 0.0), tol) is EntanglerClass.NOT_PE
-    assert classify(LocalInvariants(0.1, 1.0 + 0.5e-9), tol) is EntanglerClass.PE
-    assert classify(LocalInvariants(0.1, 1.0 + 2e-9), tol) is EntanglerClass.NOT_PE
-    assert classify(LocalInvariants(0.1, -1.0 - 2e-9), tol) is EntanglerClass.NOT_PE
-    assert classify(LocalInvariants(0.5e-9, 0.3), tol) is EntanglerClass.SPE
-    assert classify(LocalInvariants(2e-9, 0.3), tol) is EntanglerClass.PE
+    assert classify(LocalInvariants(0.25 + 0.5e-9, 0.0), tol) == "PE"
+    # the bound is inclusive: |G1| exactly 1/4 + tol is a perfect entangler
+    assert classify(LocalInvariants(0.25 + tol, 0.0), tol) == "PE"
+    assert classify(LocalInvariants(0.25 + 2e-9, 0.0), tol) == "NOT_PE"
+    assert classify(LocalInvariants(0.1, 1.0 + 0.5e-9), tol) == "PE"
+    assert classify(LocalInvariants(0.1, 1.0 + 2e-9), tol) == "NOT_PE"
+    assert classify(LocalInvariants(0.1, -1.0 - 2e-9), tol) == "NOT_PE"
+    assert classify(LocalInvariants(0.5e-9, 0.3), tol) == "SPE"
+    assert classify(LocalInvariants(2e-9, 0.3), tol) == "PE"
     with pytest.raises(ValueError):
         classify(LocalInvariants(0.0, 0.0), tol=-1.0)
 
@@ -314,8 +324,8 @@ def test_classify_stack_equals_per_gate_calls():
     assert labels.shape == (300,)
     for k in range(300):
         one = classify(makhlin_invariants(schmidt_gate(a0[k], 0.0, w[k])))
-        assert labels[k] is one
-    assert set(labels) == set(EntanglerClass)
+        assert labels[k] == one
+    assert set(labels) == {"NOT_PE", "PE", "SPE"}
     closed = closed_form_invariants(a0, w)
     assert closed.g1.shape == closed.g2.shape == (300,)
     for k in range(300):
@@ -338,23 +348,23 @@ def hull_contains_zero(points) -> bool:
 SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
-def hull_class(u) -> EntanglerClass:
+def hull_class(u) -> str:
     """Oracle class of a general gate: the spectrum of m is that of
     U (Y x Y) U^T (Y x Y), computed without the Bell basis."""
     spectrum = np.linalg.eigvals(u @ SPIN_FLIP @ u.T @ SPIN_FLIP)
     if not hull_contains_zero(spectrum):
-        return EntanglerClass.NOT_PE
+        return "NOT_PE"
     inv = makhlin_invariants(u)
-    return EntanglerClass.SPE if abs(inv.g1) <= 1e-9 else EntanglerClass.PE
+    return "SPE" if abs(inv.g1) <= 1e-9 else "PE"
 
 
 def test_classify_general_gate_by_hull():
-    for u, label in ((np.eye(4), EntanglerClass.NOT_PE),
-                     (SWAP, EntanglerClass.NOT_PE),
-                     (CNOT, EntanglerClass.SPE),
-                     (SQRT_SWAP, EntanglerClass.PE),
-                     (u_general(-np.pi), EntanglerClass.SPE)):
-        assert classify(makhlin_invariants(u), gate=u) is label
+    for u, label in ((np.eye(4), "NOT_PE"),
+                     (SWAP, "NOT_PE"),
+                     (CNOT, "SPE"),
+                     (SQRT_SWAP, "PE"),
+                     (u_general(-np.pi), "SPE")):
+        assert classify(makhlin_invariants(u), gate=u) == label
     # on Haar gates the |G1|, G2 thresholds call some gates PE that are
     # not; the hull test answers like the oracle on all of them
     rng = np.random.default_rng(0)
@@ -363,11 +373,9 @@ def test_classify_general_gate_by_hull():
     by_hull = classify(inv, gate=stack)
     by_rule = classify(inv)
     assert list(by_hull) == [hull_class(u) for u in stack]
-    wrong = (by_rule != EntanglerClass.NOT_PE) & (
-        by_hull == EntanglerClass.NOT_PE)
+    wrong = (by_rule != "NOT_PE") & (by_hull == "NOT_PE")
     assert wrong.sum() >= 10
-    assert not np.any((by_hull != EntanglerClass.NOT_PE)
-                      & (by_rule == EntanglerClass.NOT_PE))
+    assert not np.any((by_hull != "NOT_PE") & (by_rule == "NOT_PE"))
 
 
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
@@ -389,10 +397,10 @@ def test_hull_class_of_haar_gates(seed):
     u = haar_unitary(rng)
     inv = makhlin_invariants(u)
     label = classify(inv, gate=u)
-    assert label is hull_class(u)
+    assert label == hull_class(u)
     before = tensor_product(random_unitary2(rng), random_unitary2(rng))
     after = tensor_product(random_unitary2(rng), random_unitary2(rng))
     moved = after @ u @ before
-    assert classify(makhlin_invariants(moved), gate=moved) is label
-    if label is not EntanglerClass.NOT_PE:
-        assert classify(inv) is not EntanglerClass.NOT_PE
+    assert classify(makhlin_invariants(moved), gate=moved) == label
+    if label != "NOT_PE":
+        assert classify(inv) != "NOT_PE"

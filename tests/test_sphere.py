@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidt_gates import sphere
 from schmidt_gates.sphere import (
     BRANCHES,
     ArcSegment,
@@ -165,6 +166,13 @@ def test_schmidt_decompose_product_and_bell():
     bell = schmidt_decompose(np.array([0, 1, 1, 0]) / np.sqrt(2))
     assert bell.coords.alpha == pytest.approx(np.pi / 2, abs=TOL)
     assert concurrence(np.array([0, 1, 1, 0]) / np.sqrt(2)) == pytest.approx(1.0, abs=TOL)
+
+
+def test_fix_phase_cut_is_exclusive():
+    # a first component of modulus exactly _PHASE_CUT counts as vanishing,
+    # so the second component is the one turned real positive
+    v = np.array([sphere._PHASE_CUT, 1j])
+    assert np.array_equal(sphere._fix_phase(v), [-sphere._PHASE_CUT * 1j, 1])
 
 
 def test_schmidt_decompose_rejects_unnormalized():
