@@ -1,21 +1,23 @@
 """Local invariants and entangling-power classification of two-qubit gates.
 
-The invariants (G1, G2) are computed in the Bell (magic) basis; they are
-unchanged under single-qubit rotations before and after the gate. Every
-function here works elementwise on stacks, of (..., 4, 4) gates or of
-anchors and solid angles, so a table of gates is one call. Past the two
-matrix products of the basis change, a stack is handled with the gate axis
-innermost, so that a 4x4 product is a few operations on length-n rows and
-no step makes one BLAS or LAPACK call per gate.
+The invariants (G1, G2) are those of Makhlin's matrix m in the Bell (magic)
+basis; they are unchanged under single-qubit rotations before and after the
+gate. They are read without a change of basis, from X = U^T S U with the
+spin flip S = Y x Y, whose product X S has m's spectrum. Every function
+here works elementwise on stacks, of (..., 4, 4) gates or of anchors and
+solid angles, so a table of gates is one call. A stack is handled with the
+gate axis innermost, so that a 4x4 product is a few operations on length-n
+rows and the invariants make no BLAS or LAPACK call.
 
 A gate is a perfect entangler (PE) when 0 lies in the convex hull of the
-eigenvalues of its Bell-basis matrix m (Makhlin, QIP 1, 243 (2002); Zhang,
-Vala, Sastry and Whaley, PRA 67, 042313 (2003)). For the sector-block
-gates the pipeline builds this reduces to |G1| <= 1/4 and -1 <= G2 <= 1,
-which `classify` applies unless it is given the gate itself. A PE is a
-special perfect entangler (SPE) when additionally G1 = 0; both conditions
-are applied with a configurable tolerance. A class is its name, "NOT_PE",
-"PE" or "SPE", the text the reports and tables print.
+eigenvalues of m (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
+Whaley, PRA 67, 042313 (2003)). For the sector-block gates the pipeline
+builds this reduces to |G1| <= 1/4 and -1 <= G2 <= 1, which `classify`
+applies unless it is given the gate itself, whose X S it then hands to
+LAPACK's eigenvalue routine. A PE is a special perfect entangler (SPE) when
+additionally G1 = 0; both conditions are applied with a configurable
+tolerance. A class is its name, "NOT_PE", "PE" or "SPE", the text the
+reports and tables print.
 """
 
 from __future__ import annotations
@@ -28,16 +30,9 @@ from .linalg import ATOL_PIPELINE, gram_upper, unitarity_defect
 
 CLASSIFY_TOL = 1e-9
 
-# columns: the Bell (magic) basis (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2,
-# (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
-_BELL = np.array([
-    [1, 0, 0, 1j],
-    [0, 1j, 1, 0],
-    [0, 1j, -1, 0],
-    [1, 0, 0, -1j],
-], dtype=np.complex128) / np.sqrt(2.0)
-
-_BELL_DAG = _BELL.conj().T
+# the spin flip S = Y x Y reverses a vector's entries and multiplies them by
+# these signs, an exact operation
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -47,22 +42,6 @@ class LocalInvariants:
 
     g1: complex | np.ndarray
     g2: float | np.ndarray
-
-
-def _bell(u: np.ndarray) -> np.ndarray:
-    """Q^dag U Q of a gate or of each gate of a stack, as a (4, 4, n) view
-    with the gate axis last.
-
-    The basis change of a stack of n gates is two matrix products, not 2n:
-    Q^dag times the gates side by side as one (4, 4n) matrix, then that
-    product's rows, read as one (4n, 4) matrix, times Q. Each entry is the
-    same four-term sum as in the per-gate product."""
-    u = np.asarray(u)
-    n = u.size // 16
-    # rebinding frees each (4, 4n) intermediate once it is used
-    mb = u.reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
-    mb = _BELL_DAG @ mb
-    return (mb.reshape(4 * n, 4) @ _BELL).reshape(4, n, 4).transpose(0, 2, 1)
 
 
 def _row_sum(p: np.ndarray) -> np.ndarray:
@@ -100,40 +79,56 @@ def _det(u: np.ndarray) -> np.ndarray:
     return _row_sum(minors[:6] * minors[6:])
 
 
+def _traces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tr m, tr m^2) of a gate or of each gate of a stack, as (n,) arrays,
+    from the ten upper-triangle entries of X = U^T S U (X is symmetric):
+    tr m = 2 (X12 - X03) and
+    tr m^2 = 2 (X03^2 + X12^2 + X00 X33 + X11 X22) - 4 (X01 X23 + X02 X13),
+    with the terms added in that order."""
+    x = u.reshape(-1, 4, 4).transpose(1, 2, 0)
+    x00, x11, x22, x33, x01, x02, x03, x12, x13, x23 = gram_upper(
+        x, _FLIP_SIGNS[:, None, None] * x[::-1])
+    return (2.0 * (x12 - x03),
+            2.0 * (x03 * x03 + x12 * x12 + x00 * x33 + x11 * x22)
+            - 4.0 * (x01 * x23 + x02 * x13))
+
+
 def makhlin_invariants(u: np.ndarray,
                        atol: float = ATOL_PIPELINE) -> LocalInvariants:
     """Local invariants of a two-qubit gate, or of each gate of a stack.
 
-    With m = (Q^dag U Q)^T (Q^dag U Q) in the Bell basis:
+    With m = (Q^dag U Q)^T (Q^dag U Q) in the Bell basis Q:
     G1 = tr(m)^2 / (16 det U), G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
+    Q Q^T = -S for the spin flip S = Y x Y, so m has the spectrum, and the
+    traces, of X S with X = U^T S U, and no basis change is needed.
     |det U| is renormalized to one before dividing so near-unitary input
     noise is not amplified. `atol` bounds how far from unitary the input
     may be; the imaginary part of G2 (identically zero for exact unitaries)
     is checked against the same scale; both checks cover every gate of a
-    stack, and an empty stack has empty invariants.
+    stack, and an empty stack has empty invariants. Any shape other than
+    (..., 4, 4) is refused.
 
     The stack is worked on with the gate axis last: the Gram products U^dag U
-    (for the unitarity check) and m are formed on their ten upper-triangle
-    entries, det U is a Laplace expansion over 2x2 minors, tr m is the sum
-    of m's diagonal and tr m^2 = sum m_ii^2 + 2 sum_{i<j} m_ij^2, each a few
-    operations on whole length-n rows with terms added in a fixed order.
-    So a gate alone gives the bits it has in a stack, and no step makes one
-    BLAS or LAPACK call per gate.
+    (for the unitarity check) and X, which is symmetric, are formed on their
+    ten upper-triangle entries, S U is U's rows reversed and multiplied by
+    the signs (-1, 1, 1, -1), and det U is a Laplace expansion over 2x2
+    minors, each a few operations on whole length-n rows with terms added
+    in a fixed order. So a gate alone gives the bits it has in a stack, no
+    step calls BLAS or LAPACK, and the textbook gates (I, CNOT, SWAP,
+    sqrt SWAP) give their invariants exactly.
     """
     u = np.asarray(u, dtype=np.complex128)
+    if u.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (..., 4, 4) gate or stack of gates, "
+                         f"got shape {u.shape}")
     defect = unitarity_defect(u)
     if defect > atol:
         raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
-    # det first, so that its (12, n) temporaries are freed before m's are
+    # det first, so that its (12, n) temporaries are freed before X's are
     # made: a lower peak keeps a block inside the allocator's reused memory
     det = _det(u)
     det = det / abs(det)
-    mb = _bell(u)
-    # m's ten upper-triangle entries: its diagonal, then the six above it
-    m = gram_upper(mb, mb)
-    tr = _row_sum(m[:4])
-    squares = m * m
-    tr2 = _row_sum(squares[:4]) + 2.0 * _row_sum(squares[4:])
+    tr, tr2 = _traces(u)
     g1 = tr * tr / (16.0 * det)
     g2 = (tr * tr - tr2) / (4.0 * det)
     worst = max(g2.imag.min(initial=0.0), g2.imag.max(initial=0.0), key=abs)
@@ -158,11 +153,14 @@ def closed_form_invariants(alpha0: float, omega: float) -> LocalInvariants:
 
 
 def _hull_gap(u: np.ndarray) -> np.ndarray:
-    """Widest angular gap between the eigenvalues of m on the unit circle;
-    0 lies in their convex hull iff it is at most pi."""
-    mb = _bell(u).transpose(2, 0, 1)
-    m = mb.swapaxes(-1, -2) @ mb
-    angles = np.sort(np.angle(np.linalg.eigvals(m)), axis=-1)
+    """Widest angular gap between the eigenvalues of m on the unit circle,
+    which are those of X S with X = U^T S U; 0 lies in their convex hull iff
+    it is at most pi."""
+    gates = np.reshape(u, (-1, 4, 4))
+    x = gates.swapaxes(-1, -2) @ (_FLIP_SIGNS[:, None] * gates[:, ::-1])
+    # X S is X with its columns reversed and multiplied by the signs
+    spectrum = np.linalg.eigvals(x[..., ::-1] * _FLIP_SIGNS)
+    angles = np.sort(np.angle(spectrum), axis=-1)
     wrapped = np.concatenate([angles, angles[..., :1] + 2.0 * np.pi], axis=-1)
     return np.diff(wrapped, axis=-1).max(axis=-1).reshape(np.shape(u)[:-2])
 

@@ -162,6 +162,26 @@ MUTANTS = [
      "beta += 2 / np.pi * np.round((self.beta_start - beta) / (2 * np.pi))",
      "the arc's chart lift by 2 / pi: an arc's end lands off its start's "
      "chart copy, so every tilted arc is refused"),
+    ("invariants.py",
+     "_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])",
+     "_FLIP_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])",
+     "a spin-flip sign lost: S U keeps U's last row unnegated, so X is not "
+     "U^T S U and both the invariants and the hull test are wrong"),
+    ("invariants.py",
+     "return (2.0 * (x12 - x03),",
+     "return (2.0 * (x12 + x03),",
+     "tr m from X12 + X03: the trace of X S takes X03 with the wrong sign, "
+     "so G1 and G2 are wrong"),
+    ("invariants.py",
+     "- 4.0 * (x01 * x23 + x02 * x13))",
+     "- 2.0 * (x01 * x23 + x02 * x13))",
+     "tr m^2's cross terms at 2, not 4: the off-diagonal products of X S "
+     "are counted once instead of twice, so G2 is wrong"),
+    ("invariants.py",
+     "spectrum = np.linalg.eigvals(x[..., ::-1] * _FLIP_SIGNS)",
+     "spectrum = np.linalg.eigvals(x * _FLIP_SIGNS)",
+     "the hull test without the column reversal: it takes the eigenvalues "
+     "of X times a diagonal, not of X S, so general gates are misclassed"),
 ]
 
 

@@ -277,12 +277,13 @@ def test_classify_rejects_g2_imaginary_part_beyond_tolerance(tmp_path,
 
 def test_classify_below_rounding_tolerance_reports_failed_checks(
         tmp_path, capsys):
-    # a gate the program built is off unitary by rounding (~3e-16); below
+    # a gate the program built is off unitary by rounding (~1.1e-16) and
+    # off its closed form by 4.4e-16, with and without AVX2/FMA; below
     # that tolerance its checks fail in the report, as simulate's do,
     # instead of the invariants refusing it
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "classify", "tolerance": 1e-17,
-        "gate": {"kind": "geometric", "alpha0": 0.7, "beta0": 0.3,
+        "gate": {"kind": "geometric", "alpha0": 0.3, "beta0": 0.3,
                  "omega": 1.1},
     })
     code, out, err = run_main(["classify", scn], capsys)
@@ -1540,9 +1541,9 @@ MERIDIAN_AT_NEGATIVE_ZERO = """{
     ]
   ],
   "invariants": {
-    "g1_re": 0.65740472229869573,
+    "g1_re": 0.65740472229869629,
     "g1_im": 0,
-    "g2": 2.2432199365413266
+    "g2": 2.2432199365413288
   },
   "entangler_class": "NOT_PE",
   "tolerance": 1.0000000000000001e-09,

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,18 +9,13 @@ from hypothesis import strategies as st
 from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     LocalInvariants,
-    _bell,
+    _hull_gap,
+    _traces,
     classify,
     closed_form_invariants,
     makhlin_invariants,
 )
-from schmidt_gates.linalg import (
-    _upper_pairs,
-    embed,
-    gram_upper,
-    tensor_product,
-    unitarity_defect,
-)
+from schmidt_gates.linalg import embed, tensor_product, unitarity_defect
 
 from reference import BELL
 
@@ -47,6 +43,9 @@ SQRT_SWAP = np.array([
 ], dtype=complex)
 
 
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
 def haar_unitary(rng, dim=4):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
@@ -57,9 +56,23 @@ def random_unitary2(rng):
     return haar_unitary(rng, 2)
 
 
-def test_bell_transform_is_unitary_magic_basis():
+def _magic_m(u):
+    """m = (Q^dag u Q)^T (Q^dag u Q) of one gate, with the reference's
+    literal Bell basis Q."""
+    mb = BELL.conj().T @ u @ BELL
+    return mb.T @ mb
+
+
+def _same_spectrum(a, b, tol):
+    """The four eigenvalues a and b agree within tol as multisets."""
+    return min(np.max(np.abs(a - b[list(p)]))
+               for p in itertools.permutations(range(4))) < tol
+
+
+def test_spin_flip_form_matches_magic_basis():
     # the reference's literal Q has the magic states as its columns, and
-    # _bell is the change to that basis, Q^dag u Q
+    # Q Q^T = -S for the spin flip S = Y x Y: so m = (Q^dag u Q)^T (Q^dag u Q)
+    # = -Q^T X Q with X = u^T S u has the spectrum and the traces of X S
     k0, k1 = np.eye(2)
     s = 1 / np.sqrt(2)
     magic = [s * (np.kron(k0, k0) + np.kron(k1, k1)),
@@ -68,12 +81,29 @@ def test_bell_transform_is_unitary_magic_basis():
              1j * s * (np.kron(k0, k0) - np.kron(k1, k1))]
     assert np.max(np.abs(BELL - np.array(magic).T)) < TOL
     assert unitarity_defect(BELL) < TOL
-    for u in (np.eye(4), CNOT, SWAP, SQRT_SWAP, u_general(0.7)):
-        expect = BELL.conj().T @ u @ BELL
-        assert np.max(np.abs(_bell(u)[..., 0] - expect)) < TOL
+    assert np.max(np.abs(BELL @ BELL.T + SPIN_FLIP)) < TOL
+    rng = np.random.default_rng(63)
+    gates = [np.eye(4), CNOT, SWAP, SQRT_SWAP, u_general(0.7)]
+    gates += [haar_unitary(rng) for _ in range(200)]
+    for u in gates:
+        m = _magic_m(u)
+        xs = u.T @ SPIN_FLIP @ u @ SPIN_FLIP
+        (tr,), (tr2,) = _traces(u)
+        assert abs(tr - np.trace(m)) < 1e-14
+        assert abs(tr2 - np.trace(m @ m)) < 1e-14
+        assert abs(np.trace(xs) - np.trace(m)) < 1e-14
+        assert abs(np.trace(xs @ xs) - np.trace(m @ m)) < 1e-14
+        assert _same_spectrum(np.linalg.eigvals(xs), np.linalg.eigvals(m),
+                              1e-12)
+        # the hull test's widest eigenvalue gap is m's
+        angles = np.sort(np.angle(np.linalg.eigvals(m)))
+        gap = np.diff(np.append(angles, angles[0] + 2 * np.pi)).max()
+        assert abs(_hull_gap(u) - gap) < 1e-12
 
 
 def test_reference_gate_invariants():
+    # S u only reorders u's rows and flips signs, so on these gates every
+    # step is exact and the invariants are the textbook values to the bit
     cases = [
         (np.eye(4, dtype=complex), 1.0 + 0j, 3.0),
         (CNOT, 0.0 + 0j, 1.0),
@@ -83,8 +113,15 @@ def test_reference_gate_invariants():
     ]
     for u, g1, g2 in cases:
         inv = makhlin_invariants(u)
-        assert abs(inv.g1 - g1) < TOL
-        assert abs(inv.g2 - g2) < TOL
+        assert inv.g1 == g1 and inv.g2 == g2
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (16, 16), (4, 2)])
+def test_makhlin_refuses_shapes_other_than_4x4(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected a (..., 4, 4) gate or stack of gates, got shape "
+            f"{shape}")):
+        makhlin_invariants(np.eye(*shape))
 
 
 def test_invariance_under_local_unitaries():
@@ -126,7 +163,7 @@ def test_closed_form_matches_pipeline():
 def test_sector_block_invariants_closed_form(sector):
     # any SU(2) block U = [[a, -conj(b)], [b, conj(a)]] on a sector pair has
     # G1 = |a|^4 and G2 = 3 - 4 |b|^2, a route that shares no code with the
-    # Bell-basis computation
+    # spin-flip computation
     x = np.random.default_rng(57).normal(size=(4, 2000))
     x /= np.linalg.norm(x, axis=0)
     for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3]):
@@ -227,38 +264,26 @@ def test_stacked_invariants_equal_per_gate_calls():
     assert grid.g1.shape == (20, 25)
 
 
-def _per_gate_bell(u):
-    return BELL.conj().T @ u @ BELL
-
-
 @pytest.mark.parametrize("shape", [(1,), (777,), (20, 25)])
-def test_batched_bell_transform_is_the_per_gate_product(shape):
-    # the goldens' last digits rest on this: the two matrix products over a
-    # whole stack give the bits of Q^dag u Q gate by gate, and the upper
-    # triangle of m = (Q^dag u Q)^T (Q^dag u Q) formed with the gate axis
-    # last has the same bits for a gate inside a stack as for the gate alone
+def test_batched_traces_are_the_per_gate_traces(shape):
+    # the goldens' last digits rest on this: tr m and tr m^2 formed from
+    # X = u^T S u with the gate axis last have the same bits for a gate
+    # inside a stack as for the gate alone, and are m's traces
     rng = np.random.default_rng(61)
     a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, *shape))
     haar = np.array([haar_unitary(rng) for _ in range(a0.size)])
-    rows, cols = _upper_pairs(4)
     for stack in (schmidt_gate(a0, b0, w), schmidt_gate(a0, b0, w, "lambda"),
                   haar.reshape(*shape, 4, 4)):
-        mb = _bell(stack)
-        m = gram_upper(mb, mb)
+        traces = np.array(_traces(stack))
         gates = stack.reshape(-1, 4, 4)
-        assert mb.shape == (4, 4, len(gates)) and m.shape == (10, len(gates))
-        bad = [k for k, u in enumerate(gates)
-               if not np.array_equal(mb[..., k], _per_gate_bell(u))]
+        assert traces.shape == (2, len(gates))
+        alone = [np.array(_traces(u))[:, 0] for u in gates]
+        bad = [k for k, tk in enumerate(alone)
+               if not np.array_equal(traces[:, k], tk)]
         assert not bad, f"{len(bad)} of {len(gates)} gates differ"
-        alone = [gram_upper(_bell(u), _bell(u))[:, 0] for u in gates]
-        bad = [k for k, mk in enumerate(alone)
-               if not np.array_equal(m[:, k], mk)]
-        assert not bad, f"{len(bad)} of {len(gates)} gates differ"
-        product = np.array([(v.T @ v)[rows, cols]
-                            for v in map(_per_gate_bell, gates)])
-        assert np.max(np.abs(m.T - product)) < 4e-15
-    u = haar_unitary(rng)
-    assert np.array_equal(_bell(u)[..., 0], _per_gate_bell(u))
+        product = np.array([(np.trace(m), np.trace(m @ m))
+                            for m in map(_magic_m, gates)])
+        assert np.max(np.abs(traces.T - product)) < 1e-14
 
 
 def _oracle_invariants(u):
@@ -345,12 +370,10 @@ def hull_contains_zero(points) -> bool:
     return False
 
 
-SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-
-
 def hull_class(u) -> str:
     """Oracle class of a general gate: the spectrum of m is that of
-    U (Y x Y) U^T (Y x Y), computed without the Bell basis."""
+    U (Y x Y) U^T (Y x Y), the package's U^T S U S taken in the other
+    order, with S as a literal matrix and a hull test of its own."""
     spectrum = np.linalg.eigvals(u @ SPIN_FLIP @ u.T @ SPIN_FLIP)
     if not hull_contains_zero(spectrum):
         return "NOT_PE"
