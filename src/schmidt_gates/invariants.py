@@ -3,18 +3,22 @@
 The invariants (G1, G2) are those of Makhlin's matrix m in the Bell (magic)
 basis; they are unchanged under single-qubit rotations before and after the
 gate. They are read without a change of basis, from X = U^T S U with the
-spin flip S = Y x Y, whose product X S has m's spectrum. Every function
-here works elementwise on stacks, of (..., 4, 4) gates or of anchors and
-solid angles, so a table of gates is one call. A stack is handled with the
-gate axis innermost, so that a 4x4 product is a few operations on length-n
-rows and the invariants make no BLAS or LAPACK call.
+spin flip S = Y x Y, whose product X S has m's spectrum. Every 4x4
+quantity is one Gram product of U with an exact row map R of U, U^T R U
+(`linalg.gram_upper`): X for the traces and the hull test, and U^T J U
+with J = Y x I, whose Pfaffian is det U. Every function here works
+elementwise on stacks, of (..., 4, 4) gates or of anchors and solid
+angles, so a table of gates is one call. A stack is handled with the gate
+axis innermost, so that a 4x4 product is a few operations on length-n rows
+and the invariants make no BLAS or LAPACK call.
 
 A gate is a perfect entangler (PE) when 0 lies in the convex hull of the
 eigenvalues of m (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
 Whaley, PRA 67, 042313 (2003)). For the sector-block gates the pipeline
 builds this reduces to |G1| <= 1/4 and -1 <= G2 <= 1, which `classify`
-applies unless it is given the gate itself, whose X S it then hands to
-LAPACK's eigenvalue routine. A PE is a special perfect entangler (SPE) when
+applies unless it is given the gate itself, whose X S, filled from the
+same ten entries of X, it then hands to LAPACK's eigenvalue routine, the
+module's one LAPACK call. A PE is a special perfect entangler (SPE) when
 additionally G1 = 0; both conditions are applied with a configurable
 tolerance. A class is its name, "NOT_PE", "PE" or "SPE", the text the
 reports and tables print.
@@ -30,9 +34,14 @@ from .linalg import ATOL_PIPELINE, gram_upper, unitarity_defect
 
 CLASSIFY_TOL = 1e-9
 
-# the spin flip S = Y x Y reverses a vector's entries and multiplies them by
-# these signs, an exact operation
+# row maps R, as R U = U's rows `rows` times `signs`, an exact operation:
+# the spin flip S = Y x Y, and J = Y x I, whose Pfaffian is 1
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_SPIN_FLIP = ([3, 2, 1, 0], _FLIP_SIGNS)
+_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j]))
+# entry (i, j) of a symmetric 4x4 matrix is entry _SYMMETRIC[i, j] of its
+# upper triangle as gram_upper lists it
+_SYMMETRIC = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
 
 
 @dataclass(frozen=True)
@@ -44,39 +53,19 @@ class LocalInvariants:
     g2: float | np.ndarray
 
 
-def _row_sum(p: np.ndarray) -> np.ndarray:
-    """p[0] + p[1] + ... + p[-1], added in that order. A numpy reduction
-    may pair the terms differently for different lengths of the other
-    axes, and then a gate alone would not give its bits within a stack."""
-    out = p[0]
-    for row in p[1:]:
-        out = out + row
-    return out
-
-
-# det U as a Laplace expansion along rows (0, 1): for each pair of columns
-# a < b, the 2x2 minor of rows (0, 1) in columns (a, b) times the minor of
-# rows (2, 3) in the other two columns, which are listed in the order that
-# carries the term's sign. The twelve minors x_ra x_sb - x_rb x_sa as
-# (r, s, a, b), the six of rows (0, 1) first:
-_MINORS = np.array(
-    [(0, 1, a, b)
-     for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    + [(2, 3, a, b)
-       for a, b in ((2, 3), (3, 1), (1, 2), (0, 3), (2, 0), (0, 1))])
-# ... and the row-major flat indices of their entries (r, a), (s, b),
-# (r, b), (s, a)
-_MINOR_ENTRIES = tuple(4 * _MINORS[:, row] + _MINORS[:, col]
-                       for row, col in ((0, 2), (1, 3), (0, 3), (1, 2)))
+def _gram(u: np.ndarray, row_map) -> np.ndarray:
+    """The ten upper-triangle entries of U^T R U for the row map R, as
+    (n,) rows, of a gate or of each gate of a stack."""
+    rows, signs = row_map
+    x = np.reshape(u, (-1, 4, 4)).transpose(1, 2, 0)
+    return gram_upper(x, signs[:, None, None] * x[rows])
 
 
 def _det(u: np.ndarray) -> np.ndarray:
-    """det U of a gate or of each gate of a stack, as an (n,) array."""
-    entries = u.reshape(-1, 16).T
-    ra, sb, rb, sa = _MINOR_ENTRIES
-    minors = entries.take(ra, axis=0) * entries.take(sb, axis=0)
-    minors -= entries.take(rb, axis=0) * entries.take(sa, axis=0)
-    return _row_sum(minors[:6] * minors[6:])
+    """det U of a gate or of each gate of a stack, as an (n,) array: the
+    Pfaffian of the antisymmetric U^T J U, which is det U Pf(J) = det U."""
+    *_, a01, a02, a03, a12, a13, a23 = _gram(u, _J)
+    return a01 * a23 - a02 * a13 + a03 * a12
 
 
 def _traces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,9 +74,7 @@ def _traces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tr m = 2 (X12 - X03) and
     tr m^2 = 2 (X03^2 + X12^2 + X00 X33 + X11 X22) - 4 (X01 X23 + X02 X13),
     with the terms added in that order."""
-    x = u.reshape(-1, 4, 4).transpose(1, 2, 0)
-    x00, x11, x22, x33, x01, x02, x03, x12, x13, x23 = gram_upper(
-        x, _FLIP_SIGNS[:, None, None] * x[::-1])
+    x00, x11, x22, x33, x01, x02, x03, x12, x13, x23 = _gram(u, _SPIN_FLIP)
     return (2.0 * (x12 - x03),
             2.0 * (x03 * x03 + x12 * x12 + x00 * x33 + x11 * x22)
             - 4.0 * (x01 * x23 + x02 * x13))
@@ -108,14 +95,16 @@ def makhlin_invariants(u: np.ndarray,
     stack, and an empty stack has empty invariants. Any shape other than
     (..., 4, 4) is refused.
 
-    The stack is worked on with the gate axis last: the Gram products U^dag U
-    (for the unitarity check) and X, which is symmetric, are formed on their
-    ten upper-triangle entries, S U is U's rows reversed and multiplied by
-    the signs (-1, 1, 1, -1), and det U is a Laplace expansion over 2x2
-    minors, each a few operations on whole length-n rows with terms added
-    in a fixed order. So a gate alone gives the bits it has in a stack, no
-    step calls BLAS or LAPACK, and the textbook gates (I, CNOT, SWAP,
-    sqrt SWAP) give their invariants exactly.
+    Every quantity is a Gram product of U with an exact row map of U,
+    formed with the gate axis last on its ten upper-triangle entries: U^dag U
+    for the unitarity check, X, whose S U is U's rows reversed and
+    multiplied by the signs (-1, 1, 1, -1), and A = U^T J U for J = Y x I,
+    whose J U is U's rows (2, 3, 0, 1) times (-i, -i, i, i): Pf(J) = 1, so
+    det U is the Pfaffian A01 A23 - A02 A13 + A03 A12. Each is a few
+    operations on whole length-n rows with terms added in a fixed order. So
+    a gate alone gives the bits it has in a stack, no step calls BLAS or
+    LAPACK, and the textbook gates (I, CNOT, SWAP, sqrt SWAP) give their
+    invariants exactly.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.shape[-2:] != (4, 4):
@@ -124,8 +113,6 @@ def makhlin_invariants(u: np.ndarray,
     defect = unitarity_defect(u)
     if defect > atol:
         raise ValueError(f"matrix is not unitary (max deviation {defect:.3e})")
-    # det first, so that its (12, n) temporaries are freed before X's are
-    # made: a lower peak keeps a block inside the allocator's reused memory
     det = _det(u)
     det = det / abs(det)
     tr, tr2 = _traces(u)
@@ -156,8 +143,7 @@ def _hull_gap(u: np.ndarray) -> np.ndarray:
     """Widest angular gap between the eigenvalues of m on the unit circle,
     which are those of X S with X = U^T S U; 0 lies in their convex hull iff
     it is at most pi."""
-    gates = np.reshape(u, (-1, 4, 4))
-    x = gates.swapaxes(-1, -2) @ (_FLIP_SIGNS[:, None] * gates[:, ::-1])
+    x = _gram(u, _SPIN_FLIP).T[:, _SYMMETRIC]
     # X S is X with its columns reversed and multiplied by the signs
     spectrum = np.linalg.eigvals(x[..., ::-1] * _FLIP_SIGNS)
     angles = np.sort(np.angle(spectrum), axis=-1)
@@ -174,13 +160,17 @@ def classify(inv: LocalInvariants, tol: float = CLASSIFY_TOL, gate=None):
     exact for sector-block gates but not for general ones. Pass the gate (or
     stack) the invariants belong to and PE is decided by the convex-hull
     test instead, which is exact for every two-qubit gate: no gap between
-    the eigenvalues of m wider than pi + tol.
+    the eigenvalues of m wider than pi + tol. A gate whose shape is not
+    that of the invariants with (4, 4) appended is refused.
     """
     if not tol >= 0:
         raise ValueError("tolerance must be non-negative")
     if gate is None:
         is_pe = ((abs(inv.g1) <= 0.25 + tol) & (-1.0 - tol <= inv.g2)
                  & (inv.g2 <= 1.0 + tol))
+    elif np.shape(gate) != (*np.shape(inv.g2), 4, 4):
+        raise ValueError(f"gate of shape {np.shape(gate)} does not match "
+                         f"invariants of shape {np.shape(inv.g2)}")
     else:
         is_pe = _hull_gap(gate) <= np.pi + tol
     labels = np.full(np.shape(is_pe), "NOT_PE", dtype=object)

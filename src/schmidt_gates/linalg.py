@@ -12,7 +12,10 @@ su2_exp through su2_product, which composes a stack of pairs along its last
 axis (leading axes are a batch); embed is the one place a pair becomes a
 4x4 matrix.
 gram_upper forms products of stacks held with the gate axis last, one
-length-n row per matrix entry; unitarity_defect is built on it.
+length-n row per matrix entry; unitarity_defect is built on it, and so is
+every 4x4 quantity of the invariants. gate_fidelity and
+phase_aligned_distance take tr(u^dag v) as one expression, the sum of
+conj(u) v over the flattened gate, with no matrix product.
 ATOL_PIPELINE is the default tolerance for quantities assembled from
 several stages.
 """
@@ -156,15 +159,22 @@ def embed(a, b, sector: str) -> np.ndarray:
     return np.add(u, 0.0, out=u)
 
 
+def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """tr(u^dag v) of two gates or elementwise over stacks, as the sum of
+    conj(u) v over one flattened last axis, so a gate alone gives the bits
+    it has in a stack."""
+    p = u.conj() * v
+    return p.reshape(*p.shape[:-2], -1).sum(axis=-1)
+
+
 def gate_fidelity(u: np.ndarray, v: np.ndarray):
     """|Tr(U^dag V)| / dim, insensitive to global phase on either gate, for
     two gates or elementwise over stacks (..., dim, dim). The modulus is
     np.hypot, which rounds as a complex scalar's abs does; numpy's array abs
     can differ from both in the last bit.
     """
-    u, v = np.asarray(u), np.asarray(v)
-    t = np.trace(u.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1)
-    return np.hypot(t.real, t.imag) / u.shape[-1]
+    t = _overlap(np.asarray(u), np.asarray(v))
+    return np.hypot(t.real, t.imag) / np.shape(u)[-1]
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
@@ -177,7 +187,6 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
     a stack.
     """
     u, v = np.asarray(u), np.asarray(v)
-    flat = (*u.shape[:-2], -1)
-    phase = np.exp(1j * np.angle((v.conj() * u).reshape(flat).sum(axis=-1)))
-    d = (u - phase[..., None, None] * v).reshape(flat)
+    phase = np.exp(1j * np.angle(_overlap(v, u)))
+    d = (u - phase[..., None, None] * v).reshape(*u.shape[:-2], -1)
     return np.sqrt((d.real ** 2 + d.imag ** 2).sum(axis=-1) / u.shape[-1])

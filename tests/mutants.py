@@ -133,8 +133,8 @@ MUTANTS = [
      "the Trotter errors without |b - b_n|^2: both error columns miss the "
      "off-diagonal part of the difference"),
     ("linalg.py",
-     "np.angle((v.conj() * u)",
-     "np.angle((u.conj() * v)",
+     "np.angle(_overlap(v, u))",
+     "np.angle(_overlap(u, v))",
      "the distance's phase from tr(u^dag v): v is turned by the conjugate "
      "of the optimal phase"),
     ("invariants.py",
@@ -182,6 +182,21 @@ MUTANTS = [
      "spectrum = np.linalg.eigvals(x * _FLIP_SIGNS)",
      "the hull test without the column reversal: it takes the eigenvalues "
      "of X times a diagonal, not of X S, so general gates are misclassed"),
+    ("invariants.py",
+     "return a01 * a23 - a02 * a13 + a03 * a12",
+     "return a01 * a23 + a02 * a13 + a03 * a12",
+     "the Pfaffian's middle sign: A02 A13 enters with the wrong sign, so "
+     "det U, and with it G1 and G2, are wrong"),
+    ("invariants.py",
+     "_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j]))",
+     "_J = ([2, 3, 0, 1], np.array([-1j, 1j, 1j, 1j]))",
+     "a J sign flipped: J is no longer antisymmetric, so U^T J U has no "
+     "Pfaffian and det U is wrong"),
+    ("invariants.py",
+     "[5, 7, 2, 9]",
+     "[5, 8, 2, 9]",
+     "a _SYMMETRIC entry: X21 is read from X13, so the hull test takes the "
+     "eigenvalues of a matrix that is not X S"),
 ]
 
 

@@ -1254,6 +1254,23 @@ def test_package_loads_a_submodule_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_names_itself_for_an_unknown_name_without_numpy():
+    # the lazy package's own __getattr__ and __dir__, which import nothing
+    code = ("import sys, schmidt_gates as sg\n"
+            "try:\n"
+            "    sg.missing\n"
+            "except AttributeError as exc:\n"
+            "    assert str(exc) == \"module 'schmidt_gates' has no "
+            "attribute 'missing'\", exc\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+            "assert set(sg.__all__) <= set(dir(sg))\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=PACKAGE_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_out_field_in_scenario(tmp_path, capsys):
     out = tmp_path / "from_field.json"
     scn = write_scenario(tmp_path, dict(ORANGE, out=str(out)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     LocalInvariants,
+    _det,
     _hull_gap,
     _traces,
     classify,
@@ -39,6 +40,13 @@ SQRT_SWAP = np.array([
     [1, 0, 0, 0],
     [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
     [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
+    [0, 0, 0, 1],
+], dtype=complex)
+
+ISWAP = np.array([
+    [1, 0, 0, 0],
+    [0, 0, 1j, 0],
+    [0, 1j, 0, 0],
     [0, 0, 0, 1],
 ], dtype=complex)
 
@@ -114,6 +122,23 @@ def test_reference_gate_invariants():
     for u, g1, g2 in cases:
         inv = makhlin_invariants(u)
         assert inv.g1 == g1 and inv.g2 == g2
+
+
+def test_det_is_numpys_on_haar_gates():
+    # the Pfaffian of u^T J u against LAPACK's LU determinant
+    rng = np.random.default_rng(64)
+    stack = np.array([haar_unitary(rng) for _ in range(2000)])
+    assert np.max(np.abs(_det(stack) - np.linalg.det(stack))) < 1e-14
+
+
+def test_det_of_textbook_gates_is_exact():
+    # J u only reorders u's rows and multiplies them by +-i, so the
+    # Pfaffian of these gates is their determinant to the bit
+    cases = [(np.eye(4, dtype=complex), 1.0), (CNOT, -1.0), (SWAP, -1.0),
+             (ISWAP, 1.0), (SQRT_SWAP, 1j)]
+    for u, det in cases:
+        (value,) = _det(u)
+        assert value == det
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (16, 16), (4, 2)])
@@ -264,26 +289,34 @@ def test_stacked_invariants_equal_per_gate_calls():
     assert grid.g1.shape == (20, 25)
 
 
+def _m_traces(gates):
+    """(tr m, tr m^2) of each gate, as rows, with the literal Bell basis."""
+    return np.array([(np.trace(m), np.trace(m @ m))
+                     for m in map(_magic_m, gates)]).T
+
+
+@pytest.mark.parametrize("quantity, reference", [
+    (_traces, _m_traces), (_det, np.linalg.det)], ids=["traces", "det"])
 @pytest.mark.parametrize("shape", [(1,), (777,), (20, 25)])
-def test_batched_traces_are_the_per_gate_traces(shape):
-    # the goldens' last digits rest on this: tr m and tr m^2 formed from
-    # X = u^T S u with the gate axis last have the same bits for a gate
-    # inside a stack as for the gate alone, and are m's traces
+def test_batched_gram_quantities_are_the_per_gate_ones(shape, quantity,
+                                                        reference):
+    # the goldens' last digits rest on this: tr m and tr m^2 from
+    # X = u^T S u, and det u from u^T J u, formed with the gate axis last
+    # have the same bits for a gate inside a stack as for the gate alone,
+    # and are m's traces and LAPACK's determinant
     rng = np.random.default_rng(61)
     a0, b0, w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, *shape))
     haar = np.array([haar_unitary(rng) for _ in range(a0.size)])
     for stack in (schmidt_gate(a0, b0, w), schmidt_gate(a0, b0, w, "lambda"),
                   haar.reshape(*shape, 4, 4)):
-        traces = np.array(_traces(stack))
+        values = np.atleast_2d(quantity(stack))
         gates = stack.reshape(-1, 4, 4)
-        assert traces.shape == (2, len(gates))
-        alone = [np.array(_traces(u))[:, 0] for u in gates]
-        bad = [k for k, tk in enumerate(alone)
-               if not np.array_equal(traces[:, k], tk)]
+        assert values.shape[1:] == (len(gates),)
+        alone = [np.atleast_2d(quantity(u))[:, 0] for u in gates]
+        bad = [k for k, vk in enumerate(alone)
+               if not np.array_equal(values[:, k], vk)]
         assert not bad, f"{len(bad)} of {len(gates)} gates differ"
-        product = np.array([(np.trace(m), np.trace(m @ m))
-                            for m in map(_magic_m, gates)])
-        assert np.max(np.abs(traces.T - product)) < 1e-14
+        assert np.max(np.abs(values - reference(gates))) < 1e-14
 
 
 def _oracle_invariants(u):
@@ -357,6 +390,19 @@ def test_classify_stack_equals_per_gate_calls():
         one = closed_form_invariants(a0[k], w[k])
         assert complex(closed.g1[k]) == complex(one.g1)
         assert float(closed.g2[k]) == float(one.g2)
+
+
+@pytest.mark.parametrize("gate_shape, inv_shape", [
+    ((3, 4, 4), ()), ((16, 16), ()), ((4, 4), (3,)), ((2, 3, 4, 4), (3, 2))],
+    ids=["stack-for-gate", "16x16-for-gate", "gate-for-stack", "transposed"])
+def test_classify_refuses_a_gate_of_another_shape(gate_shape, inv_shape):
+    # the hull test's labels must be those of the invariants' gates
+    inv = makhlin_invariants(np.broadcast_to(np.eye(4), (*inv_shape, 4, 4)))
+    gate = np.broadcast_to(np.eye(gate_shape[-1]), gate_shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"gate of shape {gate_shape} does not match invariants of shape "
+            f"{inv_shape}")):
+        classify(inv, gate=gate)
 
 
 def hull_contains_zero(points) -> bool:
