@@ -457,15 +457,15 @@ def _invariants_entry(inv) -> dict:
     return {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2}
 
 
-def _assess(u: np.ndarray, tol: float, closed=None, general=False):
+def _assess(u: np.ndarray, tol: float, closed=None):
     """(invariants, entangler class name, deviation) of the gate `u`, or
     arrays of them for a stack of gates: the one verdict of every command.
     The invariants hold `u` to be unitary within max(tol, ATOL_PIPELINE),
     the report's own tolerance but never below the pipeline's rounding; a
     gate further off is a scenario error. The deviation from the
-    closed-form invariants `closed` is None without them; a `general` gate,
-    one that is not a sector block, is classified by the convex-hull
-    test."""
+    closed-form invariants `closed` is None without them. The class comes
+    from the invariants alone, by the same rule for a sector block and for
+    a `matrix` gate."""
     import numpy as np
 
     from . import invariants, linalg
@@ -479,7 +479,7 @@ def _assess(u: np.ndarray, tol: float, closed=None, general=False):
     if closed is not None:
         deviation = np.maximum(abs(inv.g1 - closed.g1),
                                abs(inv.g2 - closed.g2))
-    label = invariants.classify(inv, tol, gate=u if general else None)
+    label = invariants.classify(inv, tol)
     return inv, label, deviation
 
 
@@ -539,7 +539,7 @@ def run_classify(scenario: dict, tol: float) -> _Result:
     defect = linalg.unitarity_defect(u)
     if closed is None and defect > tol:
         raise ScenarioError("gate matrix is not unitary within tolerance")
-    inv, label, deviation = _assess(u, tol, closed, general=closed is None)
+    inv, label, deviation = _assess(u, tol, closed)
     checks = {"gate_unitary": defect <= tol}
     if closed is not None:
         deviation = float(deviation)

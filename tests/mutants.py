@@ -65,15 +65,10 @@ MUTANTS = [
      "the arc start-rate sign: an arc's alpha' at its start has the wrong "
      "sign, and so does the field the CLI reports for it"),
     ("invariants.py",
-     'labels[is_pe & (abs(inv.g1) <= tol)] = "SPE"',
-     'labels[is_pe & (abs(inv.g1) <= 100 * tol)] = "SPE"',
+     'labels[is_pe & (r <= tol)] = "SPE"',
+     'labels[is_pe & (r <= 100 * tol)] = "SPE"',
      "the SPE threshold at 100 x tol: perfect entanglers with G1 up to "
      "100 tol are labelled special"),
-    ("invariants.py",
-     "is_pe = _hull_gap(gate) <= np.pi + tol",
-     "is_pe = _hull_gap(gate) <= np.pi + 1e-3",
-     "the hull gap at pi + 1e-3: gates whose eigenvalue gap exceeds pi by "
-     "less than 1e-3 are labelled perfect entanglers"),
     ("sphere.py",
      "pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)",
      "pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 3.0)",
@@ -138,8 +133,8 @@ MUTANTS = [
      "the distance's phase from tr(u^dag v): v is turned by the conjugate "
      "of the optimal phase"),
     ("invariants.py",
-     "is_pe = ((abs(inv.g1) <= 0.25 + tol)",
-     "is_pe = ((abs(inv.g1) < 0.25 + tol)",
+     "is_pe = ((r <= 0.25 + tol)",
+     "is_pe = ((r < 0.25 + tol)",
      "the G1 bound exclusive: a gate with |G1| exactly 1/4 + tol is not "
      "labelled a perfect entangler"),
     ("invariants.py",
@@ -163,10 +158,10 @@ MUTANTS = [
      "the arc's chart lift by 2 / pi: an arc's end lands off its start's "
      "chart copy, so every tilted arc is refused"),
     ("invariants.py",
-     "_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])",
-     "_FLIP_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])",
+     "_SPIN_FLIP = ([3, 2, 1, 0], np.array([-1.0, 1.0, 1.0, -1.0]))",
+     "_SPIN_FLIP = ([3, 2, 1, 0], np.array([1.0, 1.0, 1.0, -1.0]))",
      "a spin-flip sign lost: S U keeps U's last row unnegated, so X is not "
-     "U^T S U and both the invariants and the hull test are wrong"),
+     "U^T S U and the invariants are wrong"),
     ("invariants.py",
      "return (2.0 * (x12 - x03),",
      "return (2.0 * (x12 + x03),",
@@ -178,11 +173,6 @@ MUTANTS = [
      "tr m^2's cross terms at 2, not 4: the off-diagonal products of X S "
      "are counted once instead of twice, so G2 is wrong"),
     ("invariants.py",
-     "spectrum = np.linalg.eigvals(x[..., ::-1] * _FLIP_SIGNS)",
-     "spectrum = np.linalg.eigvals(x * _FLIP_SIGNS)",
-     "the hull test without the column reversal: it takes the eigenvalues "
-     "of X times a diagonal, not of X S, so general gates are misclassed"),
-    ("invariants.py",
      "return a01 * a23 - a02 * a13 + a03 * a12",
      "return a01 * a23 + a02 * a13 + a03 * a12",
      "the Pfaffian's middle sign: A02 A13 enters with the wrong sign, so "
@@ -193,10 +183,39 @@ MUTANTS = [
      "a J sign flipped: J is no longer antisymmetric, so U^T J U has no "
      "Pfaffian and det U is wrong"),
     ("invariants.py",
-     "[5, 7, 2, 9]",
-     "[5, 8, 2, 9]",
-     "a _SYMMETRIC entry: X21 is read from X13, so the hull test takes the "
-     "eigenvalues of a matrix that is not X S"),
+     "one_sided = ((im * im <= 4.0 * r * r * r)",
+     "one_sided = ((im * im <= r * r * r)",
+     "the clause's sin^2 Gamma <= |G1|, not 4 |G1|: gates the thresholds "
+     "admit with |G1| < sin^2 Gamma <= 4 |G1| are labelled perfect "
+     "entanglers though 0 lies outside m's hull"),
+    ("invariants.py",
+     "& (re * (re - g2 * r) < -tol * r * r))",
+     "& (re * (re - g2 * r) <= 0.0))",
+     "the clause without its tolerance: a gate within tol of the G2 = -1 "
+     "bound on the negative real G1 axis is not labelled a perfect "
+     "entangler"),
+    ("invariants.py",
+     "r, re, im = abs(g1), g1.real, g1.imag",
+     "r, re, im = abs(g1), g1.imag, g1.real",
+     "the clause with Re G1 and Im G1 swapped: it reads cos Gamma as "
+     "sin Gamma, so it excludes the wrong gates"),
+    ("invariants.py",
+     "& (re * (re - g2 * r) < -tol * r * r))",
+     "& (re * (re - g2) < -tol * r * r))",
+     "the clause's G2 |G1| as G2: cos Gamma - G2 is taken at the scale of "
+     "|G1|, so the clause excludes the wrong gates"),
+    ("invariants.py",
+     "             & ~one_sided)",
+     "             )",
+     "the thresholds without the clause: gates with 0 outside m's hull "
+     "that pass |G1| <= 1/4 and -1 <= G2 <= 1 are labelled perfect "
+     "entanglers"),
+    ("invariants.py",
+     "g1, g2 = np.asarray(inv.g1), np.asarray(inv.g2)",
+     "g1, g2 = inv.g1, inv.g2",
+     "the invariants taken as given: for Python scalars the masks are "
+     "Python bools, ~ on a bool is the int -1 or -2, and classify fails or "
+     "answers wrongly"),
 ]
 
 

@@ -10,7 +10,6 @@ from schmidt_gates.gates import schmidt_gate, u_general
 from schmidt_gates.invariants import (
     LocalInvariants,
     _det,
-    _hull_gap,
     _traces,
     classify,
     closed_form_invariants,
@@ -52,6 +51,11 @@ ISWAP = np.array([
 
 
 SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+# XX, YY and ZZ
+PAULI_PRODUCTS = [np.kron(p, p) for p in ([[0, 1], [1, 0]],
+                                          [[0, -1j], [1j, 0]],
+                                          [[1, 0], [0, -1]])]
 
 
 def haar_unitary(rng, dim=4):
@@ -103,10 +107,6 @@ def test_spin_flip_form_matches_magic_basis():
         assert abs(np.trace(xs @ xs) - np.trace(m @ m)) < 1e-14
         assert _same_spectrum(np.linalg.eigvals(xs), np.linalg.eigvals(m),
                               1e-12)
-        # the hull test's widest eigenvalue gap is m's
-        angles = np.sort(np.angle(np.linalg.eigvals(m)))
-        gap = np.diff(np.append(angles, angles[0] + 2 * np.pi)).max()
-        assert abs(_hull_gap(u) - gap) < 1e-12
 
 
 def test_reference_gate_invariants():
@@ -256,18 +256,48 @@ def test_classify_anchors():
 
 
 def test_classify_tolerance_boundaries():
+    # each bound pinned on both sides, for invariants given as Python
+    # scalars and as 0-d arrays alike
+    for form in (lambda x: x, np.asarray):
+        _pin_classify_boundaries(form)
+
+
+def _pin_classify_boundaries(form):
     tol = 1e-9
-    assert classify(LocalInvariants(0.25 + 0.5e-9, 0.0), tol) == "PE"
+
+    def label(g1, g2):
+        return classify(LocalInvariants(form(g1), form(g2)), tol)
+
+    assert label(0.25 + 0.5e-9, 0.0) == "PE"
     # the bound is inclusive: |G1| exactly 1/4 + tol is a perfect entangler
-    assert classify(LocalInvariants(0.25 + tol, 0.0), tol) == "PE"
-    assert classify(LocalInvariants(0.25 + 2e-9, 0.0), tol) == "NOT_PE"
-    assert classify(LocalInvariants(0.1, 1.0 + 0.5e-9), tol) == "PE"
-    assert classify(LocalInvariants(0.1, 1.0 + 2e-9), tol) == "NOT_PE"
-    assert classify(LocalInvariants(0.1, -1.0 - 2e-9), tol) == "NOT_PE"
-    assert classify(LocalInvariants(0.5e-9, 0.3), tol) == "SPE"
-    assert classify(LocalInvariants(2e-9, 0.3), tol) == "PE"
+    assert label(0.25 + tol, 0.0) == "PE"
+    assert label(0.25 + 2e-9, 0.0) == "NOT_PE"
+    assert label(0.1, 1.0 + 0.5e-9) == "PE"
+    assert label(0.1, 1.0 + 2e-9) == "NOT_PE"
+    assert label(0.1, -1.0 - 2e-9) == "NOT_PE"
+    assert label(0.5e-9, 0.3) == "SPE"
+    assert label(2e-9, 0.3) == "PE"
     with pytest.raises(ValueError):
-        classify(LocalInvariants(0.0, 0.0), tol=-1.0)
+        classify(LocalInvariants(form(0.0), form(0.0)), tol=-1.0)
+    # the clause excludes sin^2 Gamma <= 4 |G1| with
+    # cos Gamma (cos Gamma - G2) < -tol, G1 = |G1| e^{i Gamma}; on the
+    # negative real axis cos Gamma (cos Gamma - G2) = 1 + G2
+    assert label(-0.2, -1.0 - 0.5e-9) == "PE"
+    assert label(-0.2 + 0j, -1.0 - 0.5e-9) == "PE"
+    assert label(-0.2, -1.0 - 2e-9) == "NOT_PE"
+    # on the positive real axis it is 1 - G2; at G1 = 0 the clause is void
+    assert label(0.2, 1.0 + 0.5e-9) == "PE"
+    assert label(0.2, 1.0 + 2e-9) == "NOT_PE"
+    assert label(0.0, -1.0) == "SPE"
+    # Gamma = 2 pi / 3, |G1| = 0.2: sin^2 Gamma = 0.75 <= 0.8, and
+    # cos Gamma (cos Gamma - G2) = 1/4 + G2 / 2 is -tol at G2 = -1/2 - 2 tol
+    g1 = complex(-0.1, 0.1 * np.sqrt(3.0))
+    assert label(g1, -0.5 - 1e-9) == "PE"
+    assert label(g1, -0.5 - 3e-9) == "NOT_PE"
+    assert label(g1.conjugate(), -0.5 - 3e-9) == "NOT_PE"
+    # sin^2 Gamma = 4 |G1| at |G1| = 0.1875; below it the clause is void
+    assert label(0.1876 / 0.2 * g1, -0.9) == "NOT_PE"
+    assert label(0.1874 / 0.2 * g1, -0.9) == "PE"
 
 
 def test_stacked_invariants_equal_per_gate_calls():
@@ -392,27 +422,20 @@ def test_classify_stack_equals_per_gate_calls():
         assert float(closed.g2[k]) == float(one.g2)
 
 
-@pytest.mark.parametrize("gate_shape, inv_shape", [
-    ((3, 4, 4), ()), ((16, 16), ()), ((4, 4), (3,)), ((2, 3, 4, 4), (3, 2))],
-    ids=["stack-for-gate", "16x16-for-gate", "gate-for-stack", "transposed"])
-def test_classify_refuses_a_gate_of_another_shape(gate_shape, inv_shape):
-    # the hull test's labels must be those of the invariants' gates
-    inv = makhlin_invariants(np.broadcast_to(np.eye(4), (*inv_shape, 4, 4)))
-    gate = np.broadcast_to(np.eye(gate_shape[-1]), gate_shape)
-    with pytest.raises(ValueError, match=re.escape(
-            f"gate of shape {gate_shape} does not match invariants of shape "
-            f"{inv_shape}")):
-        classify(inv, gate=gate)
-
-
 def hull_contains_zero(points) -> bool:
     """Oracle: 0 lies in the convex hull of four points in the plane iff it
     lies in one of the triangles of three of them (Caratheodory), where a
-    triangle contains it iff the three edge cross products share a sign."""
+    triangle contains it iff the three edge cross products share a sign;
+    a triangle whose corners all lie on one line through 0 (every cross
+    product 0, as for the coincident eigenvalues of SWAP) contains it iff
+    two of them point opposite ways."""
     for a, b, c in itertools.combinations(points, 3):
-        cross = [(p.conjugate() * q).imag for p, q in ((a, b), (b, c), (c, a))]
+        edges = ((a, b), (b, c), (c, a))
+        cross = [(p.conjugate() * q).imag for p, q in edges]
         if min(cross) >= 0.0 or max(cross) <= 0.0:
-            return True
+            if any(cross) or min((p.conjugate() * q).real
+                                 for p, q in edges) < 0.0:
+                return True
     return False
 
 
@@ -427,34 +450,45 @@ def hull_class(u) -> str:
     return "SPE" if abs(inv.g1) <= 1e-9 else "PE"
 
 
+def _thresholds(inv, tol=1e-9):
+    """The |G1| and G2 thresholds alone, without classify's clause."""
+    return ((abs(inv.g1) <= 0.25 + tol) & (-1.0 - tol <= inv.g2)
+            & (inv.g2 <= 1.0 + tol))
+
+
 def test_classify_general_gate_by_hull():
     for u, label in ((np.eye(4), "NOT_PE"),
                      (SWAP, "NOT_PE"),
                      (CNOT, "SPE"),
                      (SQRT_SWAP, "PE"),
                      (u_general(-np.pi), "SPE")):
-        assert classify(makhlin_invariants(u), gate=u) == label
-    # on Haar gates the |G1|, G2 thresholds call some gates PE that are
-    # not; the hull test answers like the oracle on all of them
+        assert classify(makhlin_invariants(u)) == label
+    # on Haar gates the |G1|, G2 thresholds alone admit some gates that are
+    # not perfect entanglers; classify answers like the oracle on all of
+    # them, so its clause is what excludes those
     rng = np.random.default_rng(0)
     stack = np.array([haar_unitary(rng) for _ in range(2000)])
     inv = makhlin_invariants(stack)
-    by_hull = classify(inv, gate=stack)
-    by_rule = classify(inv)
-    assert list(by_hull) == [hull_class(u) for u in stack]
-    wrong = (by_rule != "NOT_PE") & (by_hull == "NOT_PE")
-    assert wrong.sum() >= 10
-    assert not np.any((by_hull != "NOT_PE") & (by_rule == "NOT_PE"))
+    labels = classify(inv)
+    oracle = np.array([hull_class(u) for u in stack], dtype=object)
+    assert list(labels) == list(oracle)
+    admitted = _thresholds(inv) & (oracle == "NOT_PE")
+    assert admitted.sum() >= 10
+    assert set(labels[admitted]) == {"NOT_PE"}
+    assert not np.any((oracle != "NOT_PE") & ~_thresholds(inv))
 
 
 @pytest.mark.parametrize("sector", ["gamma", "lambda"])
 def test_threshold_rule_is_exact_for_sector_blocks(sector):
+    # a sector block's class is the thresholds' and the oracle's
     x = np.random.default_rng(60).normal(size=(4, 2000))
     x /= np.linalg.norm(x, axis=0)
     stack = np.array([embed(a, b, sector)
                       for a, b in zip(x[0] + 1j * x[1], x[2] + 1j * x[3])])
     inv = makhlin_invariants(stack)
-    assert list(classify(inv)) == list(classify(inv, gate=stack))
+    labels = classify(inv)
+    assert list(labels) == [hull_class(u) for u in stack]
+    assert list(labels != "NOT_PE") == list(_thresholds(inv))
 
 
 @settings(deadline=None, max_examples=200)
@@ -465,11 +499,72 @@ def test_hull_class_of_haar_gates(seed):
     rng = np.random.default_rng(seed)
     u = haar_unitary(rng)
     inv = makhlin_invariants(u)
-    label = classify(inv, gate=u)
+    label = classify(inv)
     assert label == hull_class(u)
     before = tensor_product(random_unitary2(rng), random_unitary2(rng))
     after = tensor_product(random_unitary2(rng), random_unitary2(rng))
     moved = after @ u @ before
-    assert classify(makhlin_invariants(moved), gate=moved) == label
+    assert classify(makhlin_invariants(moved)) == label
     if label != "NOT_PE":
-        assert classify(inv) != "NOT_PE"
+        assert _thresholds(inv)
+
+
+def weyl_gate(c1, c2, c3):
+    """exp(i (c1 XX + c2 YY + c3 ZZ) / 2), the product of
+    cos(c/2) I + i sin(c/2) P over the three commuting Pauli products P."""
+    u = np.eye(4, dtype=complex)
+    for c, p in zip((c1, c2, c3), PAULI_PRODUCTS):
+        u = u @ (np.cos(c / 2) * np.eye(4) + 1j * np.sin(c / 2) * p)
+    return u
+
+
+def test_textbook_gates_keep_their_class():
+    s = 1 / np.sqrt(2)
+    cnot_reversed = SWAP @ CNOT @ SWAP
+    gates = {
+        "CNOT": (CNOT, "SPE"),
+        "CZ": (np.diag([1, 1, 1, -1]).astype(complex), "SPE"),
+        "iSWAP": (ISWAP, "SPE"),
+        "sqrt iSWAP": (np.array([[1, 0, 0, 0], [0, s, 1j * s, 0],
+                                 [0, 1j * s, s, 0], [0, 0, 0, 1]]), "PE"),
+        "sqrt SWAP": (SQRT_SWAP, "PE"),
+        "sqrt SWAP dagger": (SQRT_SWAP.conj().T, "PE"),
+        "B": (weyl_gate(np.pi / 2, np.pi / 4, 0.0), "SPE"),
+        "DCNOT": (CNOT @ cnot_reversed, "SPE"),
+        "SWAP": (SWAP, "NOT_PE"),
+        "CP(pi/2)": (np.diag([1, 1, 1, 1j]), "NOT_PE"),
+        # the Moelmer-Soerensen gate exp(-i pi/4 XX)
+        "XX(pi/4)": (s * (np.eye(4) - 1j * PAULI_PRODUCTS[0]), "SPE"),
+    }
+    for name, (u, label) in gates.items():
+        assert classify(makhlin_invariants(u)) == label, name
+        assert hull_class(u) == label, name
+
+
+@pytest.mark.parametrize("face", ["c1+c2", "c1-c2", "c2+c3"])
+def test_classify_near_the_pe_faces(face):
+    # Weyl-chamber gates on either side of a face of the PE polyhedron
+    # (Zhang, Vala, Sastry and Whaley), at 1e-3 and 1e-6 from it, under
+    # random local unitaries; inside is PE and outside NOT_PE, like the
+    # oracle says
+    rng = np.random.default_rng(34)
+    half = np.pi / 2
+    for t, s in rng.uniform(0.1, 0.9, size=(10, 2)):
+        # a point on the face, and the face's normal pointing inside
+        if face == "c1+c2":
+            c1 = half * (1 + t) / 2
+            point, normal = (c1, half - c1, s * (half - c1)), (1, 1, 0)
+        elif face == "c1-c2":
+            c1 = half * (1 + t / 2)
+            point, normal = (c1, c1 - half, s * (c1 - half)), (-1, 1, 0)
+        else:
+            c2 = half * (1 + t) / 2
+            point, normal = (c2 + s * (half - c2), c2, half - c2), (0, -1, -1)
+        for offset in (1e-3, -1e-3, 1e-6, -1e-6):
+            c = np.add(point, offset / 2 * np.array(normal))
+            before = tensor_product(random_unitary2(rng), random_unitary2(rng))
+            after = tensor_product(random_unitary2(rng), random_unitary2(rng))
+            u = after @ weyl_gate(*c) @ before
+            label = classify(makhlin_invariants(u))
+            assert label == ("PE" if offset > 0 else "NOT_PE"), (face, c)
+            assert hull_class(u) == label, (face, c)
