@@ -419,8 +419,6 @@ def _build_gate(spec: dict):
 
 
 def _pulse_summary(seg) -> dict:
-    import numpy as np
-
     from . import dynamics, sphere
 
     sampled = isinstance(seg, sphere.SampledSegment)
@@ -428,8 +426,7 @@ def _pulse_summary(seg) -> dict:
         # the exact time integrals of the field the polyline applies: per
         # piece, -(1/2) integral of sin(beta) d alpha, (1/2) integral of
         # cos(beta) d alpha and (1/2) d beta
-        _, sin_int = sphere._piece_integrals(seg.beta, seg.alpha, np.sin)
-        _, cos_int = sphere._piece_integrals(seg.beta, seg.alpha)
+        cos_int, sin_int = sphere._piece_integrals(seg.beta, seg.alpha)
         return {
             "kind": "sampled",
             "duration": float(seg.duration),
@@ -636,9 +633,9 @@ def run_trotter_sweep(scenario: dict, tol: float) -> _Result:
         # root of twice that, neither formed by a subtraction from 1
         diff = exact - dynamics.trotter_propagate(thetas[i], n_array[j])
         infid = 0.25 * (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
-        blocks.append(_render("%s,%s,%.17g,%.17g,%.17g\n", [
+        blocks.append(_render("%s,%s,%.17g,%.17g,%s\n", [
             theta_cells[i], n_cells[j], infid, np.sqrt(2.0 * infid),
-            omega[i - i[0]]]))
+            _cells(omega)[i - i[0]]]))
     return _table_result(
         "trotter-sweep",
         ["theta", "n", "infidelity", "trotter_error", "omega_empirical"],

@@ -170,7 +170,7 @@ def dynamical_phase(path: SchmidtPath) -> tuple[float, float]:
     phi_minus = -phi_plus; both vanish on geodesic-pair loops. Every
     segment contributes in closed form, a sampled segment piece by piece.
     """
-    phi_plus = -0.5 * sum(seg._beta_integrals()[1] for seg in path.segments)
+    phi_plus = -0.5 * path._beta_integrals()[1]
     return float(phi_plus), float(-phi_plus)
 
 

@@ -10,7 +10,8 @@ Pfaffian is det U. Every function here works elementwise on stacks, of
 (..., 4, 4) gates or of anchors and solid angles, so a table of gates is
 one call. A stack is handled with the gate axis innermost, so that a 4x4
 product is a few operations on length-n rows and the module makes no BLAS
-or LAPACK call.
+or LAPACK call. LocalInvariants of a stack hold arrays, so invariants
+compare and hash by identity, for a stack and for a single gate alike.
 
 A gate is a perfect entangler (PE) when 0 lies in the convex hull of the
 eigenvalues of m (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
@@ -33,12 +34,15 @@ from .linalg import ATOL_PIPELINE, gram_upper, unitarity_defect
 CLASSIFY_TOL = 1e-9
 
 # row maps R, as R U = U's rows `rows` times `signs`, an exact operation:
-# the spin flip S = Y x Y, and J = Y x I, whose Pfaffian is 1
-_SPIN_FLIP = ([3, 2, 1, 0], np.array([-1.0, 1.0, 1.0, -1.0]))
-_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j]))
+# the spin flip S = Y x Y, and J = Y x I, whose Pfaffian is 1; the signs are
+# complex and shaped to scale the rows of a stack held with the gate axis
+# last, so a map casts and reshapes nothing when it is applied
+_SPIN_FLIP = ([3, 2, 1, 0],
+              np.array([-1, 1, 1, -1], dtype=complex)[:, None, None])
+_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j])[:, None, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalInvariants:
     """Pair of local invariants; g1 is complex, g2 real for unitary input.
     Both are arrays of the stack's shape when computed for a stack."""
@@ -52,7 +56,7 @@ def _gram(u: np.ndarray, row_map) -> np.ndarray:
     (n,) rows, of a gate or of each gate of a stack."""
     rows, signs = row_map
     x = np.reshape(u, (-1, 4, 4)).transpose(1, 2, 0)
-    return gram_upper(x, signs[:, None, None] * x[rows])
+    return gram_upper(x, x.take(rows, 0) * signs)
 
 
 def _det(u: np.ndarray) -> np.ndarray:

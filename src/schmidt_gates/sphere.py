@@ -9,6 +9,13 @@ pair (alpha, beta) parametrizes a point
 on the Schmidt sphere. Paths through a pole are represented in an
 extended-alpha chart where alpha may leave [0, pi]; the identification
 (alpha, beta) ~ (-alpha, beta + pi) maps back to the same sphere point.
+
+A segment, a polyline or a rotation arc, is a curve in that chart whose
+start and end, integrals of d beta and of cos(alpha) d beta, and least and
+largest alpha are closed forms, formed once into one record when the
+segment is built; a path's record joins its segments'. Segments, paths and
+decompositions hold arrays, so they compare and hash by identity; only
+the coordinates (alpha, beta) compare by value.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ def assemble_state(alpha: float, beta: float, branch: str = "gamma+",
     return tensor_product(*frame_unitaries(frame)) @ state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Canonical-gauge Schmidt data of a two-qubit pure state."""
 
@@ -187,25 +194,44 @@ def concurrence(state: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-def _piece_integrals(x: np.ndarray, y: np.ndarray, f=np.cos):
-    """(integral of d y, integral of f(x) d y) on each piece of the polyline
-    through the samples (x, y), x and y linear in one parameter between
-    consecutive samples. f is cos or sin, whose mean over a piece is f at
-    the piece's midpoint times sinc(d x / 2 pi): for cos the integral is
-    d y (sin(x1) - sin(x0)) / d x, written so that a vanishing d x cancels
-    nothing.
+def _piece_integrals(x: np.ndarray, y: np.ndarray):
+    """(integral of cos(x) d y, integral of sin(x) d y) on each piece of the
+    polyline through the samples (x, y), x and y linear in one parameter
+    between consecutive samples. The mean of cos or sin over a piece is its
+    value at the piece's midpoint times sinc(d x / 2 pi): for cos the
+    integral is d y (sin(x1) - sin(x0)) / d x, written so that a vanishing
+    d x cancels nothing.
     """
     dx, dy = np.diff(x), np.diff(y)
-    return dy, dy * f(x[:-1] + 0.5 * dx) * np.sinc(dx / (2.0 * np.pi))
+    mid, sinc = x[:-1] + 0.5 * dx, np.sinc(dx / (2.0 * np.pi))
+    return dy * np.cos(mid) * sinc, dy * np.sin(mid) * sinc
+
+
+class _Curve:
+    """A segment or a path, read from the record that its __post_init__
+    builds once, `_record`: the chart coordinates (alpha, beta) at the
+    start and at the end, the integrals of d beta and of cos(alpha) d beta
+    along it, and, for a segment, the least and the largest alpha on it."""
+
+    def start_coords(self) -> SchmidtCoordinates:
+        return SchmidtCoordinates(*self._record[0:2])
+
+    def end_coords(self) -> SchmidtCoordinates:
+        return SchmidtCoordinates(*self._record[2:4])
+
+    def _beta_integrals(self) -> tuple[float, float]:
+        """(integral of d beta, integral of cos(alpha) d beta)."""
+        return self._record[4:6]
 
 
 @dataclass(frozen=True, eq=False)
-class SampledSegment:
+class SampledSegment(_Curve):
     """Chart samples (alpha, beta) at uniform times over the duration, at
     least two, joined as a polyline: alpha and beta are linear in time
     between consecutive samples, so each piece is a coordinate spiral (or a
     coordinate-aligned arc, or a hold) and the segment is exactly that
-    curve. Its end point and beta integrals are the pieces' closed forms."""
+    curve. Its end point and beta integrals are the pieces' closed forms,
+    and alpha, linear between samples, takes its extremes at samples."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -213,6 +239,7 @@ class SampledSegment:
     # rows alpha' and beta' on each piece, the sample steps over the time
     # step
     _rates: np.ndarray = field(init=False, repr=False)
+    _record: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -234,34 +261,14 @@ class SampledSegment:
         if abs(steps).max() > MAX_SPAN:
             raise ValueError(_SPAN_ERROR)
         object.__setattr__(self, "_rates", rates)
-
-    def start_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(float(self.alpha[0]), float(self.beta[0]))
-
-    def end_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(float(self.alpha[-1]), float(self.beta[-1]))
+        object.__setattr__(self, "_record", tuple(map(float, (
+            alpha[0], beta[0], alpha[-1], beta[-1], beta[-1] - beta[0],
+            _piece_integrals(alpha, beta)[0].sum(), alpha.min(),
+            alpha.max()))))
 
     def start_rates(self) -> tuple[float, float]:
         """(alpha', beta') at the start, the first piece's rates."""
         return tuple(self._rates[:, 0])
-
-    def __eq__(self, other):
-        return (isinstance(other, SampledSegment)
-                and self._key() == other._key())
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        """Samples and duration as plain floats, to compare and hash by."""
-        return (tuple(self.alpha.tolist()), tuple(self.beta.tolist()),
-                self.duration)
-
-    def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), the sum of
-        the pieces' closed forms."""
-        return (float(self.beta[-1] - self.beta[0]),
-                float(_piece_integrals(self.alpha, self.beta)[1].sum()))
 
 
 def linear_segment(alpha_start: float, beta_start: float, alpha_end: float,
@@ -284,12 +291,14 @@ def meridian_arc(beta: float, alpha_start: float, alpha_end: float,
     return linear_segment(alpha_start, beta, alpha_end, beta, duration)
 
 
-@dataclass(frozen=True)
-class ArcSegment:
+@dataclass(frozen=True, eq=False)
+class ArcSegment(_Curve):
     """The start point rotated by `angle` about a fixed axis (kept as a unit
     vector) at a constant rate, continuing the start coordinates in the
     chart. Its clearance, the least distance from the z axis, must be at
-    least 1e-9. Its end point and beta integrals are closed forms."""
+    least 1e-9. Its end point and beta integrals are closed forms, and
+    alpha, which follows the height, takes its extremes at the ends or
+    where the height turns."""
 
     alpha_start: float
     beta_start: float
@@ -297,8 +306,7 @@ class ArcSegment:
     angle: float
     duration: float
     clearance: float = field(init=False)
-    # end coordinates, then the integrals of d beta and of cos(alpha) d beta
-    _closed: tuple = field(init=False, repr=False, compare=False)
+    _record: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -356,15 +364,11 @@ class ArcSegment:
                        (num + den) - (num - den) * np.cos(u))
         north, south = ([-np.sign(d), np.sign(np.cos(e))]
                         * (0.5 * self.angle + w[:, 1] - w[:, 0]))
-        object.__setattr__(self, "_closed", (
-            float(alpha[1]), float(self.beta_start + north + south),
-            float(north + south), float(c0 * self.angle + north - south)))
-
-    def start_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(self.alpha_start, self.beta_start)
-
-    def end_coords(self) -> SchmidtCoordinates:
-        return SchmidtCoordinates(*self._closed[:2])
+        # the start as declared, which reports echo unchanged
+        object.__setattr__(self, "_record", (
+            self.alpha_start, self.beta_start, *map(float, (
+                alpha[1], self.beta_start + north + south, north + south,
+                c0 * self.angle + north - south, alpha.min(), alpha.max()))))
 
     def start_rates(self) -> tuple[float, float]:
         """(alpha', beta') at the start: the exact rates of
@@ -376,10 +380,6 @@ class ArcSegment:
         # beta' = (x y' - y x') / rho^2
         return (-np.sign(self.alpha_start) * rate * (kx * y - ky * x) / rho,
                 rate * (kz - z * (kx * x + ky * y) / rho ** 2))
-
-    def _beta_integrals(self) -> tuple[float, float]:
-        """(integral of d beta, integral of cos(alpha) d beta), closed form."""
-        return self._closed[2:]
 
 
 def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
@@ -393,18 +393,21 @@ def rotation_arc(alpha_start: float, beta_start: float, axis, angle: float,
     return arc
 
 
-@dataclass(frozen=True)
-class SchmidtPath:
+@dataclass(frozen=True, eq=False)
+class SchmidtPath(_Curve):
     """Piecewise path of Schmidt coordinates in the extended-alpha chart.
 
     Segments must be chart-continuous at the junctions (strictly, in both
     alpha and beta, so the (f, g) bookkeeping never jumps). A path flagged
     closed must return to its starting sphere point, though its chart
-    endpoint may be the identified copy, as in a pole-crossing loop.
+    endpoint may be the identified copy, as in a pole-crossing loop. It
+    starts where its first segment starts and ends where its last ends, and
+    its beta integrals are the sums of its segments'.
     """
 
     segments: tuple
     closed: bool = False
+    _record: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -418,18 +421,15 @@ class SchmidtPath:
                     or abs(end.beta - start.beta) > CHART_TOL):
                 raise ValueError(
                     f"path is discontinuous between segments {i} and {i + 1}")
+        object.__setattr__(self, "_record", (
+            *segments[0]._record[:2], *segments[-1]._record[2:4],
+            *(sum(seg._record[k] for seg in segments) for k in (4, 5))))
         if self.closed:
             gap = np.linalg.norm(self.start_coords().point()
                                  - self.end_coords().point())
             if gap > CHART_TOL:
                 raise ValueError("path is flagged closed but endpoints differ "
                                  f"by {gap:.3e} on the sphere")
-
-    def start_coords(self) -> SchmidtCoordinates:
-        return self.segments[0].start_coords()
-
-    def end_coords(self) -> SchmidtCoordinates:
-        return self.segments[-1].end_coords()
 
     @property
     def duration(self) -> float:
@@ -442,25 +442,23 @@ def solid_angle(path: SchmidtPath) -> float:
     Evaluates the loop integral of (1 - cos(alpha)) d(beta) over the
     continuous extended-alpha chart, in closed form for every segment (for
     a polyline, piece by piece). The chart form is singular at the south
-    pole (a crossing shifts it by 2*pi), so a segment whose alpha range
-    reaches an odd multiple of pi raises ValueError; pole crossings must
-    run through alpha = 0. Rotation arcs never meet a pole, and alpha is
-    linear between a polyline's samples, so its samples bound its alpha
-    range.
+    pole (a crossing shifts it by 2*pi), so a segment whose alpha range, as
+    its record holds it, reaches an odd multiple of pi raises ValueError;
+    pole crossings must run through alpha = 0. Rotation arcs never meet a
+    pole.
     """
     if not path.closed:
         raise ValueError("solid angle requires a closed path")
     total = 0.0
     for i, seg in enumerate(path.segments):
-        if isinstance(seg, SampledSegment):
-            lo, hi = seg.alpha.min(), seg.alpha.max()
-            # smallest odd multiple of pi at or above lo
-            pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
-            if pole <= hi:
-                raise ValueError(
-                    f"segment {i} reaches the south pole (alpha = "
-                    f"{pole:.6g}), where the chart solid angle is singular; "
-                    "route pole crossings through alpha = 0")
+        lo, hi = seg._record[6:]
+        # smallest odd multiple of pi at or above lo
+        pole = np.pi * (2.0 * np.ceil(0.5 * (lo / np.pi - 1.0)) + 1.0)
+        if pole <= hi:
+            raise ValueError(
+                f"segment {i} reaches the south pole (alpha = "
+                f"{pole:.6g}), where the chart solid angle is singular; "
+                "route pole crossings through alpha = 0")
         dbeta, cos_int = seg._beta_integrals()
         total += dbeta - cos_int
     return float(total)

@@ -55,8 +55,8 @@ MUTANTS = [
      "the su2_product order: neighbours compose earlier on the left, which "
      "reverses the time order of non-commuting steps"),
     ("sphere.py",
-     "float(c0 * self.angle + north - south)",
-     "float(c0 * self.angle - north + south)",
+     "c0 * self.angle + north - south,",
+     "c0 * self.angle - north + south,",
      "the arc cos-integral sign: the pole terms of an arc's integral of "
      "cos(alpha) d beta enter with the wrong sign"),
     ("sphere.py",
@@ -158,8 +158,8 @@ MUTANTS = [
      "the arc's chart lift by 2 / pi: an arc's end lands off its start's "
      "chart copy, so every tilted arc is refused"),
     ("invariants.py",
-     "_SPIN_FLIP = ([3, 2, 1, 0], np.array([-1.0, 1.0, 1.0, -1.0]))",
-     "_SPIN_FLIP = ([3, 2, 1, 0], np.array([1.0, 1.0, 1.0, -1.0]))",
+     "np.array([-1, 1, 1, -1], dtype=complex)",
+     "np.array([1, 1, 1, -1], dtype=complex)",
      "a spin-flip sign lost: S U keeps U's last row unnegated, so X is not "
      "U^T S U and the invariants are wrong"),
     ("invariants.py",
@@ -178,8 +178,8 @@ MUTANTS = [
      "the Pfaffian's middle sign: A02 A13 enters with the wrong sign, so "
      "det U, and with it G1 and G2, are wrong"),
     ("invariants.py",
-     "_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j]))",
-     "_J = ([2, 3, 0, 1], np.array([-1j, 1j, 1j, 1j]))",
+     "_J = ([2, 3, 0, 1], np.array([-1j, -1j, 1j, 1j])[:, None, None])",
+     "_J = ([2, 3, 0, 1], np.array([-1j, 1j, 1j, 1j])[:, None, None])",
      "a J sign flipped: J is no longer antisymmetric, so U^T J U has no "
      "Pfaffian and det U is wrong"),
     ("invariants.py",
@@ -216,6 +216,33 @@ MUTANTS = [
      "the invariants taken as given: for Python scalars the masks are "
      "Python bools, ~ on a bool is the int -1 or -2, and classify fails or "
      "answers wrongly"),
+    ("sphere.py",
+     "alpha[0], beta[0], alpha[-1], beta[-1], beta[-1] - beta[0],",
+     "alpha[-1], beta[-1], alpha[-1], beta[-1], beta[-1] - beta[0],",
+     "a polyline's start taken from its last sample: its record starts "
+     "where it ends, so paths break at its junctions and reports give the "
+     "wrong base point"),
+    ("sphere.py",
+     "return dy * np.cos(mid) * sinc, dy * np.sin(mid) * sinc",
+     "return dy * np.sin(mid) * sinc, dy * np.cos(mid) * sinc",
+     "the piece integrals' cos and sin swapped: a polyline's integral of "
+     "cos(alpha) d beta, and its report's areas, are formed from sin"),
+    ("sphere.py",
+     "c0 * self.angle + north - south, alpha.min(), alpha.max()))))",
+     "c0 * self.angle + north - south, alpha[:2].min(), alpha[:2].max()))))",
+     "an arc's alpha range from its ends only: the z-turns are dropped, so "
+     "an arc whose alpha peaks mid-way records too narrow a range"),
+    ("sphere.py",
+     "            alpha.max()))))",
+     "            alpha[[0, -1]].max()))))",
+     "a polyline's largest alpha from its ends only: a polyline that "
+     "reaches the south pole between its ends is answered with a singular "
+     "chart solid angle"),
+    ("sphere.py",
+     "*segments[0]._record[:2], *segments[-1]._record[2:4],",
+     "*segments[0]._record[:2], *segments[0]._record[2:4],",
+     "a path's end taken from its first segment: a closed path of several "
+     "segments seems open, and an open one ends at its first junction"),
 ]
 
 

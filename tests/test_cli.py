@@ -1046,6 +1046,34 @@ def test_sampled_schedule_areas_are_exact(tmp_path, capsys):
     assert pulse["area_z"] == 0.5 * (beta[-1] - beta[0])
 
 
+def test_closed_simulate_passes_over_a_polyline_twice(tmp_path, capsys,
+                                                     monkeypatch):
+    # a polyline's piece integrals are formed once into its record, which
+    # solid_angle and dynamical_phase read, and once for its report's areas
+    from schmidt_gates import sphere
+
+    passes = []
+    piece_integrals = sphere._piece_integrals
+
+    def counted(*args):
+        passes.append(len(args[0]))
+        return piece_integrals(*args)
+
+    monkeypatch.setattr(sphere, "_piece_integrals", counted)
+    t = np.linspace(0.0, 1.0, 40)
+    scn = write_scenario(tmp_path, {
+        "schema_version": 1, "command": "simulate",
+        "path": {"segments": [{
+            "kind": "sampled", "duration": 1.0,
+            "alpha": (1.0 + 0.2 * np.sin(2 * np.pi * t)).tolist(),
+            "beta": (2 * np.pi * t).tolist()}], "closed": True}})
+    out = tmp_path / "report.json"
+    code, _, err = run_main(["simulate", scn, "--out", str(out)], capsys)
+    assert code == 0, err
+    assert json.loads(out.read_text())["solid_angle"] is not None
+    assert passes == [40, 40]
+
+
 def test_two_sample_tilted_arc_runs(tmp_path, capsys):
     # neither a tilted arc nor a coordinate spiral is sampled: each runs as
     # one rotating pulse at any sampling, reported by its field at the start

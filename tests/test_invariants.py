@@ -375,6 +375,14 @@ def test_invariants_match_eigenvalue_oracle():
         assert np.max(np.abs(inv.g2 - oracle[:, 1])) < 1e-13
 
 
+def test_stacked_invariants_compare_and_hash_by_identity():
+    # invariants of a stack hold arrays, which have no truth value
+    stack = schmidt_gate(np.linspace(0.1, 3.0, 5), 0.2, 1.3)
+    one, twin = makhlin_invariants(stack), makhlin_invariants(stack)
+    assert one == one and one != twin and not one == twin
+    assert hash(one) == hash(one) and len({one, twin}) == 2
+
+
 def test_empty_stack_has_empty_invariants():
     inv = makhlin_invariants(np.empty((0, 4, 4)))
     assert inv.g1.shape == inv.g2.shape == (0,)

@@ -29,6 +29,7 @@ from reference import (
     random_loop,
     reverse,
     reverse_path,
+    rodrigues,
 )
 
 TOL = 1e-12
@@ -490,28 +491,63 @@ def test_arc_rates_are_exact():
                                           rel=1e-7, abs=1e-8)
 
 
-def test_segments_and_paths_compare_and_hash_by_value():
-    # polylines compare by their samples and duration, as arcs do by their
-    # fields, and equal segments, and paths of them, hash equal
+def test_segments_and_paths_compare_and_hash_by_identity():
+    # segments and paths hold arrays, which have no truth value: equal-valued
+    # ones are distinct objects, and comparing or hashing them never reads
+    # their fields
     seg = linear_segment(0.1, 0.2, 0.3, 0.4, 1.0)
-    same = linear_segment(0.1, 0.2, 0.3, 0.4, 1.0)
-    assert seg == same and hash(seg) == hash(same)
-    signed = (SampledSegment([0.1, -0.0], [0.2, 0.4], 1),
-              SampledSegment([0.1, 0.0], [0.2, 0.4], 1.0))
-    assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+    poly = SampledSegment([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], 1.0)
     arc = rotation_arc(0.3, 0.4, (1.0, 0.0, 1.0), 0.1, 1.0)
-    others = [linear_segment(0.1, 0.2, 0.3, 0.5, 1.0),
-              linear_segment(0.1, 0.2, 0.3, 0.4, 2.0),
-              SampledSegment([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], 1.0), arc]
-    for other in others:
-        assert seg != other and not seg == other
-    assert seg != "segment"
-    assert len({seg, same, *others}) == 5
     path = SchmidtPath((seg, arc))
-    again = SchmidtPath((same, rotation_arc(0.3, 0.4, (1.0, 0.0, 1.0), 0.1,
-                                            1.0)))
-    assert path == again and hash(path) == hash(again)
-    assert path != SchmidtPath((others[1], arc))
+    twins = [(seg, linear_segment(0.1, 0.2, 0.3, 0.4, 1.0)),
+             (poly, SampledSegment([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], 1.0)),
+             (arc, rotation_arc(0.3, 0.4, (1.0, 0.0, 1.0), 0.1, 1.0)),
+             (path, SchmidtPath((seg, arc)))]
+    for one, twin in twins:
+        assert one == one and hash(one) == hash(one)
+        assert one != twin and not one == twin
+        assert one != "segment"
+    assert len({obj for pair in twins for obj in pair}) == 8
+
+
+def test_decompositions_compare_and_hash_by_identity():
+    # a decomposition holds its local states as arrays; its coordinates,
+    # two floats, keep value equality
+    psi = random_state(np.random.default_rng(45))
+    one, twin = schmidt_decompose(psi), schmidt_decompose(psi)
+    assert one == one and one != twin and not one == twin
+    assert hash(one) == hash(one) and len({one, twin}) == 2
+    assert one.coords == twin.coords
+    assert hash(one.coords) == hash(twin.coords)
+
+
+def test_arc_alpha_range_is_the_lift_range():
+    # an arc's record holds the least and largest alpha it reaches, from its
+    # ends and the points where its height turns; a 4097-point Rodrigues
+    # lift meets them to within its step's reach (alpha'' <= 1 / clearance)
+    k = np.array([np.sin(0.5), 0.0, np.cos(0.5)])
+    # 0.6 rad before the lowest point of the circle through alpha = 1.2
+    r0 = rodrigues(k, sphere_point(1.2, 0.0), [-0.6])[:, 0]
+    a0, b0 = np.arctan2(np.hypot(r0[0], r0[1]), r0[2]), np.arctan2(r0[1],
+                                                                 r0[0])
+    peaked = rotation_arc(a0, b0, tuple(k), 1.2, 1.0)
+    arcs = [peaked, rotation_arc(a0, b0, tuple(k), -5.0, 1.0),
+            *_random_arcs(46, 20, turns=1.5)]
+    for arc in arcs:
+        start = arc.start_coords()
+        copy = rotation_arc(-start.alpha, start.beta + np.pi, arc.axis,
+                            arc.angle, arc.duration)
+        for seg in (arc, copy):
+            alpha, _, _ = lift(seg.alpha_start, seg.beta_start, seg.axis,
+                               seg.angle, 4097)
+            reach = (seg.angle / 4096) ** 2 / seg.clearance + 1e-12
+            lo, hi = seg._record[6:]
+            assert alpha.min() - reach <= lo <= alpha.min() + 1e-12
+            assert alpha.max() - 1e-12 <= hi <= alpha.max() + reach
+    # the peaked arc's alpha is largest mid-way, 1.2 at its lowest point
+    ends = (peaked.alpha_start, peaked.end_coords().alpha)
+    assert peaked._record[6:] == pytest.approx((min(ends), 1.2), abs=1e-12)
+    assert max(ends) < 1.2 - 0.05
 
 
 def test_sampled_segment_validation():
