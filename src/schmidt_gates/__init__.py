@@ -23,10 +23,10 @@ _EXPORTS = {
         "equator_arc", "frame_unitaries", "linear_segment", "meridian_arc",
         "rotation_arc", "schmidt_decompose", "solid_angle",
         "sphere_point"], "sphere"),
-    **dict.fromkeys(["schmidt_gate", "u_general"], "gates"),
+    **dict.fromkeys(["schmidt_gate", "schmidt_pair", "u_general"], "gates"),
     **dict.fromkeys([
         "LocalInvariants", "classify", "closed_form_invariants",
-        "makhlin_invariants"], "invariants"),
+        "makhlin_invariants", "pair_invariants"], "invariants"),
     **dict.fromkeys([
         "Pulse", "composed_tilted_gate", "dynamical_phase",
         "extract_rotation_angle", "orange_slice_path", "propagate",

@@ -22,8 +22,8 @@ The module imports only the standard library. numpy and the numerical
 layers are imported by the functions that use them, reached once `main`
 has accepted the scenario, so `--help`, a bad command line and a rejected
 scenario are answered without them. A call into a layer goes through the
-layer module (`dynamics.propagate`), where a wrapper set on the module is
-seen."""
+layer module (`invariants.pair_invariants`), where a wrapper set on the
+module is seen."""
 
 from __future__ import annotations
 
@@ -388,26 +388,27 @@ def _build_path(spec: dict, loop: bool) -> SchmidtPath:
 
 
 def _build_gate(spec: dict):
-    """Returns (matrix, echo-dict, closed_form_invariants or None); a
-    general matrix gate is the one without a closed form."""
+    """Returns (gate, echo-dict, closed_form_invariants or None): a
+    geometric or rotation gate is its sector's Cayley-Klein pair (a, b), a
+    `matrix` gate, the one without a closed form, its 4x4 matrix."""
     import numpy as np
 
     from . import gates, invariants
 
     if spec["kind"] == "geometric":
         sector = spec.get("sector", "gamma")
-        u = gates.schmidt_gate(spec["alpha0"], spec["beta0"], spec["omega"],
-                               sector)
+        pair = gates.schmidt_pair(spec["alpha0"], spec["beta0"],
+                                  spec["omega"])
         echo = {"kind": "geometric", "alpha0": spec["alpha0"],
                 "beta0": spec["beta0"], "omega": spec["omega"],
                 "sector": sector}
         closed = invariants.closed_form_invariants(spec["alpha0"],
                                                    spec["omega"])
-        return u, echo, closed
+        return pair, echo, closed
     if spec["kind"] == "rotation":
-        u = gates.u_general(spec["omega"])
+        pair = gates.rotation_pair(spec["omega"])
         closed = invariants.closed_form_invariants(math.pi / 2, spec["omega"])
-        return u, {"kind": "rotation", "omega": spec["omega"]}, closed
+        return pair, {"kind": "rotation", "omega": spec["omega"]}, closed
     u = np.array([[complex(re, im) for re, im in row]
                   for row in spec["matrix"]])
     return u, {"kind": "matrix"}, None
@@ -454,34 +455,43 @@ def _invariants_entry(inv) -> dict:
     return {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2}
 
 
-def _assess(u: np.ndarray, tol: float, closed=None):
-    """(invariants, entangler class name, deviation) of the gate `u`, or
-    arrays of them for a stack of gates: the one verdict of every command.
-    The invariants hold `u` to be unitary within max(tol, ATOL_PIPELINE),
-    the report's own tolerance but never below the pipeline's rounding; a
-    gate further off is a scenario error. The deviation from the
-    closed-form invariants `closed` is None without them. The class comes
-    from the invariants alone, by the same rule for a sector block and for
-    a `matrix` gate."""
-    import numpy as np
-
-    from . import invariants, linalg
+def _invariants(route, *gate, tol: float):
+    """The invariants `route` reads from `gate`, its arguments: a sector
+    gate's Cayley-Klein pair a, b for invariants.pair_invariants, a 4x4
+    gate or stack of them for invariants.makhlin_invariants. Either holds
+    the gate to be unitary within max(tol, ATOL_PIPELINE), the report's own
+    tolerance but never below the pipeline's rounding; a gate further off
+    is a scenario error. The class of every command comes from these
+    invariants, by the one rule of invariants.classify."""
+    from . import linalg
 
     try:
-        inv = invariants.makhlin_invariants(
-            u, max(tol, linalg.ATOL_PIPELINE))
+        return route(*gate, max(tol, linalg.ATOL_PIPELINE))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    deviation = None
-    if closed is not None:
-        deviation = np.maximum(abs(inv.g1 - closed.g1),
-                               abs(inv.g2 - closed.g2))
-    label = invariants.classify(inv, tol)
-    return inv, label, deviation
+
+
+def _deviation(inv, ref):
+    """max(|G1 - G1'|, |G2 - G2'|) of two sets of invariants, elementwise
+    over a stack."""
+    import numpy as np
+
+    return np.maximum(abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
+
+
+def _sector_invariants(pair: tuple, u: np.ndarray, tol: float):
+    """(invariants, iswap_type) of a sector gate: its invariants read from
+    its Cayley-Klein pair, and whether the Gram route on its embedded 4x4
+    gate `u` gives them within tol, as an iSWAP-type gate's must."""
+    from . import invariants
+
+    inv = _invariants(invariants.pair_invariants, *pair, tol=tol)
+    gram = _invariants(invariants.makhlin_invariants, u, tol=tol)
+    return inv, bool(_deviation(gram, inv) <= tol)
 
 
 def run_simulate(scenario: dict, tol: float) -> _Result:
-    from . import dynamics, gates, linalg, sphere
+    from . import dynamics, gates, invariants, linalg, sphere
 
     sector = scenario.get("sector", "gamma")
     loop = scenario.get("loop", True)
@@ -495,7 +505,8 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         phi_plus, phi_minus = dynamics.dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
-    u = dynamics.propagate(schedule, sector)
+    pair = dynamics._pair(schedule)
+    u = linalg.embed(*pair, sector)
     phase_zero = abs(phi_plus) <= tol
     start = path.start_coords()
 
@@ -509,7 +520,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
 
-    inv, label, _ = _assess(u, tol)
+    inv, checks["iswap_type"] = _sector_invariants(pair, u, tol)
     return _json_result("simulate", {
         "sector": sector,
         "loop": loop,
@@ -524,29 +535,35 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         "predicted_gate": predicted,
         "propagator": matrix_entries(u),
         "invariants": _invariants_entry(inv),
-        "entangler_class": label,
+        "entangler_class": invariants.classify(inv, tol),
     }, tol, checks)
 
 
 def run_classify(scenario: dict, tol: float) -> _Result:
-    from . import linalg
+    from . import invariants, linalg
 
-    u, echo, closed = _build_gate(scenario["gate"])
-    # a matrix gate is input, refused before its invariants are formed
-    defect = linalg.unitarity_defect(u)
-    if closed is None and defect > tol:
-        raise ScenarioError("gate matrix is not unitary within tolerance")
-    inv, label, deviation = _assess(u, tol, closed)
-    checks = {"gate_unitary": defect <= tol}
-    if closed is not None:
-        deviation = float(deviation)
+    gate, echo, closed = _build_gate(scenario["gate"])
+    if closed is None:
+        # a matrix gate is input, refused before its invariants are formed
+        defect = linalg.unitarity_defect(gate)
+        if defect > tol:
+            raise ScenarioError("gate matrix is not unitary within tolerance")
+        inv = _invariants(invariants.makhlin_invariants, gate, tol=tol)
+        checks = {"gate_unitary": defect <= tol}
+        deviation = None
+    else:
+        u = linalg.embed(*gate, echo.get("sector", "gamma"))
+        checks = {"gate_unitary": linalg.unitarity_defect(u) <= tol}
+        inv, iswap = _sector_invariants(gate, u, tol)
+        deviation = float(_deviation(inv, closed))
         checks["matches_closed_form"] = deviation <= tol
+        checks["iswap_type"] = iswap
     return _json_result("classify", {
         "gate": echo,
         "invariants": _invariants_entry(inv),
         "closed_form": None if closed is None else _invariants_entry(closed),
         "closed_form_deviation": deviation,
-        "entangler_class": label,
+        "entangler_class": invariants.classify(inv, tol),
     }, tol, checks)
 
 
@@ -565,10 +582,10 @@ def _grid(scenario: dict, field: str) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
-# Grid points (sweep-map) or theta values (trotter-sweep) per pipeline call:
-# large enough that numpy's per-call cost is spread thin, small enough that
-# a large grid's working arrays stay a few hundred kB instead of growing
-# with the grid.
+# Grid points (sweep-map, one Cayley-Klein pair each) or theta values
+# (trotter-sweep) per pipeline call: large enough that numpy's per-call cost
+# is spread thin, small enough that a large grid's working arrays stay a
+# few hundred kB instead of growing with the grid.
 _SWEEP_BLOCK = 512
 
 
@@ -584,18 +601,19 @@ def run_sweep_map(scenario: dict, tol: float) -> _Result:
     blocks = []
     max_dev = 0.0
     points = alphas.size * omegas.size
-    # the grid in row order (alpha0 slow), one block of points at a time
+    # the grid in row order (alpha0 slow), one block of points at a time,
+    # each judged from its Cayley-Klein pair: no 4x4 gate is built
     for start in range(0, points, _SWEEP_BLOCK):
         i, j = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, points)),
                          omegas.size)
         a, w = alphas[i], omegas[j]
-        inv, labels, deviation = _assess(
-            gates.schmidt_gate(a, beta0, w), tol,
-            invariants.closed_form_invariants(a, w))
-        max_dev = max(max_dev, deviation.max())
+        inv = _invariants(invariants.pair_invariants,
+                          *gates.schmidt_pair(a, beta0, w), tol=tol)
+        max_dev = max(max_dev, _deviation(
+            inv, invariants.closed_form_invariants(a, w)).max())
         blocks.append(_render("%s,%s,%.17g,%.17g,%.17g,%s\n", [
             alpha_cells[i], omega_cells[j], inv.g1.real, inv.g1.imag, inv.g2,
-            labels]))
+            invariants.classify(inv, tol)]))
     return _table_result(
         "sweep-map",
         ["alpha0", "omega", "g1_re", "g1_im", "g2", "entangler_class"], blocks,

@@ -2,16 +2,21 @@
 
 The invariants (G1, G2) are those of Makhlin's matrix m in the Bell (magic)
 basis; they are unchanged under single-qubit rotations before and after the
-gate. They are read without a change of basis, from X = U^T S U with the
-spin flip S = Y x Y, whose product X S has m's spectrum. Every 4x4
-quantity is one Gram product of U with an exact row map R of U, U^T R U
-(`linalg.gram_upper`): X for the traces, and U^T J U with J = Y x I, whose
-Pfaffian is det U. Every function here works elementwise on stacks, of
-(..., 4, 4) gates or of anchors and solid angles, so a table of gates is
-one call. A stack is handled with the gate axis innermost, so that a 4x4
-product is a few operations on length-n rows and the module makes no BLAS
-or LAPACK call. LocalInvariants of a stack hold arrays, so invariants
-compare and hash by identity, for a stack and for a single gate alike.
+gate. A sector gate, an SU(2) rotation of one sector's pair with the
+identity on the other, is known by its Cayley-Klein pair (a, b), and its
+invariants are read from the pair alone (`pair_invariants`): it is locally
+equivalent to exp(i c (XX + YY) / 2) with cos c = |a|, an iSWAP-type gate.
+A general 4x4 gate's are read without a change of basis, from
+X = U^T S U with the spin flip S = Y x Y, whose product X S has m's
+spectrum. Every 4x4 quantity is one Gram product of U with an exact row
+map R of U, U^T R U (`linalg.gram_upper`): X for the traces, and U^T J U
+with J = Y x I, whose Pfaffian is det U. Every function here works
+elementwise on stacks, of pairs, of (..., 4, 4) gates or of anchors and
+solid angles, so a table of gates is one call. A stack of gates is
+handled with the gate axis innermost, so that a 4x4 product is a few
+operations on length-n rows and the module makes no BLAS or LAPACK call.
+LocalInvariants of a stack hold arrays, so invariants compare and hash by
+identity, for a stack and for a single gate alike.
 
 A gate is a perfect entangler (PE) when 0 lies in the convex hull of the
 eigenvalues of m (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
@@ -123,6 +128,31 @@ def makhlin_invariants(u: np.ndarray,
     shape = u.shape[:-2]
     return LocalInvariants(g1=g1.reshape(shape)[()],
                            g2=g2.real.reshape(shape)[()])
+
+
+def pair_invariants(a, b, atol: float = ATOL_PIPELINE) -> LocalInvariants:
+    """Local invariants of the sector gate of Cayley-Klein pair (a, b), in
+    either sector, or of each gate of arrays of pairs (a and b broadcast).
+
+    The gate is locally equivalent to the iSWAP-type gate of Weyl
+    coordinates (c, c, 0) with cos c = |a| (Zhang, Vala, Sastry and
+    Whaley, PRA 67, 042313 (2003)), so with p = |a|^2 / (|a|^2 + |b|^2),
+    G1 = p^2, real, and G2 = 4 p - 1. |a|^2 and |b|^2 are sums of the real
+    squares of the parts, with no complex product or modulus, so their bits
+    do not depend on the SIMD code numpy dispatches. A pair with
+    | |a|^2 + |b|^2 - 1 | beyond `atol`, or not finite, is refused, as
+    makhlin_invariants refuses a gate that far from unitary.
+    """
+    a, b = (np.asarray(x, dtype=np.complex128) for x in (a, b))
+    aa = a.real * a.real + a.imag * a.imag
+    norm = aa + (b.real * b.real + b.imag * b.imag)
+    defect = abs(norm - 1.0).max(initial=0.0)
+    if not defect <= atol:
+        raise ValueError(f"pair is not unitary (| |a|^2 + |b|^2 - 1 | = "
+                         f"{defect:.3e})")
+    p = aa / norm
+    return LocalInvariants(g1=(p * p).astype(np.complex128)[()],
+                           g2=(4.0 * p - 1.0)[()])
 
 
 def closed_form_invariants(alpha0: float, omega: float) -> LocalInvariants:

@@ -90,8 +90,8 @@ MUTANTS = [
      "the Trotter phi from |a|: cos(phi) is the real part of a, not its "
      "modulus, so a tilted step is powered by the wrong angle"),
     ("cli.py",
-     "    if closed is None and defect > tol:",
-     "    if closed is None and defect > 100 * tol:",
+     "        if defect > tol:",
+     "        if defect > 100 * tol:",
      "the matrix-gate unitarity tolerance: a matrix gate 100 times further "
      "from unitary than the tolerance is classified"),
     ("sphere.py",
@@ -148,8 +148,8 @@ MUTANTS = [
      "the phase cut inclusive: a first component of modulus exactly "
      "_PHASE_CUT is taken as the phase reference"),
     ("cli.py",
-     "u, max(tol, linalg.ATOL_PIPELINE))",
-     "u, linalg.ATOL_PIPELINE)",
+     "return route(*gate, max(tol, linalg.ATOL_PIPELINE))",
+     "return route(*gate, linalg.ATOL_PIPELINE)",
      "the invariants at the pipeline tolerance alone: a propagator within "
      "the report's tolerance but off unitary by more than 1e-10 is refused"),
     ("sphere.py",
@@ -243,6 +243,22 @@ MUTANTS = [
      "*segments[0]._record[:2], *segments[0]._record[2:4],",
      "a path's end taken from its first segment: a closed path of several "
      "segments seems open, and an open one ends at its first junction"),
+    ("invariants.py",
+     "g2=(4.0 * p - 1.0)[()])",
+     "g2=(4.0 * p + 1.0)[()])",
+     "the pair's G2 as 4 p + 1: every sector gate's G2 is 2 too large, so "
+     "the maximal entangler reads G2 = 1 and the identity G2 = 5"),
+    ("invariants.py",
+     "    p = aa / norm",
+     "    p = aa",
+     "the pair's p without its division by |a|^2 + |b|^2: the invariants "
+     "of a pair off unit norm within the tolerance are not those of the "
+     "normalized pair"),
+    ("cli.py",
+     "return inv, bool(_deviation(gram, inv) <= tol)",
+     "return inv, bool(_deviation(inv, inv) <= tol)",
+     "iswap_type comparing the pair's invariants with themselves: the "
+     "Gram route's verdict is dropped, so the check cannot fail"),
 ]
 
 

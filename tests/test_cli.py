@@ -143,7 +143,8 @@ def test_simulate_open_path_explicit(tmp_path, capsys):
     assert report["solid_angle"] is None
     assert report["holonomy_fidelity"] is None
     assert report["holonomy_fidelity_applicable"] is False
-    assert report["checks"] == {"propagator_unitary": True}
+    assert report["checks"] == {"propagator_unitary": True,
+                                "iswap_type": True}
 
 
 def test_simulate_nonzero_dynamical_phase_not_applicable(tmp_path, capsys):
@@ -277,10 +278,11 @@ def test_classify_rejects_g2_imaginary_part_beyond_tolerance(tmp_path,
 
 def test_classify_below_rounding_tolerance_reports_failed_checks(
         tmp_path, capsys):
-    # a gate the program built is off unitary by rounding (~1.1e-16) and
-    # off its closed form by 4.4e-16, with and without AVX2/FMA; below
-    # that tolerance its checks fail in the report, as simulate's do,
-    # instead of the invariants refusing it
+    # a gate the program built is off unitary by rounding (~1.1e-16), and
+    # the Gram route on it is off the invariants its pair gives by about
+    # 1e-16, with and without AVX2/FMA; below that tolerance those checks
+    # fail in the report, as simulate's do, instead of the invariants
+    # refusing it. The pair's invariants meet the closed form exactly here
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "classify", "tolerance": 1e-17,
         "gate": {"kind": "geometric", "alpha0": 0.3, "beta0": 0.3,
@@ -290,9 +292,10 @@ def test_classify_below_rounding_tolerance_reports_failed_checks(
     assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["checks"] == {"gate_unitary": False,
-                                "matches_closed_form": False}
+                                "matches_closed_form": True,
+                                "iswap_type": False}
     assert report["passed"] is False
-    assert report["closed_form_deviation"] < 1e-14
+    assert report["closed_form_deviation"] < 1e-17
     # a matrix input is still held to the tolerance itself: in double
     # precision 2 (1/sqrt2)^2 rounds to 1 + 2.2e-16
     h = 1 / np.sqrt(2)
@@ -311,27 +314,35 @@ def test_simulate_holds_its_propagator_to_the_report_tolerance(
         tmp_path, capsys, monkeypatch):
     # a propagator whose unitarity defect (5e-10) lies between the
     # pipeline's rounding tolerance (1e-10) and the scenario's (1e-9) is
-    # answered, and passes its unitarity check, not refused as not unitary
+    # answered, and passes its unitarity check, not refused as not unitary.
+    # The Gram invariants of so large a defect move by about 2.4 times it
+    # (G2 by 1.2e-9 here) from those of the normalized pair, so the
+    # iSWAP-type cross-check, held to the same tolerance, fails in the
+    # report
     from schmidt_gates import dynamics, linalg
 
-    def off_unitary(pulses, sector):
-        a, b = dynamics._pair(pulses)
-        s = math.sqrt(1.0 + 5e-10)
-        return linalg.embed(s * a, s * b, sector)
+    pair = dynamics._pair
 
-    monkeypatch.setattr(dynamics, "propagate", off_unitary)
+    def off_unitary(pulses):
+        a, b = pair(pulses)
+        s = math.sqrt(1.0 + 5e-10)
+        return s * a, s * b
+
+    # the CLI takes the propagator's pair through the module
+    monkeypatch.setattr(dynamics, "_pair", off_unitary)
     scn = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                        "latitude_loop.json")
     out = tmp_path / "report.json"
     code, stdout, err = run_main(["simulate", scn, "--out", str(out)], capsys)
-    assert (code, stdout, err) == (0, "", "")
+    assert (code, stdout, err) == (1, "", "")
     report = json.loads(out.read_text())
     u = np.array([[complex(re, im) for re, im in row]
                   for row in report["propagator"]])
     assert 4e-10 < linalg.unitarity_defect(u) < 6e-10
     assert report["tolerance"] == 1e-9
-    assert report["checks"]["propagator_unitary"] is True
-    assert report["passed"] is True
+    assert report["checks"] == {"propagator_unitary": True,
+                                "iswap_type": False}
+    assert report["passed"] is False
 
 
 def test_sweep_map_output(tmp_path, capsys):
@@ -366,13 +377,16 @@ def test_sweep_map_output(tmp_path, capsys):
 
 
 def test_sweep_map_blocks_match_one_gate_at_a_time(tmp_path, capsys):
-    # 23 x 29 = 667 points: one full block and a part-filled second one
+    # 23 x 29 = 667 points: one full block and a part-filled second one;
+    # each row is the pair route's for its gate alone, and the Gram route
+    # on the embedded gate agrees with it within the tolerance
     from schmidt_gates import cli
-    from schmidt_gates.gates import schmidt_gate
+    from schmidt_gates.gates import schmidt_gate, schmidt_pair
     from schmidt_gates.invariants import (
         classify,
         closed_form_invariants,
         makhlin_invariants,
+        pair_invariants,
     )
     assert cli._SWEEP_BLOCK < 23 * 29 < 2 * cli._SWEEP_BLOCK
     out = tmp_path / "map.csv"
@@ -384,19 +398,47 @@ def test_sweep_map_blocks_match_one_gate_at_a_time(tmp_path, capsys):
     code, _, err = run_main(["sweep-map", scn], capsys)
     assert code == 0
     lines = ["alpha0,omega,g1_re,g1_im,g2,entangler_class"]
-    worst = 0.0
+    worst = gram_worst = 0.0
     for a in np.linspace(0.05, 3.0, 23):
         for w in np.linspace(-6.0, 5.5, 29):
-            inv = makhlin_invariants(schmidt_gate(a, 0.7, w))
+            inv = pair_invariants(*schmidt_pair(a, 0.7, w))
             closed = closed_form_invariants(a, w)
             worst = max(worst, abs(inv.g1 - closed.g1),
                         abs(inv.g2 - closed.g2))
+            gram = makhlin_invariants(schmidt_gate(a, 0.7, w))
+            gram_worst = max(gram_worst, abs(gram.g1 - inv.g1),
+                             abs(gram.g2 - inv.g2))
             values = (a, w, inv.g1.real, inv.g1.imag, inv.g2)
             lines.append(",".join([*(format(float(x), ".17g") for x in values),
                                    classify(inv)]))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert err == (f"sweep-map: 667 rows, max closed-form deviation "
                    f"{worst:.3e}, checks pass\n")
+    assert gram_worst <= 1e-14
+
+
+def test_sweep_map_builds_no_gate_and_runs_no_gram_product(
+        tmp_path, capsys, monkeypatch):
+    # the shipped map is judged from its Cayley-Klein pairs alone: with
+    # every binding of embed and the Gram route made to raise, it still
+    # writes its golden table
+    from schmidt_gates import dynamics, gates, invariants, linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("sweep-map built a 4x4 gate")
+
+    for module in (linalg, gates, dynamics):
+        monkeypatch.setattr(module, "embed", refused)
+    monkeypatch.setattr(invariants, "makhlin_invariants", refused)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    out = tmp_path / "map.csv"
+    code, stdout, err = run_main(
+        ["sweep-map", os.path.join(root, "scenarios", "entangler_map.json"),
+         "--out", str(out)], capsys)
+    assert (code, stdout) == (0, ""), err
+    with open(os.path.join(root, "tests", "golden", "entangler_map.csv"),
+              "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_trotter_sweep_output(tmp_path, capsys):
@@ -1495,12 +1537,12 @@ def test_input_too_large_for_memory_gives_one_diagnostic(tmp_path, capsys,
 def test_simulate_out_of_memory_gives_one_diagnostic(tmp_path, capsys,
                                                     monkeypatch):
     # no simulate input allocates by its size any more, so an allocation
-    # that fails inside propagate stands in for one: main turns it into
-    # the one diagnostic, exit 2, no output file
-    def no_memory(schedule, sector):
+    # that fails inside the propagation stands in for one: main turns it
+    # into the one diagnostic, exit 2, no output file
+    def no_memory(schedule):
         raise MemoryError
 
-    monkeypatch.setattr(schmidt_gates.dynamics, "propagate", no_memory)
+    monkeypatch.setattr(schmidt_gates.dynamics, "_pair", no_memory)
     scn = write_scenario(tmp_path, {
         "schema_version": 1, "command": "simulate", "loop": False,
         "path": {"segments": [_rotation([0.3, 0.0, 1.0])]}})
@@ -1593,7 +1635,8 @@ MERIDIAN_AT_NEGATIVE_ZERO = """{
   "entangler_class": "NOT_PE",
   "tolerance": 1.0000000000000001e-09,
   "checks": {
-    "propagator_unitary": true
+    "propagator_unitary": true,
+    "iswap_type": true
   },
   "passed": true
 }

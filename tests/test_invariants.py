@@ -14,6 +14,7 @@ from schmidt_gates.invariants import (
     classify,
     closed_form_invariants,
     makhlin_invariants,
+    pair_invariants,
 )
 from schmidt_gates.linalg import embed, tensor_product, unitarity_defect
 
@@ -195,6 +196,73 @@ def test_sector_block_invariants_closed_form(sector):
         inv = makhlin_invariants(embed(a, b, sector))
         assert abs(inv.g1 - abs(a) ** 4) <= 1e-14
         assert abs(inv.g2 - (3.0 - 4.0 * abs(b) ** 2)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**63 - 1),
+       edge=st.floats(0.0, 1e-6),
+       sector=st.sampled_from(["gamma", "lambda"]))
+def test_pair_invariants_are_the_gram_routes(seed, edge, sector):
+    # a stack of random SU(2) pairs, |a| = cos(theta) with theta uniform on
+    # [0, pi/2] and its first two within `edge` of |a| = 1 and of |a| = 0:
+    # the pair's invariants are the Gram route's on the embedded gates to a
+    # few units of rounding, G1 is real, and one pair alone gives the bits
+    # it has in the stack
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi / 2, 256)
+    theta[:2] = edge, np.pi / 2 - edge
+    phase = rng.uniform(-np.pi, np.pi, (2, 256))
+    a = np.cos(theta) * np.exp(1j * phase[0])
+    b = np.sin(theta) * np.exp(1j * phase[1])
+    inv = pair_invariants(a, b)
+    gram = makhlin_invariants(embed(a, b, sector))
+    assert not inv.g1.imag.any()
+    bound = 16 * np.finfo(float).eps
+    assert abs(inv.g1 - gram.g1).max() <= bound
+    assert abs(inv.g2 - gram.g2).max() <= bound
+    for k in (0, 1, 2):
+        one = pair_invariants(a[k], b[k])
+        assert repr(complex(one.g1)) == repr(complex(inv.g1[k]))
+        assert repr(float(one.g2)) == repr(float(inv.g2[k]))
+
+
+def test_pair_invariants_of_textbook_pairs_are_exact():
+    # the identity, iSWAP's block and sqrt(iSWAP)'s, for scalars and for
+    # Python numbers
+    inv = pair_invariants(1.0, 0.0)
+    assert (complex(inv.g1), float(inv.g2)) == (1.0, 3.0)
+    inv = pair_invariants(np.array([0.0, 0.5 + 0.5j]),
+                          np.array([1j, 0.5 - 0.5j]))
+    assert list(inv.g1) == [0.0, 0.25]
+    assert list(inv.g2) == [-1.0, 1.0]
+    assert inv.g1.dtype == np.complex128
+
+
+def test_pair_invariants_refuse_a_pair_off_unit_norm():
+    # | |a|^2 + |b|^2 - 1 | is held to atol, inclusively, over the whole
+    # stack; a pair that is not finite is refused too
+    with pytest.raises(ValueError, match=r"^pair is not unitary "
+                       r"\(\| \|a\|\^2 \+ \|b\|\^2 - 1 \| = "
+                       r"3\.000e\+00\)$"):
+        pair_invariants(2.0, 0.0)
+    a = np.array([1.0, 0.6, 0.6 * (1.0 + 2.5e-10)])
+    b = np.array([0.0, 0.8j, 0.8j * (1.0 + 2.5e-10)])
+    with pytest.raises(ValueError, match="not unitary"):
+        pair_invariants(a, b)
+    # within atol, a pair's invariants are those of the normalized pair
+    scaled = pair_invariants(a, b, atol=1e-9)
+    assert scaled.g1[2] == scaled.g1[1] and scaled.g2[2] == scaled.g2[1]
+    # the bound is inclusive: a pair whose defect is exactly atol is
+    # answered, and one a step further off is refused
+    defect = (1.0 + 1e-10) ** 2 - 1.0
+    pair_invariants(1.0 + 1e-10, 0.0, atol=defect)
+    with pytest.raises(ValueError, match="not unitary"):
+        pair_invariants(1.0 + 1e-10, 0.0, atol=np.nextafter(defect, 0.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not unitary"):
+            pair_invariants(bad, 0.0, atol=1.0)
+    empty = pair_invariants(np.empty(0), np.empty(0))
+    assert empty.g1.shape == empty.g2.shape == (0,)
 
 
 def test_closed_form_beta_independence():

@@ -2,9 +2,9 @@
 
 `tests/golden/` holds the output of each `scenarios/*.json` file. The
 floats are printed with 17 significant digits, so the files pin the last
-digits that this numpy build produces at its SIMD level, whatever kernel
-OpenBLAS picks; a different build or SIMD level may differ in them without
-being wrong. Regenerate a golden file only in a
+digits that this numpy build produces, whatever kernel OpenBLAS picks and
+with or without numpy's AVX2 and AVX-512 loops; a different build may
+differ in them without being wrong. Regenerate a golden file only in a
 change that says why its numbers move, never to make this test pass.
 """
 
@@ -37,7 +37,7 @@ def test_scenario_output_matches_golden(tmp_path, capsys, scenario):
 
 SUMMARIES = {
     "entangler_map": "sweep-map: 625 rows, max closed-form deviation "
-                     "8.882e-16, checks pass\n",
+                     "6.661e-16, checks pass\n",
     "trotter_errors": "trotter-sweep: 63 rows, max rotation-form residual "
                       "2.770e-16, checks pass\n",
 }
