@@ -479,14 +479,24 @@ def _deviation(inv, ref):
     return np.maximum(abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
 
 
-def _sector_invariants(pair: tuple, u: np.ndarray, tol: float):
+def _sector_invariants(pair: tuple, sector: str, tol: float):
     """(invariants, iswap_type) of a sector gate: its invariants read from
-    its Cayley-Klein pair, and whether the Gram route on its embedded 4x4
-    gate `u` gives them within tol, as an iSWAP-type gate's must."""
-    from . import invariants
+    its Cayley-Klein pair (a, b), and whether the Gram route gives them
+    within tol, as an iSWAP-type gate's must. The pair's invariants are
+    those of the pair scaled to unit norm, so the Gram route runs on that
+    pair's 4x4 gate: its invariants are not scale-free (it renormalises
+    det U but not the traces), and a pair off unit norm by d, within tol,
+    would move them by about 2.4 d."""
+    import numpy as np
 
-    inv = _invariants(invariants.pair_invariants, *pair, tol=tol)
-    gram = _invariants(invariants.makhlin_invariants, u, tol=tol)
+    from . import invariants, linalg
+
+    a, b = pair
+    inv = _invariants(invariants.pair_invariants, a, b, tol=tol)
+    norm = np.sqrt(a.real * a.real + a.imag * a.imag
+                   + (b.real * b.real + b.imag * b.imag))
+    gram = _invariants(invariants.makhlin_invariants,
+                       linalg.embed(a / norm, b / norm, sector), tol=tol)
     return inv, bool(_deviation(gram, inv) <= tol)
 
 
@@ -505,8 +515,7 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
         phi_plus, phi_minus = dynamics.dynamical_phase(path)
     except ValueError as exc:
         raise ScenarioError(f"invalid path: {exc}") from exc
-    pair = dynamics._pair(schedule)
-    u = linalg.embed(*pair, sector)
+    u = dynamics.propagate(schedule, sector)
     phase_zero = abs(phi_plus) <= tol
     start = path.start_coords()
 
@@ -520,7 +529,8 @@ def run_simulate(scenario: dict, tol: float) -> _Result:
                      "omega": omega}
         checks["holonomy_fidelity"] = fidelity >= 1.0 - tol
 
-    inv, checks["iswap_type"] = _sector_invariants(pair, u, tol)
+    inv, checks["iswap_type"] = _sector_invariants(
+        linalg.block_pair(u, sector), sector, tol)
     return _json_result("simulate", {
         "sector": sector,
         "loop": loop,
@@ -552,9 +562,10 @@ def run_classify(scenario: dict, tol: float) -> _Result:
         checks = {"gate_unitary": defect <= tol}
         deviation = None
     else:
-        u = linalg.embed(*gate, echo.get("sector", "gamma"))
+        sector = echo.get("sector", "gamma")
+        u = linalg.embed(*gate, sector)
         checks = {"gate_unitary": linalg.unitarity_defect(u) <= tol}
-        inv, iswap = _sector_invariants(gate, u, tol)
+        inv, iswap = _sector_invariants(gate, sector, tol)
         deviation = float(_deviation(inv, closed))
         checks["matches_closed_form"] = deviation <= tol
         checks["iswap_type"] = iswap

@@ -10,7 +10,7 @@ with the identity on the other pair. A rotation is carried as its
 Cayley-Klein pair (a, b), of the block [[a, -conj(b)], [b, conj(a)]], from
 su2_exp through su2_product, which composes a stack of pairs along its last
 axis (leading axes are a batch); embed is the one place a pair becomes a
-4x4 matrix.
+4x4 matrix, and block_pair reads it back.
 gram_upper forms products of stacks held with the gate axis last, one
 length-n row per matrix entry; unitarity_defect is built on it, and so is
 every 4x4 quantity of the invariants. gate_fidelity and
@@ -157,6 +157,13 @@ def embed(a, b, sector: str) -> np.ndarray:
     # adding +0 turns every exact -0 (as in -conj(0)) into +0; in place, as
     # a fresh stack of a few thousand gates costs more in page faults
     return np.add(u, 0.0, out=u)
+
+
+def block_pair(u: np.ndarray, sector: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair (a, b) of the sector's block of a gate or of each
+    gate of a stack, embed's inverse: the block's first column."""
+    i, j = range(4)[_PAIRS[sector]]
+    return u[..., i, i], u[..., j, i]
 
 
 def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:

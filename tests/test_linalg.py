@@ -308,7 +308,8 @@ def test_embed_is_the_block_on_the_literal_indices_byte_for_byte(a, b,
     # the reference block written onto the sector's indices, gamma (1, 2)
     # and lambda (0, 3), of the identity, every exact zero +0; a scalar, a
     # stack, and a scalar against a stack (two stacks of different lengths
-    # are broadcast against one another as a column and a row)
+    # are broadcast against one another as a column and a row); block_pair
+    # reads the pair back, with its zeros +0
     if np.ndim(a) and np.ndim(b):
         a, b = np.array(a)[:, None], np.array(b)
     i, j = {"gamma": (1, 2), "lambda": (0, 3)}[sector]
@@ -319,7 +320,11 @@ def test_embed_is_the_block_on_the_literal_indices_byte_for_byte(a, b,
         expect[..., k, k] = 1.0
     expect[..., i, i], expect[..., i, j] = block[..., 0, 0], block[..., 0, 1]
     expect[..., j, i], expect[..., j, j] = block[..., 1, 0], block[..., 1, 1]
-    assert embed(a, b, sector).tobytes() == expect.tobytes()
+    u = embed(a, b, sector)
+    assert u.tobytes() == expect.tobytes()
+    pair = linalg.block_pair(u, sector)
+    assert [x.tobytes() for x in pair] == [(a + 0.0).tobytes(),
+                                           (b + 0.0).tobytes()]
 
 
 def test_su2_product_of_one_pair_is_that_pair_bit_for_bit():
